@@ -28,6 +28,7 @@ from . import detect, gaussian, numlin, spectral, typicality, sublinear, units
 from .exceptions import (
     DegeneratePairError,
     IllConditionedSpectraError,
+    InvalidDimensionError,
     NumericalFailureError,
     SteinlabError,
 )
@@ -114,8 +115,11 @@ def covariance_from_spec(spec: dict) -> spectral.CovarianceSequence:
 
 def _validate(config: dict) -> None:
     ns = config.get("ns")
-    if not ns or list(ns) != sorted(ns):
-        raise ConfigError(f"field 'ns': must be a non-empty ascending list, got {ns}")
+    # type() rather than isinstance(): bool is a subclass of int.
+    if not isinstance(ns, list) or not ns or any(type(n) is not int for n in ns):
+        raise ConfigError(f"field 'ns': must be a non-empty list of integers, got {ns}")
+    if any(a >= b for a, b in zip(ns, ns[1:])):
+        raise ConfigError(f"field 'ns': must be strictly ascending, got {ns}")
     for key in ("tau", "eps"):
         if key in config and not 0.0 < float(config[key]) < 1.0:
             raise ConfigError(f"field {key!r}: must lie in (0, 1), got {config[key]}")
@@ -232,7 +236,7 @@ def run_asymptotics(config: dict) -> tuple[list[str], list[dict]]:
     for n in config["ns"]:
         toep = numlin.toeplitz_from_cov(cov, n)
         circ = numlin.circulant_from_cov(cov, n)
-        eigs = numlin.eig_sym(toep).eigenvalues
+        eigs = numlin.eigvals_sym(toep)
         rows.append(
             {
                 "n": n,
@@ -389,7 +393,8 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
         if args.check:
             run_check(args.command, rows)
-    except (ConfigError, DegeneratePairError, ValueError) as exc:
+    # Dimensions come only from 'ns', so the library's dimension checks reject a config.
+    except (ConfigError, DegeneratePairError, InvalidDimensionError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (NumericalFailureError, IllConditionedSpectraError) as exc:

@@ -8,8 +8,8 @@ e^{-LLR}), which stays accurate down to e^{-200} through log-domain
 accumulation.
 
 Simulation runs in whitened coordinates: both error probabilities and the
-LLR law are invariant under the whitening bijection, so samples are drawn
-from diag(kappas) vs identity.
+LLR law are invariant under the whitening bijection, so every LLR value is
+drawn by `gaussian.llr_chunks` from diag(kappas) vs identity.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from . import gaussian, numlin, spectral, streams, typicality
+from . import gaussian, numlin, spectral, typicality
 from .exceptions import DegeneratePairError, VacuousBoundError
 
 NEG_INF = float("-inf")
@@ -77,28 +77,11 @@ def _require_pair(pair: gaussian.HypothesisPair) -> None:
         raise DegeneratePairError("hypotheses are identical; no exponent to estimate")
 
 
-def _llr_chunks_p(pair: gaussian.HypothesisPair, count: int, seed: int):
-    # Under p (whitened), x_k = sqrt(kappa_k) z_k and the LLR reduces to
-    # sum 0.5 (kappa_k - 1) z_k^2 - 0.5 sum log kappa_k.
-    coef = 0.5 * (pair.kappas - 1.0)
-    offset = -0.5 * float(np.sum(np.log(pair.kappas)))
-    for z in streams.standard_normal_chunks(seed, count, pair.n):
-        yield (z * z) @ coef + offset
-
-
-def _llr_chunks_q(pair: gaussian.HypothesisPair, count: int, seed: int):
-    coef = 0.5 * (1.0 - 1.0 / pair.kappas)
-    offset = -0.5 * float(np.sum(np.log(pair.kappas)))
-    for z in streams.standard_normal_chunks(seed, count, pair.n):
-        yield (z * z) @ coef + offset
-
-
 def sample_llr(
     pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
 ) -> np.ndarray:
     """LLR values of `count` draws from p or q, in whitened coordinates."""
-    chunks = _llr_chunks_p if under == "p" else _llr_chunks_q
-    return np.concatenate(list(chunks(pair, count, seed)))
+    return np.concatenate(list(gaussian.llr_chunks(pair, count, seed, under)))
 
 
 def np_calibrate(
@@ -131,12 +114,8 @@ def estimate_alpha(
     """Fraction of p-samples the detector rejects."""
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    rejects = 0
-    for llrs in _llr_chunks_p(pair, count, seed):
-        rejects += int(np.count_nonzero(~det.accepts_p(llrs, pair.kl)))
-    alpha = rejects / count
-    stderr = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / count)
-    return AlphaEstimate(alpha_hat=alpha, stderr=stderr)
+    est = _error_estimates(det, sample_llr(pair, count, seed), pair.kl, seed)
+    return AlphaEstimate(alpha_hat=est.alpha_hat, stderr=est.stderr_alpha)
 
 
 def estimate_beta_is(
@@ -150,18 +129,20 @@ def estimate_beta_is(
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    log_weight_blocks = []
-    rejects = 0
-    for llrs in _llr_chunks_p(pair, count, seed):
-        accepted = det.accepts_p(llrs, pair.kl)
-        rejects += int(np.count_nonzero(~accepted))
-        block = np.where(accepted, -llrs, NEG_INF)
-        log_weight_blocks.append(block)
-    log_weights = np.concatenate(log_weight_blocks)
-    alpha = rejects / count
-    stderr_alpha = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / count)
+    return _error_estimates(det, sample_llr(pair, count, seed), pair.kl, seed)
 
-    if np.all(np.isneginf(log_weights)):
+
+def _error_estimates(
+    det: DetectorSpec, llrs: np.ndarray, kl: float, seed: int
+) -> ErrorEstimates:
+    """Reduce LLR values drawn under p to the detector's alpha and IS beta."""
+    count = llrs.size
+    accepted = det.accepts_p(llrs, kl)
+    alpha = int(np.count_nonzero(~accepted)) / count
+    stderr_alpha = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / count)
+    log_weights = np.where(accepted, -llrs, NEG_INF)
+
+    if not np.any(accepted):
         return ErrorEstimates(
             alpha_hat=alpha,
             beta_hat=0.0,
@@ -176,20 +157,17 @@ def estimate_beta_is(
     log_beta = float(logsumexp(log_weights)) - math.log(count)
     # Relative spread of the weights: Var(w)/(N mean(w)^2) in log domain.
     log_second = float(logsumexp(2.0 * log_weights)) - math.log(count)
-    rel_var = math.expm1(min(log_second - 2.0 * log_beta, _LOG_HUGE))
+    rel_var = math.expm1(min(log_second - 2.0 * log_beta, typicality.EXP_OVERFLOW))
     stderr_beta_log = math.sqrt(max(rel_var, 0.0) / count)
     return ErrorEstimates(
         alpha_hat=alpha,
-        beta_hat=math.exp(log_beta) if log_beta > -700.0 else 0.0,
+        beta_hat=typicality.exp_or_inf(log_beta),
         beta_log=-log_beta,
         stderr_alpha=stderr_alpha,
         stderr_beta_log=stderr_beta_log,
         count=count,
         seed=seed,
     )
-
-
-_LOG_HUGE = 700.0
 
 
 @dataclass(frozen=True)
@@ -213,8 +191,8 @@ def stein_bounds(
     exp_lower = kl - gamma
     exp_upper = kl + delta - math.log1p(-(eps + tau))
     return SteinBounds(
-        beta_lower=typicality._exp_or_inf(-exp_upper),
-        beta_upper=typicality._exp_or_inf(-exp_lower),
+        beta_lower=typicality.exp_or_inf(-exp_upper),
+        beta_upper=typicality.exp_or_inf(-exp_lower),
         exp_lower=exp_lower,
         exp_upper=exp_upper,
     )
@@ -289,7 +267,8 @@ def gcsl_experiment(
     For each n: exact KL and B_n, minimal good thresholds at (tau, eps=tau),
     the analytic exponent window, and Monte Carlo -ln(beta) for both the
     calibrated threshold detector and the typical-set detector.  Calibration
-    and evaluation use independent derived seeds.
+    and evaluation use independent derived seeds; both detectors are scored
+    on the same evaluation draws.
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
@@ -316,9 +295,10 @@ def gcsl_experiment(
         seed_cal = seed * 1000 + 2 * i
         seed_eval = seed * 1000 + 2 * i + 1
         det_np = np_calibrate(pair, tau, count, seed_cal)
-        est_np = estimate_beta_is(det_np, pair, count, seed_eval)
         det_ts = DetectorSpec.typical_set(gamma)
-        est_ts = estimate_beta_is(det_ts, pair, count, seed_eval)
+        llrs = sample_llr(pair, count, seed_eval)
+        est_np = _error_estimates(det_np, llrs, pair.kl, seed_eval)
+        est_ts = _error_estimates(det_ts, llrs, pair.kl, seed_eval)
 
         margin = 3.0 * est_np.stderr_beta_log
         in_window = (

@@ -1,14 +1,16 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
-A `GaussianModel` caches the spectral square-root factors, log-determinant
-and differential entropy of its covariance.  `whiten` reduces a pair of
-covariances to the equivalent diagonal-vs-identity test and records the
-diagonal entries (kappas), under which the log-likelihood ratio has the
-simple weighted chi-square form used throughout the detection code.
+A `GaussianModel` holds the symmetric square-root factors, log-determinant
+and differential entropy of its covariance, from one eigen-decomposition.
+`whiten` reduces a pair of covariances to the equivalent diagonal-vs-identity
+test with one generalized eigensolve and records the diagonal entries
+(kappas); there the log-likelihood ratio is an affine weighted sum of
+chi-square variables, which `llr_chunks` samples for all the detection code.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -42,29 +44,26 @@ def model_from_cov(cov: np.ndarray) -> GaussianModel:
     """Build a model from a symmetric positive-definite covariance."""
     cov = numlin.symmetrize(cov)
     dec = numlin.eig_sym(cov)
-    w = dec.eigenvalues
-    if w[0] <= numlin.PD_RTOL * max(w[-1], 0.0):
-        raise NotPositiveDefiniteError(
-            f"covariance is not positive definite: lambda_min={w[0]:.3e}"
-        )
-    sqrt_cov, inv_sqrt_cov = numlin.mat_sqrt_pair(cov)
+    w, v = dec.eigenvalues, dec.basis
+    numlin.check_pd(w, "covariance")
+    root = np.sqrt(w)
     n = cov.shape[0]
     log_det = float(np.sum(np.log(w)))
     entropy = 0.5 * (n * (LOG_2PI + 1.0) + log_det)
     return GaussianModel(
         cov=cov,
-        sqrt_cov=sqrt_cov,
-        inv_sqrt_cov=inv_sqrt_cov,
+        sqrt_cov=numlin.symmetrize((v * root) @ v.T),
+        inv_sqrt_cov=numlin.symmetrize((v / root) @ v.T),
         log_det=log_det,
         entropy=entropy,
     )
 
 
-def _check_vector(model: GaussianModel, x: np.ndarray) -> np.ndarray:
+def _check_vector(n: int, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
-    if x.shape != (model.n,):
+    if x.shape != (n,):
         raise InvalidDimensionError(
-            f"expected a vector of length {model.n}, got shape {x.shape}"
+            f"expected a vector of length {n}, got shape {x.shape}"
         )
     if not np.all(np.isfinite(x)):
         raise NumericalFailureError("input vector has non-finite entries")
@@ -73,9 +72,8 @@ def _check_vector(model: GaussianModel, x: np.ndarray) -> np.ndarray:
 
 def log_density(model: GaussianModel, x: np.ndarray) -> float:
     """Natural log of the Gaussian PDF at x."""
-    x = _check_vector(model, x)
-    y = model.inv_sqrt_cov @ x
-    return float(-0.5 * (model.n * LOG_2PI + model.log_det + y @ y))
+    x = _check_vector(model.n, x)
+    return float(log_density_batch(model, x[np.newaxis, :])[0])
 
 
 def log_density_batch(model: GaussianModel, xs: np.ndarray) -> np.ndarray:
@@ -97,34 +95,24 @@ def sample(model: GaussianModel, seed: int, count: int) -> np.ndarray:
     return np.concatenate(blocks, axis=0)
 
 
+def _kl_from_kappas(kappas: np.ndarray) -> float:
+    return float(0.5 * np.sum(kappas - np.log(kappas) - 1.0))
+
+
 def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     """Relative entropy D(N(0, cov_p) || N(0, cov_q)) in nats.
 
     Closed form 0.5 tr(Lp Lq^-1) - 0.5 log(det Lp / det Lq) - n/2, evaluated
-    through the kappas (eigenvalues of Lq^-1 Lp) so it is exactly the
-    diagonal-form value 0.5 sum(kappa - log kappa - 1).
+    through the kappas (eigenvalues of the pencil (Lp, Lq)) so it is exactly
+    the diagonal-form value 0.5 sum(kappa - log kappa - 1).
     """
-    kappas = _kappas(cov_p, cov_q)
-    return float(0.5 * np.sum(kappas - np.log(kappas) - 1.0))
-
-
-def _inv_sqrt(cov: np.ndarray) -> np.ndarray:
-    return numlin.mat_sqrt_pair(numlin.symmetrize(cov))[1]
-
-
-def _kappas(cov_p: np.ndarray, cov_q: np.ndarray) -> np.ndarray:
-    cov_p = np.asarray(cov_p, dtype=float)
-    cov_q = np.asarray(cov_q, dtype=float)
-    if cov_p.shape != cov_q.shape:
-        raise InvalidDimensionError(
-            f"covariance shapes differ: {cov_p.shape} vs {cov_q.shape}"
-        )
-    inv_sqrt_q = _inv_sqrt(cov_q)
-    conj = numlin.symmetrize(inv_sqrt_q @ numlin.symmetrize(cov_p) @ inv_sqrt_q)
-    w = numlin.eig_sym(conj).eigenvalues
-    if w[0] <= 0.0:
+    cov_p = numlin.symmetrize(cov_p)
+    cov_q = numlin.symmetrize(cov_q)
+    numlin.check_pd(numlin.eigvals_sym(cov_q), "q covariance")
+    kappas = numlin.eigvals_sym(cov_p, cov_q)
+    if kappas[0] <= 0.0:
         raise NotPositiveDefiniteError("p covariance is not positive definite")
-    return w
+    return _kl_from_kappas(kappas)
 
 
 @dataclass(frozen=True)
@@ -133,18 +121,26 @@ class HypothesisPair:
 
     `whitener` maps the observation space to coordinates in which p has
     covariance diag(kappas) and q the identity; `kl` is the exact
-    finite-n relative entropy in nats.
+    finite-n relative entropy in nats.  Models `p` and `q` are built lazily.
     """
 
-    p: GaussianModel = field(repr=False)
-    q: GaussianModel = field(repr=False)
+    cov_p: np.ndarray = field(repr=False)
+    cov_q: np.ndarray = field(repr=False)
     kappas: np.ndarray  # descending
     whitener: np.ndarray = field(repr=False)
     kl: float
 
+    @functools.cached_property
+    def p(self) -> GaussianModel:
+        return model_from_cov(self.cov_p)
+
+    @functools.cached_property
+    def q(self) -> GaussianModel:
+        return model_from_cov(self.cov_q)
+
     @property
     def n(self) -> int:
-        return self.p.n
+        return self.kappas.shape[0]
 
     @property
     def b_n(self) -> float:
@@ -155,32 +151,22 @@ class HypothesisPair:
 def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
     """Reduce (cov_p, cov_q) to the diagonal-vs-identity equivalent test.
 
-    The map M = V^T Lq^{-1/2} (V the eigenbasis of the conjugated p
-    covariance) satisfies M Lq M^T = I and M Lp M^T = diag(kappas).
+    The generalized eigenbasis V of the pencil (Lp, Lq) satisfies
+    V^T Lq V = I and V^T Lp V = diag(kappas), so the whitener is V^T.
     Kappas are returned descending, ties adjacent.
     """
     cov_p = numlin.symmetrize(cov_p)
     cov_q = numlin.symmetrize(cov_q)
-    if cov_p.shape != cov_q.shape:
-        raise InvalidDimensionError(
-            f"covariance shapes differ: {cov_p.shape} vs {cov_q.shape}"
-        )
-    inv_sqrt_q = _inv_sqrt(cov_q)
-    conj = numlin.symmetrize(inv_sqrt_q @ cov_p @ inv_sqrt_q)
-    dec = numlin.eig_sym(conj)
-    if dec.eigenvalues[0] <= 0.0:
-        raise NotPositiveDefiniteError("p covariance is not positive definite")
-    order = np.argsort(dec.eigenvalues)[::-1]
-    kappas = dec.eigenvalues[order]
-    basis = dec.basis[:, order]
-    whitener = basis.T @ inv_sqrt_q
-    kl = float(0.5 * np.sum(kappas - np.log(kappas) - 1.0))
+    numlin.check_pd(numlin.eigvals_sym(cov_q), "q covariance")
+    numlin.check_pd(numlin.eigvals_sym(cov_p), "p covariance")
+    dec = numlin.eig_sym(cov_p, cov_q)
+    kappas = dec.eigenvalues[::-1].copy()
     return HypothesisPair(
-        p=model_from_cov(cov_p),
-        q=model_from_cov(cov_q),
+        cov_p=cov_p,
+        cov_q=cov_q,
         kappas=kappas,
-        whitener=whitener,
-        kl=kl,
+        whitener=dec.basis[:, ::-1].T,
+        kl=_kl_from_kappas(kappas),
     )
 
 
@@ -190,11 +176,33 @@ def diagonal_pair(kappas) -> HypothesisPair:
     return whiten(np.diag(kappas), np.eye(kappas.size))
 
 
+def _llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
+    # Whitened draws are sqrt(kappa) z under p and z under q (z ~ N(0, I)),
+    # so LLR = sum c z^2 - 0.5 sum log kappa, c = 0.5 (kappa - 1) [/ kappa].
+    if under not in ("p", "q"):
+        raise ValueError(f"under must be 'p' or 'q', got {under!r}")
+    coef = 0.5 * (pair.kappas - 1.0)
+    if under == "q":
+        coef = coef / pair.kappas
+    return coef, -0.5 * float(np.sum(np.log(pair.kappas)))
+
+
+def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
+    """Yield the LLR values of `count` whitened draws from p or q, by chunk."""
+    coef, offset = _llr_form(pair, under)
+    for z in streams.standard_normal_chunks(seed, count, pair.n):
+        yield (z * z) @ coef + offset
+
+
 def llr(pair: HypothesisPair, x: np.ndarray) -> float:
     """Log-likelihood ratio log p(x) - log q(x) in nats."""
-    return log_density(pair.p, x) - log_density(pair.q, x)
+    x = _check_vector(pair.n, x)
+    return float(llr_batch(pair, x[np.newaxis, :])[0])
 
 
 def llr_batch(pair: HypothesisPair, xs: np.ndarray) -> np.ndarray:
     """Log-likelihood ratio of each row of an (N, n) array."""
-    return log_density_batch(pair.p, xs) - log_density_batch(pair.q, xs)
+    # Whitened coordinates are standard normal under q.
+    coef, offset = _llr_form(pair, "q")
+    ys = np.asarray(xs, dtype=float) @ pair.whitener.T
+    return (ys * ys) @ coef + offset

@@ -1,9 +1,9 @@
 """Dense symmetric matrix kernel.
 
 Builds the three covariance-matrix variants used by the asymptotic-equivalence
-arguments (full Toeplitz, banded, circulant), exposes a symmetric
-eigen-decomposition and spectral square roots, and implements the weak and
-strong matrix norms.
+arguments (full Toeplitz, banded, circulant), exposes symmetric and
+symmetric-definite (pencil) eigensolves with the positive-definiteness rule,
+and implements the weak and strong matrix norms.
 """
 
 from __future__ import annotations
@@ -25,14 +25,14 @@ PD_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class EigenDecomposition:
-    """Eigenvalues in ascending order and the orthogonal eigenvector basis."""
+    """Eigenvalues in ascending order and the eigenvector basis.
+
+    The basis is orthogonal for one matrix and B-orthonormal for a pencil
+    (M, B): V^T B V = I and V^T M V = diag(eigenvalues).
+    """
 
     eigenvalues: np.ndarray
     basis: np.ndarray  # columns are eigenvectors
-
-    @property
-    def n(self) -> int:
-        return self.eigenvalues.shape[0]
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -84,34 +84,44 @@ def circulant_from_cov(cov, n: int) -> np.ndarray:
     return scipy.linalg.circulant(row)
 
 
-def eig_sym(m: np.ndarray) -> EigenDecomposition:
-    """Eigen-decomposition of a symmetric matrix, eigenvalues ascending."""
-    m = _check_square_finite(m)
+def _check_pencil(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    m, b = _check_square_finite(m), _check_square_finite(b)
+    if m.shape != b.shape:
+        raise InvalidDimensionError(f"pencil shapes differ: {m.shape} vs {b.shape}")
+    return m, b
+
+
+def eig_sym(m: np.ndarray, b: np.ndarray | None = None) -> EigenDecomposition:
+    """Eigen-decomposition of a symmetric matrix, eigenvalues ascending.
+
+    With `b` (positive definite) it solves the pencil M v = lambda B v."""
     try:
-        w, v = np.linalg.eigh(m)
+        if b is None:
+            w, v = np.linalg.eigh(_check_square_finite(m))
+        else:
+            w, v = scipy.linalg.eigh(*_check_pencil(m, b))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=w, basis=v)
 
 
-def mat_sqrt_pair(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of a PD matrix.
+def eigvals_sym(m: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """Eigenvalues (ascending) of a symmetric matrix or of the pencil (M, B)."""
+    try:
+        if b is None:
+            return np.linalg.eigvalsh(_check_square_finite(m))
+        return scipy.linalg.eigh(*_check_pencil(m, b), eigvals_only=True)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
 
-    Both factors come from the spectral construction U diag(w)^(+-1/2) U^T,
-    so they are symmetric and commute with the input.
-    """
-    dec = eig_sym(m)
-    w = dec.eigenvalues
+
+def check_pd(w: np.ndarray, what: str) -> None:
+    """Raise unless ascending eigenvalues w pass w_min > PD_RTOL * w_max."""
     if w[0] <= PD_RTOL * max(w[-1], 0.0):
         raise NotPositiveDefiniteError(
-            f"matrix is not positive definite: lambda_min={w[0]:.3e}, "
+            f"{what} is not positive definite: lambda_min={w[0]:.3e}, "
             f"lambda_max={w[-1]:.3e}"
         )
-    root = np.sqrt(w)
-    v = dec.basis
-    sqrt_m = symmetrize((v * root) @ v.T)
-    inv_sqrt_m = symmetrize((v / root) @ v.T)
-    return sqrt_m, inv_sqrt_m
 
 
 def weak_norm(m: np.ndarray) -> float:
@@ -125,6 +135,5 @@ def strong_norm(m: np.ndarray) -> float:
     """l2 operator norm; for symmetric input this is max |eigenvalue|."""
     m = _check_square_finite(m)
     if np.allclose(m, m.T, atol=0.0, rtol=0.0):
-        w = np.linalg.eigvalsh(m)
-        return float(np.max(np.abs(w)))
+        return float(np.max(np.abs(eigvals_sym(m))))
     return float(np.linalg.norm(m, 2))

@@ -19,7 +19,7 @@ from scipy import special
 from . import gaussian, streams
 from .exceptions import DegeneratePairError, VacuousBoundError
 
-_EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
+EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
 
 
 def qfunc(x: float) -> float:
@@ -212,16 +212,6 @@ class TypicalSetSpec:
             return self.model.entropy
         return self.pair.kl
 
-    @property
-    def sampling_model(self) -> gaussian.GaussianModel:
-        return self.model if self.variant == "entropy" else self.pair.p
-
-    def statistic_batch(self, xs: np.ndarray) -> np.ndarray:
-        """The centered statistic: -log p(x) or the log-likelihood ratio."""
-        if self.variant == "entropy":
-            return -gaussian.log_density_batch(self.model, xs)
-        return gaussian.llr_batch(self.pair, xs)
-
 
 @dataclass(frozen=True)
 class MonteCarloProbability:
@@ -234,25 +224,34 @@ class MonteCarloProbability:
 def mc_typical_prob(
     spec: TypicalSetSpec, count: int, seed: int
 ) -> MonteCarloProbability:
-    """Fraction of samples from p that land in the typical set."""
+    """Fraction of samples from p that land in the typical set.
+
+    Entropy set: -log p(Lambda^{1/2} z) = 0.5 (n ln 2 pi + log det) + 0.5 |z|^2.
+    """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    model = spec.sampling_model
-    center, delta = spec.center, spec.delta
+    if spec.variant == "entropy":
+        model = spec.model
+        offset = 0.5 * (model.n * gaussian.LOG_2PI + model.log_det)
+        stats = (
+            offset + 0.5 * np.einsum("ij,ij->i", z, z)
+            for z in streams.standard_normal_chunks(seed, count, model.n)
+        )
+    else:
+        stats = gaussian.llr_chunks(spec.pair, count, seed, "p")
     hits = 0
-    for z in streams.standard_normal_chunks(seed, count, model.n):
-        xs = z @ model.sqrt_cov
-        stat = spec.statistic_batch(xs)
-        hits += int(np.count_nonzero(np.abs(stat - center) <= delta))
+    for stat in stats:
+        hits += int(np.count_nonzero(np.abs(stat - spec.center) <= spec.delta))
     estimate = hits / count
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
     return MonteCarloProbability(estimate=estimate, stderr=stderr, count=count, seed=seed)
 
 
-def _exp_or_inf(log_value: float) -> float:
-    if log_value > _EXP_OVERFLOW:
+def exp_or_inf(log_value: float) -> float:
+    """e^log_value, saturated to inf or 0 beyond +-EXP_OVERFLOW."""
+    if log_value > EXP_OVERFLOW:
         return math.inf
-    if log_value < -_EXP_OVERFLOW:
+    if log_value < -EXP_OVERFLOW:
         return 0.0
     return math.exp(log_value)
 
@@ -274,8 +273,8 @@ def volume_bounds(h: float, delta: float, eps: float) -> VolumeBounds:
     log_upper = h + delta
     log_lower = math.log1p(-eps) + h - delta
     return VolumeBounds(
-        upper=_exp_or_inf(log_upper),
-        lower=_exp_or_inf(log_lower),
+        upper=exp_or_inf(log_upper),
+        lower=exp_or_inf(log_lower),
         log_upper=log_upper,
         log_lower=log_lower,
     )
@@ -294,7 +293,7 @@ def other_set_volume_lb(h: float, delta: float, eps: float, eps2: float) -> Lowe
     if eps < 0.0 or eps2 < 0.0 or eps + eps2 >= 1.0:
         raise VacuousBoundError(f"eps + eps2 must be < 1, got {eps} + {eps2}")
     log_value = math.log1p(-(eps + eps2)) + h - delta
-    return LowerBound(value=_exp_or_inf(log_value), log_value=log_value)
+    return LowerBound(value=exp_or_inf(log_value), log_value=log_value)
 
 
 @dataclass(frozen=True)
@@ -317,8 +316,8 @@ def q_prob_bounds(kl: float, delta: float, eps: float) -> QProbBounds:
     log_upper = -(kl - delta)
     log_lower = math.log1p(-eps) - (kl + delta)
     return QProbBounds(
-        upper=_exp_or_inf(log_upper),
-        lower=_exp_or_inf(log_lower),
+        upper=exp_or_inf(log_upper),
+        lower=exp_or_inf(log_lower),
         log_upper=log_upper,
         log_lower=log_lower,
     )
@@ -338,22 +337,19 @@ def clt_psi_check(
     seed: int,
     ks_bound: float = 0.02,
 ) -> CltCheck:
-    """Simulate the normalized chi-square fluctuation sum and compare to Phi.
+    """Simulate the normalized LLR fluctuation and compare it to Phi.
 
-    Each replicate is sum_k (kappa_k - 1)/(sqrt(2) B_n) * (Y_k^2 - 1) with
-    iid standard normal Y; its distribution should be near standard normal
-    for large n.  Returns the Kolmogorov-Smirnov sup-gap of the empirical
-    CDF against Phi.
+    Each replicate is (LLR - D) sqrt(2) / B_n under p, i.e. sum_k (kappa_k - 1)
+    / (sqrt(2) B_n) * (Y_k^2 - 1) with iid standard normal Y; its law should
+    be near standard normal for large n.  Returns the Kolmogorov-Smirnov
+    sup-gap of the empirical CDF against Phi.
     """
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
     if pair.b_n == 0.0:
         raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    weights = (pair.kappas - 1.0) / (math.sqrt(2.0) * pair.b_n)
-    sums = []
-    for z in streams.standard_normal_chunks(seed, count, pair.n):
-        sums.append((z * z - 1.0) @ weights)
-    values = np.sort(np.concatenate(sums))
+    llrs = np.concatenate(list(gaussian.llr_chunks(pair, count, seed, "p")))
+    values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
     cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
     i = np.arange(1, count + 1)
     ks = float(np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count)))

@@ -146,6 +146,29 @@ class TestPlumbing:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize(
+        "ns", [[8.5, 16], [True, 16], ["8", 16], [16.0, 32], 8],
+        ids=["fraction", "bool", "string", "float", "scalar"],
+    )
+    def test_non_integer_ns_exits_2(self, capsys, tmp_path, ns):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": ns}))
+        code, out, err = run_cli(capsys, "sublinear", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "command, n_list",
+        [("asymptotics", "8,8"), ("asymptotics", "2"), ("rate", "0,4"), ("sublinear", "2,4")],
+        ids=["duplicate", "asymptotics-below-3", "rate-below-1", "sublinear-below-3"],
+    )
+    def test_bad_n_list_exits_2(self, capsys, command, n_list):
+        code, out, err = run_cli(capsys, command, "--n-list", n_list)
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_bad_unit_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"unit": "hartleys"}))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steinlab import detect, gaussian, spectral, typicality
+from steinlab import detect, gaussian, numlin, spectral, typicality
 from steinlab.exceptions import DegeneratePairError, VacuousBoundError
 
 
@@ -144,12 +144,16 @@ class TestExponentFit:
             detect.exponent_fit([5, 5, 5], [1.0, 2.0, 3.0])
 
 
+GCSL_NS = [32, 64, 96, 128]
+GCSL_SEED = 11
+
+
 @pytest.fixture(scope="module")
 def result():
     cov_p = spectral.CovarianceSequence.geometric(0.5)
     cov_q = spectral.CovarianceSequence.white()
     return detect.gcsl_experiment(
-        cov_p, cov_q, tau=0.2, ns=[32, 64, 96, 128], count=20_000, seed=11
+        cov_p, cov_q, tau=0.2, ns=GCSL_NS, count=20_000, seed=GCSL_SEED
     )
 
 
@@ -168,6 +172,24 @@ class TestGcslExperiment:
     def test_slope_positive_and_fit_tight(self, result):
         assert result.slope > 0.0
         assert result.r2 > 0.98
+
+    def test_one_pass_matches_separate_estimates(self, result):
+        cov_p = spectral.CovarianceSequence.geometric(0.5)
+        for i, row in enumerate(result.rows):
+            pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, row.n), np.eye(row.n))
+            seed_eval = GCSL_SEED * 1000 + 2 * i + 1
+            est_np = detect.estimate_beta_is(
+                detect.DetectorSpec.np_threshold(row.np_threshold), pair, 20_000, seed_eval
+            )
+            est_ts = detect.estimate_beta_is(
+                detect.DetectorSpec.typical_set(row.gamma), pair, 20_000, seed_eval
+            )
+            assert (row.np_alpha, row.np_beta_log, row.np_beta_stderr) == (
+                est_np.alpha_hat, est_np.beta_log, est_np.stderr_beta_log
+            )
+            assert (row.ts_alpha, row.ts_beta_log, row.ts_beta_stderr) == (
+                est_ts.alpha_hat, est_ts.beta_log, est_ts.stderr_beta_log
+            )
 
     def test_degenerate_pair_rejected(self):
         white = spectral.CovarianceSequence.white()

@@ -2,10 +2,18 @@ import numpy as np
 import pytest
 from scipy.stats import multivariate_normal
 
-from steinlab import gaussian, numlin, spectral
-from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
+from steinlab import gaussian, numlin, spectral, streams
+from steinlab.exceptions import (
+    InvalidDimensionError,
+    NotPositiveDefiniteError,
+    NumericalFailureError,
+)
 
 from conftest import random_pd
+
+# Cholesky accepts this matrix; the PD rule (lambda_min <= 1e-12 lambda_max)
+# rejects it.
+NEAR_SINGULAR = np.diag([1.0, 1e-13])
 
 
 class TestModel:
@@ -27,6 +35,30 @@ class TestModel:
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.model_from_cov(np.diag([1.0, 0.0]))
+
+    def test_indefinite_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.model_from_cov(np.diag([1.0, -1.0]))
+
+    def test_identity_sqrt_factors(self):
+        model = gaussian.model_from_cov(np.eye(3))
+        assert np.allclose(model.sqrt_cov, np.eye(3))
+        assert np.allclose(model.inv_sqrt_cov, np.eye(3))
+
+    def test_diagonal_sqrt_factors(self):
+        model = gaussian.model_from_cov(np.diag([4.0, 9.0]))
+        assert np.allclose(model.sqrt_cov, np.diag([2.0, 3.0]))
+        assert np.allclose(model.inv_sqrt_cov, np.diag([0.5, 1.0 / 3.0]))
+
+    def test_sqrt_factors_reconstruct_random_pd(self):
+        m = random_pd(4, seed=2)
+        model = gaussian.model_from_cov(m)
+        s, si = model.sqrt_cov, model.inv_sqrt_cov
+        norm = numlin.strong_norm(m)
+        assert numlin.strong_norm(s @ s - m) <= 1e-8 * norm
+        assert numlin.strong_norm(s @ si - np.eye(4)) <= 1e-8
+        assert np.array_equal(s, s.T)
+        assert np.array_equal(si, si.T)
 
 
 class TestDensity:
@@ -103,8 +135,26 @@ class TestKl:
         with pytest.raises(InvalidDimensionError):
             gaussian.kl_gaussian(np.eye(2), np.eye(3))
 
+    def test_near_singular_q_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.kl_gaussian(np.eye(2), NEAR_SINGULAR)
+
 
 class TestWhiten:
+    @pytest.mark.parametrize(
+        "cov_p, cov_q", [(NEAR_SINGULAR, np.eye(2)), (np.eye(2), NEAR_SINGULAR)],
+        ids=["p", "q"],
+    )
+    def test_near_singular_rejected(self, cov_p, cov_q):
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.whiten(cov_p, cov_q)
+
+    def test_models_built_from_the_covariances(self):
+        cov_p, cov_q = random_pd(3, seed=20), random_pd(3, seed=21)
+        pair = gaussian.whiten(cov_p, cov_q)
+        assert np.allclose(pair.p.cov, cov_p) and np.allclose(pair.q.cov, cov_q)
+        assert pair.p is pair.p
+
     def test_whitener_normalizes_q_and_diagonalizes_p(self):
         cov_p = random_pd(6, seed=10)
         cov_q = random_pd(6, seed=11)
@@ -165,6 +215,33 @@ class TestLlr:
             [gaussian.llr(pair, x) for x in xs],
             atol=1e-12,
         )
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (np.zeros(4), InvalidDimensionError),
+            (np.array([1.0, np.nan, 0.0]), NumericalFailureError),
+            (np.array([np.inf, 0.0, 0.0]), NumericalFailureError),
+        ],
+        ids=["wrong-length", "nan", "inf"],
+    )
+    def test_bad_input_rejected(self, x, error):
+        pair = gaussian.diagonal_pair([2.0, 1.0, 0.5])
+        with pytest.raises(error):
+            gaussian.llr(pair, x)
+
+    def test_chunks_under_q_match_density_llr(self):
+        # With descending diagonal kappas and q = I, whitened coordinates are
+        # the originals up to sign, so q-draws are the raw normals.
+        pair = gaussian.diagonal_pair(np.linspace(2.5, 0.5, 6))
+        zs = np.concatenate(list(streams.standard_normal_chunks(4, 5000, 6)))
+        sampled = np.concatenate(list(gaussian.llr_chunks(pair, 5000, 4, "q")))
+        assert np.allclose(sampled, gaussian.llr_batch(pair, zs), atol=1e-10)
+
+    def test_chunks_reject_unknown_law(self):
+        pair = gaussian.diagonal_pair([2.0, 0.5])
+        with pytest.raises(ValueError):
+            next(gaussian.llr_chunks(pair, 10, 0, "r"))
 
     def test_mean_under_p_is_kl(self):
         pair = gaussian.diagonal_pair([2.0, 0.5, 1.5])

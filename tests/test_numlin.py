@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from steinlab import numlin, spectral
-from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
+from steinlab.exceptions import InvalidDimensionError
 
 from conftest import random_pd
 
@@ -114,31 +114,6 @@ class TestEigSym:
     def test_eigenvalues_ascending(self):
         dec = numlin.eig_sym(random_pd(8, seed=1))
         assert np.all(np.diff(dec.eigenvalues) >= 0.0)
-
-
-class TestMatSqrt:
-    def test_identity(self):
-        s, si = numlin.mat_sqrt_pair(np.eye(3))
-        assert np.allclose(s, np.eye(3))
-        assert np.allclose(si, np.eye(3))
-
-    def test_diagonal(self):
-        s, si = numlin.mat_sqrt_pair(np.diag([4.0, 9.0]))
-        assert np.allclose(s, np.diag([2.0, 3.0]))
-        assert np.allclose(si, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_reconstruction_random_pd(self):
-        m = random_pd(4, seed=2)
-        s, si = numlin.mat_sqrt_pair(m)
-        norm = numlin.strong_norm(m)
-        assert numlin.strong_norm(s @ s - m) <= 1e-8 * norm
-        assert numlin.strong_norm(s @ si - np.eye(4)) <= 1e-8
-        assert np.array_equal(s, s.T)
-        assert np.array_equal(si, si.T)
-
-    def test_non_pd_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            numlin.mat_sqrt_pair(np.diag([1.0, -1.0]))
 
 
 class TestNorms:
