@@ -24,7 +24,7 @@ from typing import Any
 
 import numpy as np
 
-from . import detect, gaussian, numlin, spectral, typicality, sublinear, units
+from . import detect, gaussian, numlin, spectral, streams, typicality, sublinear, units
 from .exceptions import (
     DegeneratePairError,
     IllConditionedSpectraError,
@@ -120,12 +120,21 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"field 'ns': must be a non-empty list of integers, got {ns}")
     if any(a >= b for a, b in zip(ns, ns[1:])):
         raise ConfigError(f"field 'ns': must be strictly ascending, got {ns}")
+    for key in ("seed", "samples"):
+        if key in config and type(config[key]) is not int:
+            raise ConfigError(f"field {key!r}: must be an integer, got {config[key]!r}")
+    for key in ("tau", "eps", "delta_factor"):
+        value = config.get(key)
+        if key in config and (type(value) not in (int, float) or not math.isfinite(value)):
+            raise ConfigError(f"field {key!r}: must be a finite number, got {value!r}")
+    if config.get("seed", 0) < 0:
+        raise ConfigError(f"field 'seed': must be >= 0, got {config['seed']}")
     for key in ("tau", "eps"):
-        if key in config and not 0.0 < float(config[key]) < 1.0:
+        if key in config and not 0.0 < config[key] < 1.0:
             raise ConfigError(f"field {key!r}: must lie in (0, 1), got {config[key]}")
-    if "tau" in config and float(config["tau"]) >= 0.5:
+    if config.get("tau", 0.0) >= 0.5:
         raise ConfigError(f"field 'tau': must be < 0.5, got {config['tau']}")
-    if "samples" in config and int(config["samples"]) < 1000:
+    if config.get("samples", 1000) < 1000:
         raise ConfigError(f"field 'samples': must be >= 1000, got {config['samples']}")
     if config.get("unit") not in ("nats", "bits"):
         raise ConfigError(f"field 'unit': must be 'nats' or 'bits', got {config.get('unit')}")
@@ -158,8 +167,8 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
 def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     eps = float(config["eps"])
     factor = float(config.get("delta_factor", 1.0))
-    samples = int(config["samples"])
-    seed = int(config["seed"])
+    samples = config["samples"]
+    seed = config["seed"]
     variant = config.get("variant", "rel_entropy")
     cov_p = covariance_from_spec(config["cov_p"])
     rows = []
@@ -179,7 +188,7 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
             spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * delta_min)
         else:
             raise ConfigError(f"field 'variant': unknown value {variant!r}")
-        mc = typicality.mc_typical_prob(spec, samples, seed * 1000 + i)
+        mc = typicality.mc_typical_prob(spec, samples, streams.derive_seed(seed, i))
         rows.append(
             {
                 "n": n,
@@ -202,8 +211,8 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
         cov_q,
         float(config["tau"]),
         list(config["ns"]),
-        int(config["samples"]),
-        int(config["seed"]),
+        config["samples"],
+        config["seed"],
     )
     rows = [
         {

@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import logsumexp
 
-from . import gaussian, numlin, spectral, typicality
+from . import gaussian, numlin, spectral, streams, typicality
 from .exceptions import DegeneratePairError, VacuousBoundError
 
 NEG_INF = float("-inf")
@@ -292,8 +292,8 @@ def gcsl_experiment(
         delta = gamma = threshold_info.delta
         window = stein_bounds(pair.kl, delta, gamma, tau, tau)
 
-        seed_cal = seed * 1000 + 2 * i
-        seed_eval = seed * 1000 + 2 * i + 1
+        seed_cal = streams.derive_seed(seed, i, 0)
+        seed_eval = streams.derive_seed(seed, i, 1)
         det_np = np_calibrate(pair, tau, count, seed_cal)
         det_ts = DetectorSpec.typical_set(gamma)
         llrs = sample_llr(pair, count, seed_eval)

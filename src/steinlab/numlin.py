@@ -68,20 +68,23 @@ def banded_from_cov(cov, n: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col)
 
 
-def circulant_from_cov(cov, n: int) -> np.ndarray:
-    """Symmetric circulant completion of the banded covariance matrix.
+def circulant_column(cov, n: int) -> np.ndarray:
+    """First column of the symmetric circulant completion: K[min(j, n - j)].
 
-    The first row keeps lags 0..floor(n/2) and wraps them back down so entry
-    j equals K[min(j, n - j)]; this reproduces the even-n and odd-n templates
-    (for even n the lag floor(n/2) appears once, for odd n twice).
+    Lags 0..floor(n/2) are kept and wrapped back down; this reproduces the
+    even-n and odd-n templates (for even n the lag floor(n/2) appears once,
+    for odd n twice).
     """
     if n < 3:
         raise InvalidDimensionError(f"n must be >= 3, got {n}")
     j = np.arange(n)
-    row = cov.k(np.minimum(j, n - j))
-    # scipy builds from the first column; the row is palindromic so the
-    # result is both circulant and symmetric.
-    return scipy.linalg.circulant(row)
+    return cov.k(np.minimum(j, n - j))
+
+
+def circulant_from_cov(cov, n: int) -> np.ndarray:
+    """Symmetric circulant completion of the banded covariance matrix."""
+    # The column is palindromic, so the result is symmetric as well.
+    return scipy.linalg.circulant(circulant_column(cov, n))
 
 
 def _check_pencil(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

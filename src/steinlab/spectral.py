@@ -6,13 +6,18 @@ circulant eigenvalues, spectral integrals, the Stein rate, the CLT scale
 limit, and the asymptotic-equivalence diagnostics for the three covariance
 matrix constructions.
 
+A spectrum is its samples on one 4097-point Simpson grid (`GRID`), computed
+by a single real FFT per covariance; every spectral integral runs on those
+samples.  `spectrum_partial` is the truncated cosine sum S^[n] at arbitrary
+frequencies, the one off-grid evaluation.
+
 All logarithms are natural; bit-valued presentation is a reporting
 conversion handled by `units`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,18 +30,14 @@ from .exceptions import (
     NumericalFailureError,
 )
 
-# Composite-Simpson evaluation grid on [0, 1]; odd count so Simpson is exact
-# on the whole interval.
-DEFAULT_GRID_SIZE = 4097
+# Composite-Simpson grid f = k / 4096 on [0, 1]: the odd count makes Simpson
+# exact on the whole interval, and the uniform spacing lets one real FFT of
+# the lag sequence give the spectrum at every grid point.
+GRID_SIZE = 4097
+GRID = np.linspace(0.0, 1.0, GRID_SIZE)
 
 # Lags with |K[m]| below this fraction of K[0] are dropped.
 TAIL_CUTOFF = 1e-14
-
-
-def _grid(grid_size: int) -> np.ndarray:
-    if grid_size < 3 or grid_size % 2 == 0:
-        raise ValueError(f"grid size must be odd and >= 3, got {grid_size}")
-    return np.linspace(0.0, 1.0, grid_size)
 
 
 @dataclass(frozen=True)
@@ -97,60 +98,61 @@ class CovarianceSequence:
         """Two-sided absolute sum: sum over all integer lags of |K[m]|."""
         return float(np.abs(self.values[0]) + 2.0 * np.sum(np.abs(self.values[1:])))
 
-    def spectrum(self, grid_size: int = DEFAULT_GRID_SIZE) -> "Spectrum":
-        return Spectrum.from_covariance(self, grid_size=grid_size)
+    def spectrum(self) -> "Spectrum":
+        return Spectrum.from_covariance(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Power spectrum S(f) on f in [0, 1] with grid-scanned bounds.
+    """Power spectrum S(f) held as its samples on GRID.
 
-    The lower and upper bounds are computed at construction on the
-    evaluation grid; a non-positive lower bound is rejected.
+    Every spectral quantity of the library is a Simpson integral over GRID,
+    so the samples are all of the spectrum it uses.  They must be finite and
+    positive; `lower` and `upper` are their extremes.
     """
 
-    evaluator: Callable[[np.ndarray], np.ndarray] = field(repr=False)
-    lower: float
-    upper: float
+    values: np.ndarray
+
+    def __post_init__(self):
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != GRID.shape:
+            raise ValueError(
+                f"spectrum needs {GRID_SIZE} grid samples, got shape {values.shape}"
+            )
+        if not np.all(np.isfinite(values)):
+            raise ValueError("spectrum samples must be finite")
+        lower = values.min()
+        if lower <= 0.0:
+            raise ValueError(f"spectrum is not positive on the grid (min {lower:.3e})")
+        object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_covariance(
-        cls, cov: CovarianceSequence, grid_size: int = DEFAULT_GRID_SIZE
-    ) -> "Spectrum":
-        values = cov.values.copy()
+    def from_covariance(cls, cov: CovarianceSequence) -> "Spectrum":
+        """The spectrum (DTFT of the lag sequence) on GRID, by one real FFT.
 
-        def evaluator(f):
-            f = np.asarray(f, dtype=float)
-            m = np.arange(1, values.size)
-            out = values[0] + 2.0 * np.cos(2.0 * np.pi * np.multiply.outer(f, m)) @ values[1:]
-            return out
-
-        grid = _grid(grid_size)
-        samples = evaluator(grid)
-        lower = float(np.min(samples))
-        upper = float(np.max(samples))
-        if lower <= 0.0:
-            raise ValueError(
-                f"induced spectrum is not positive on the grid (min {lower:.3e})"
-            )
-        return cls(evaluator=evaluator, lower=lower, upper=upper)
+        At f = k/P with P = GRID_SIZE - 1 the phase of lag m depends only on
+        m mod P, so the real part of the DFT of the lag sequence folded
+        modulo P is the grid samples, exactly and for any number of lags.
+        """
+        period = GRID_SIZE - 1
+        lags = np.arange(1, cov.values.size)
+        folded = np.bincount(lags % period, weights=2.0 * cov.values[1:], minlength=period)
+        folded[0] += cov.values[0]
+        half = np.fft.rfft(folded).real  # f = 0 .. 1/2; S(1 - f) = S(f)
+        return cls(np.concatenate([half, half[-2::-1]]))
 
     @classmethod
     def constant(cls, level: float) -> "Spectrum":
         """Flat spectrum S(f) = level."""
-        if level <= 0.0:
-            raise ValueError(f"spectrum level must be positive, got {level}")
+        return cls(np.full(GRID_SIZE, float(level)))
 
-        def evaluator(f):
-            return np.full(np.shape(np.asarray(f)), float(level))
+    @property
+    def lower(self) -> float:
+        return float(self.values.min())
 
-        return cls(evaluator=evaluator, lower=float(level), upper=float(level))
-
-    def __call__(self, f) -> np.ndarray | float:
-        out = self.evaluator(np.asarray(f, dtype=float))
-        if np.ndim(f) == 0:
-            return float(out)
-        return out
+    @property
+    def upper(self) -> float:
+        return float(self.values.max())
 
 
 def spectrum_partial(cov: CovarianceSequence, n: int, f) -> np.ndarray | float:
@@ -183,23 +185,20 @@ def spectrum_partial(cov: CovarianceSequence, n: int, f) -> np.ndarray | float:
 
 
 def circulant_eigs(cov: CovarianceSequence, n: int) -> np.ndarray:
-    """Eigenvalues of the circulant construction: S^[n] at f = k/n."""
-    if n < 3:
-        raise InvalidDimensionError(f"n must be >= 3, got {n}")
-    return np.asarray(spectrum_partial(cov, n, np.arange(n) / n))
+    """Eigenvalues of the circulant construction: S^[n] at f = k/n.
+
+    A circulant matrix's eigenvalues are the DFT of its first column."""
+    return np.fft.fft(numlin.circulant_column(cov, n)).real
 
 
 def spectral_integral(
-    func: Callable[[np.ndarray], np.ndarray],
-    spectrum: Spectrum,
-    grid_size: int = DEFAULT_GRID_SIZE,
+    func: Callable[[np.ndarray], np.ndarray], spectrum: Spectrum
 ) -> float:
     """Integral over [0, 1] of func(S(f)) by composite Simpson."""
-    grid = _grid(grid_size)
-    integrand = np.asarray(func(np.asarray(spectrum(grid))), dtype=float)
+    integrand = np.asarray(func(spectrum.values), dtype=float)
     if not np.all(np.isfinite(integrand)):
         raise NumericalFailureError("integrand is non-finite on the grid")
-    return float(simpson(integrand, x=grid))
+    return float(simpson(integrand, x=GRID))
 
 
 # Dynamic-range guard for spectral ratios.
@@ -207,43 +206,32 @@ RATIO_MIN = 1e-12
 RATIO_MAX = 1e12
 
 
-def _spectral_ratio(
-    spectrum_p: Spectrum, spectrum_q: Spectrum, grid_size: int
-) -> tuple[np.ndarray, np.ndarray]:
-    grid = _grid(grid_size)
-    ratio = np.asarray(spectrum_p(grid)) / np.asarray(spectrum_q(grid))
+def _spectral_ratio(spectrum_p: Spectrum, spectrum_q: Spectrum) -> np.ndarray:
+    ratio = spectrum_p.values / spectrum_q.values
     if np.any(ratio < RATIO_MIN) or np.any(ratio > RATIO_MAX):
         raise IllConditionedSpectraError(
             "spectral ratio leaves the supported range "
             f"[{RATIO_MIN:g}, {RATIO_MAX:g}] on the grid"
         )
-    return grid, ratio
+    return ratio
 
 
-def stein_rate(
-    spectrum_p: Spectrum,
-    spectrum_q: Spectrum,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> float:
+def stein_rate(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
     """Linear growth rate of the relative entropy, in nats per sample.
 
     One half the integral of (r - log r - 1) with r the spectral ratio;
     an Itakura-Saito-type divergence, zero iff the spectra agree on the
     grid.
     """
-    grid, ratio = _spectral_ratio(spectrum_p, spectrum_q, grid_size)
+    ratio = _spectral_ratio(spectrum_p, spectrum_q)
     integrand = ratio - np.log(ratio) - 1.0
-    return float(0.5 * simpson(integrand, x=grid))
+    return float(0.5 * simpson(integrand, x=GRID))
 
 
-def bn_limit(
-    spectrum_p: Spectrum,
-    spectrum_q: Spectrum,
-    grid_size: int = DEFAULT_GRID_SIZE,
-) -> float:
+def bn_limit(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
     """Limit of B_n / sqrt(n): sqrt of the integral of (r - 1)^2."""
-    grid, ratio = _spectral_ratio(spectrum_p, spectrum_q, grid_size)
-    return float(np.sqrt(simpson((ratio - 1.0) ** 2, x=grid)))
+    ratio = _spectral_ratio(spectrum_p, spectrum_q)
+    return float(np.sqrt(simpson((ratio - 1.0) ** 2, x=GRID)))
 
 
 def eig_functional_avg(func: Callable, eigs) -> float:

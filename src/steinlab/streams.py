@@ -22,6 +22,16 @@ def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     )
 
 
+def derive_seed(seed: int, *key: int) -> int:
+    """Seed of the sub-stream `key` of `seed`, for routines that take an int.
+
+    Distinct (seed, key) pairs give independent seeds through the
+    SeedSequence spawn tree, with no arithmetic that could make two collide.
+    """
+    state = np.random.SeedSequence(seed, spawn_key=key).generate_state(1, np.uint64)
+    return int(state[0])
+
+
 def chunk_sizes(count: int) -> Iterator[tuple[int, int]]:
     """Yield (chunk_index, size) covering `count` samples."""
     index = 0

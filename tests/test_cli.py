@@ -159,6 +159,33 @@ class TestPlumbing:
         assert "config error" in err
 
     @pytest.mark.parametrize(
+        "command, field, value",
+        [
+            ("typical", "seed", 1.5),
+            ("typical", "seed", True),
+            ("typical", "seed", -1),
+            ("typical", "samples", 20000.9),
+            ("typical", "samples", "20000"),
+            ("typical", "eps", "0.1"),
+            ("typical", "delta_factor", "1.1"),
+            ("typical", "delta_factor", math.inf),
+            ("detect", "tau", "0.2"),
+        ],
+        ids=[
+            "seed-fraction", "seed-bool", "seed-negative", "samples-fraction",
+            "samples-string", "eps-string", "delta_factor-string", "delta_factor-inf",
+            "tau-string",
+        ],
+    )
+    def test_bad_scalar_exits_2(self, capsys, tmp_path, command, field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": [32, 64, 96], field: value}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    @pytest.mark.parametrize(
         "command, n_list",
         [("asymptotics", "8,8"), ("asymptotics", "2"), ("rate", "0,4"), ("sublinear", "2,4")],
         ids=["duplicate", "asymptotics-below-3", "rate-below-1", "sublinear-below-3"],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from steinlab import detect, gaussian, numlin, spectral, typicality
+from steinlab import detect, gaussian, numlin, spectral, streams, typicality
 from steinlab.exceptions import DegeneratePairError, VacuousBoundError
 
 
@@ -177,7 +177,7 @@ class TestGcslExperiment:
         cov_p = spectral.CovarianceSequence.geometric(0.5)
         for i, row in enumerate(result.rows):
             pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, row.n), np.eye(row.n))
-            seed_eval = GCSL_SEED * 1000 + 2 * i + 1
+            seed_eval = streams.derive_seed(GCSL_SEED, i, 1)
             est_np = detect.estimate_beta_is(
                 detect.DetectorSpec.np_threshold(row.np_threshold), pair, 20_000, seed_eval
             )

@@ -46,17 +46,24 @@ class TestCovarianceSequence:
 
 
 class TestSpectrum:
+    @pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
+    def test_constant_rejects_bad_level(self, level):
+        with pytest.raises(ValueError):
+            spectral.Spectrum.constant(level)
+
+    def test_wrong_sample_count_rejected(self):
+        with pytest.raises(ValueError):
+            spectral.Spectrum(np.ones(spectral.GRID_SIZE - 1))
+
     def test_white_spectrum_flat(self):
         s = WHITE.spectrum()
-        assert s(0.0) == pytest.approx(1.0)
-        assert s(0.37) == pytest.approx(1.0)
-        assert s.lower == pytest.approx(1.0)
-        assert s.upper == pytest.approx(1.0)
+        assert np.all(s.values == 1.0)
+        assert s.lower == 1.0
+        assert s.upper == 1.0
 
     def test_geometric_matches_closed_form(self):
         s = GEO.spectrum()
-        f = np.linspace(0.0, 1.0, 101)
-        assert np.allclose(s(f), geo_spectrum_exact(0.5, f), atol=1e-12)
+        assert np.allclose(s.values, geo_spectrum_exact(0.5, spectral.GRID), atol=1e-12)
 
     def test_bounds_from_grid(self):
         s = GEO.spectrum()
@@ -65,8 +72,29 @@ class TestSpectrum:
 
     def test_symmetry(self):
         s = GEO.spectrum()
-        for f in (0.1, 0.25, 0.4):
-            assert s(f) == pytest.approx(s(1.0 - f), abs=1e-12)
+        assert np.array_equal(s.values, s.values[::-1])
+
+    @pytest.mark.parametrize(
+        "cov",
+        [
+            WHITE,
+            spectral.CovarianceSequence.geometric(0.9),
+            spectral.CovarianceSequence.from_table([2.0, -0.7, 0.3, 0.1]),
+        ],
+        ids=["white", "geometric-0.9", "table"],
+    )
+    def test_fft_matches_cosine_sum(self, cov):
+        # a window of 2 * len + 1 lags holds every lag of the sequence
+        n = 2 * cov.values.size + 1
+        reference = spectral.spectrum_partial(cov, n, spectral.GRID)
+        assert np.allclose(cov.spectrum().values, reference, rtol=1e-12, atol=0.0)
+
+    def test_fft_folds_more_lags_than_grid_points(self):
+        rho = 0.999
+        cov = spectral.CovarianceSequence.geometric(rho)
+        assert cov.values.size > spectral.GRID_SIZE
+        exact = geo_spectrum_exact(rho, spectral.GRID)
+        assert np.allclose(cov.spectrum().values, exact, rtol=1e-9, atol=0.0)
 
 
 class TestSpectrumPartial:
@@ -110,6 +138,12 @@ class TestCirculantEigs:
         eigs = spectral.circulant_eigs(GEO, 9)
         for k in range(1, 9):
             assert eigs[k] == pytest.approx(eigs[9 - k], abs=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 9, 16, 101, 256])
+    def test_fft_matches_truncated_sum(self, n):
+        cov = spectral.CovarianceSequence.geometric(0.8)
+        reference = spectral.spectrum_partial(cov, n, np.arange(n) / n)
+        assert np.allclose(spectral.circulant_eigs(cov, n), reference, rtol=1e-12, atol=0.0)
 
 
 class TestSpectralIntegral:
@@ -158,11 +192,7 @@ class TestSteinRate:
         sp, sq = GEO.spectrum(), WHITE.spectrum()
         base = spectral.stein_rate(sp, sq)
         for c in (0.1, 7.0):
-            scaled_p = spectral.Spectrum(
-                evaluator=lambda f, c=c: c * np.asarray(sp(f)),
-                lower=c * sp.lower,
-                upper=c * sp.upper,
-            )
+            scaled_p = spectral.Spectrum(c * sp.values)
             scaled_q = spectral.Spectrum.constant(c)
             assert spectral.stein_rate(scaled_p, scaled_q) == pytest.approx(base, abs=1e-12)
 

@@ -36,3 +36,21 @@ def test_chunk_rng_independent_of_iteration_order():
     direct = streams.chunk_rng(5, 2).standard_normal(4)
     again = streams.chunk_rng(5, 2).standard_normal(4)
     assert np.array_equal(direct, again)
+
+
+def test_derived_seeds_that_used_to_collide_differ():
+    # seed * 1000 + i gave 2000 for both (seed=1, i=500) and (seed=2, i=0)
+    assert streams.derive_seed(1, 500) != streams.derive_seed(2, 0)
+    assert streams.derive_seed(1, 500, 0) != streams.derive_seed(2, 0, 0)
+    assert streams.derive_seed(1, 500, 1) != streams.derive_seed(2, 0, 1)
+
+
+def test_derived_seeds_are_distinct_ints():
+    seeds = [
+        streams.derive_seed(seed, i, *role)
+        for seed in range(21)
+        for i in range(601)
+        for role in ((), (0,), (1,))
+    ]
+    assert all(type(s) is int for s in seeds)
+    assert len(set(seeds)) == len(seeds)
