@@ -16,6 +16,7 @@ error, 3 numerical failure, 4 check failure (with --check).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -97,20 +98,35 @@ NAT_COLUMNS: dict[str, set[str]] = {
 }
 
 
+# Keys a flag can set; a config file may hold only these and DEFAULTS[command]'s.
+FLAG_KEYS = ("seed", "tau", "eps", "samples", "unit", "out")
+
+# The keys each covariance kind takes besides 'kind'.
+SPEC_KEYS = {"white": {"scale"}, "geometric": {"rho", "scale"}, "table": {"values"}}
+
+
+def _is_number(value) -> bool:
+    # type() rather than isinstance(): bool is a subclass of int.
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def covariance_from_spec(spec: dict) -> spectral.CovarianceSequence:
+    kind = spec.get("kind") if isinstance(spec, dict) else None
+    if kind not in list(SPEC_KEYS) or not set(spec) <= SPEC_KEYS[kind] | {"kind"}:
+        raise ConfigError(f"bad covariance spec {spec!r}: keys by kind are {SPEC_KEYS}")
+    values = spec.get("values", [1.0])  # a stand-in, so one check covers every kind
+    if not (isinstance(values, list) and values) or not all(
+        map(_is_number, [spec.get("rho", 0.0), spec.get("scale", 1.0), *values])
+    ):
+        raise ConfigError(f"bad covariance spec {spec!r}: rho, scale, values must be finite")
     try:
-        kind = spec["kind"]
         if kind == "white":
-            return spectral.CovarianceSequence.white(float(spec.get("scale", 1.0)))
+            return spectral.CovarianceSequence.white(spec.get("scale", 1.0))
         if kind == "geometric":
-            return spectral.CovarianceSequence.geometric(
-                float(spec["rho"]), float(spec.get("scale", 1.0))
-            )
-        if kind == "table":
-            return spectral.CovarianceSequence.from_table(spec["values"])
-    except (KeyError, TypeError, ValueError) as exc:
+            return spectral.CovarianceSequence.geometric(spec["rho"], spec.get("scale", 1.0))
+        return spectral.CovarianceSequence.from_table(values)
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad covariance spec {spec!r}: {exc}") from exc
-    raise ConfigError(f"unknown covariance kind {spec.get('kind')!r}")
 
 
 def _validate(config: dict) -> None:
@@ -124,9 +140,8 @@ def _validate(config: dict) -> None:
         if key in config and type(config[key]) is not int:
             raise ConfigError(f"field {key!r}: must be an integer, got {config[key]!r}")
     for key in ("tau", "eps", "delta_factor"):
-        value = config.get(key)
-        if key in config and (type(value) not in (int, float) or not math.isfinite(value)):
-            raise ConfigError(f"field {key!r}: must be a finite number, got {value!r}")
+        if key in config and not _is_number(config[key]):
+            raise ConfigError(f"field {key!r}: must be a finite number, got {config[key]!r}")
     if config.get("seed", 0) < 0:
         raise ConfigError(f"field 'seed': must be >= 0, got {config['seed']}")
     for key in ("tau", "eps"):
@@ -165,12 +180,13 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
 
 
 def run_typical(config: dict) -> tuple[list[str], list[dict]]:
-    eps = float(config["eps"])
-    factor = float(config.get("delta_factor", 1.0))
+    eps = config["eps"]
+    factor = config["delta_factor"]
     samples = config["samples"]
     seed = config["seed"]
     variant = config.get("variant", "rel_entropy")
     cov_p = covariance_from_spec(config["cov_p"])
+    cov_q = covariance_from_spec(config["cov_q"])
     rows = []
     for i, n in enumerate(config["ns"]):
         lam_p = numlin.toeplitz_from_cov(cov_p, n)
@@ -181,7 +197,6 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
                 gaussian.model_from_cov(lam_p), factor * delta_min
             )
         elif variant == "rel_entropy":
-            cov_q = covariance_from_spec(config["cov_q"])
             pair = gaussian.whiten(lam_p, numlin.toeplitz_from_cov(cov_q, n))
             threshold = typicality.good_delta_correlated(pair, eps)
             delta_min, b_n = threshold.delta, threshold.b_n
@@ -209,8 +224,8 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
     result = detect.gcsl_experiment(
         cov_p,
         cov_q,
-        float(config["tau"]),
-        list(config["ns"]),
+        config["tau"],
+        config["ns"],
         config["samples"],
         config["seed"],
     )
@@ -234,29 +249,8 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
 
 
 def run_asymptotics(config: dict) -> tuple[list[str], list[dict]]:
-    cov = covariance_from_spec(config["cov_p"])
-    spectrum = cov.spectrum()
-    targets = {
-        "spectral_x": spectral.spectral_integral(lambda s: s, spectrum),
-        "spectral_log": spectral.spectral_integral(np.log, spectrum),
-        "spectral_inv": spectral.spectral_integral(lambda s: 1.0 / s, spectrum),
-    }
-    rows = []
-    for n in config["ns"]:
-        toep = numlin.toeplitz_from_cov(cov, n)
-        circ = numlin.circulant_from_cov(cov, n)
-        eigs = numlin.eigvals_sym(toep)
-        rows.append(
-            {
-                "n": n,
-                "weak_diff_toeplitz_circulant": numlin.weak_norm(toep - circ),
-                "eigavg_x": spectral.eig_functional_avg(lambda v: v, eigs),
-                "eigavg_log": spectral.eig_functional_avg(np.log, eigs),
-                "eigavg_inv": spectral.eig_functional_avg(lambda v: 1.0 / v, eigs),
-                **targets,
-            }
-        )
-    return [], rows
+    report = spectral.asym_equiv_report(covariance_from_spec(config["cov_p"]), config["ns"])
+    return [], [dataclasses.asdict(row) for row in report]
 
 
 def run_sublinear(config: dict) -> tuple[list[str], list[dict]]:
@@ -302,6 +296,9 @@ def run_check(command: str, rows: list[dict]) -> None:
         if failed:
             raise CheckFailure(f"exponent left the analytic window at n={failed}")
     elif command == "asymptotics":
+        for r in rows:
+            if max(r["strong_toeplitz"], r["strong_circulant"]) > r["abs_sum_bound"]:
+                raise CheckFailure(f"a strong norm exceeded abs_sum_bound at n={r['n']}")
         if len(rows) >= 2:
             first, last = rows[0], rows[-1]
             if not last["weak_diff_toeplitz_circulant"] < first["weak_diff_toeplitz_circulant"]:
@@ -375,13 +372,16 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
+        unknown = set(loaded) - set(DEFAULTS[args.command]) - set(FLAG_KEYS)
+        if unknown:
+            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         config.update(loaded)
     if args.n_list is not None:
         try:
             config["ns"] = [int(v) for v in args.n_list.split(",") if v]
         except ValueError as exc:
             raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
-    for key in ("seed", "tau", "eps", "samples", "unit", "out"):
+    for key in FLAG_KEYS:
         value = getattr(args, key)
         if value is not None:
             config[key] = value

@@ -102,22 +102,6 @@ def np_calibrate(
     return DetectorSpec.np_threshold(threshold)
 
 
-@dataclass(frozen=True)
-class AlphaEstimate:
-    alpha_hat: float
-    stderr: float
-
-
-def estimate_alpha(
-    det: DetectorSpec, pair: gaussian.HypothesisPair, count: int, seed: int
-) -> AlphaEstimate:
-    """Fraction of p-samples the detector rejects."""
-    if count < 1000:
-        raise ValueError(f"count must be >= 1000, got {count}")
-    est = _error_estimates(det, sample_llr(pair, count, seed), pair.kl, seed)
-    return AlphaEstimate(alpha_hat=est.alpha_hat, stderr=est.stderr_alpha)
-
-
 def estimate_beta_is(
     det: DetectorSpec, pair: gaussian.HypothesisPair, count: int, seed: int
 ) -> ErrorEstimates:
@@ -125,7 +109,9 @@ def estimate_beta_is(
 
     beta = q(decide p) = E_p[e^{-LLR} 1{decide p}]; the weights are summed
     with a max-shift so beta down to e^{-200} is representable.  The
-    reported stderr is for -ln(beta_hat), by the delta method.
+    reported stderr is for -ln(beta_hat), by the delta method.  The same
+    draws give the type-I error: `alpha_hat` is the fraction the detector
+    rejects, with `stderr_alpha`.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")

@@ -135,8 +135,5 @@ def weak_norm(m: np.ndarray) -> float:
 
 
 def strong_norm(m: np.ndarray) -> float:
-    """l2 operator norm; for symmetric input this is max |eigenvalue|."""
-    m = _check_square_finite(m)
-    if np.allclose(m, m.T, atol=0.0, rtol=0.0):
-        return float(np.max(np.abs(eigvals_sym(m))))
-    return float(np.linalg.norm(m, 2))
+    """l2 operator norm (largest singular value; max |eigenvalue| if symmetric)."""
+    return float(np.linalg.norm(_check_square_finite(m), 2))

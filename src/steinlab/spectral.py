@@ -3,8 +3,8 @@
 Houses the stationary-process side of the library: absolutely summable
 auto-covariance sequences, their spectra (DTFTs), truncated spectra and
 circulant eigenvalues, spectral integrals, the Stein rate, the CLT scale
-limit, and the asymptotic-equivalence diagnostics for the three covariance
-matrix constructions.
+limit, and the asymptotic-equivalence diagnostics (norms and Szego averages)
+for the three covariance matrix constructions.
 
 A spectrum is its samples on one 4097-point Simpson grid (`GRID`), computed
 by a single real FFT per covariance; every spectral integral runs on those
@@ -40,13 +40,13 @@ GRID = np.linspace(0.0, 1.0, GRID_SIZE)
 TAIL_CUTOFF = 1e-14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CovarianceSequence:
     """Symmetric, absolutely summable auto-covariance sequence.
 
     `values[m]` holds K[m] for m >= 0 up to the truncation lag; lags beyond
     it are treated as zero (geometric tails are truncated where they fall
-    below double-precision relevance).
+    below double-precision relevance).  Equality is identity, as for `Spectrum`.
     """
 
     values: np.ndarray
@@ -242,14 +242,20 @@ def eig_functional_avg(func: Callable, eigs) -> float:
 
 @dataclass(frozen=True)
 class EquivalenceRow:
-    """Norm diagnostics for one dimension of the matrix triple."""
+    """Diagnostics at one n of the Toeplitz (T), banded (B) and circulant (C)
+    matrices; `abs_sum_bound` is twice the absolute covariance sum."""
 
     n: int
-    weak_toeplitz_banded: float
-    weak_banded_circulant: float
-    weak_toeplitz_circulant: float
+    weak_diff_toeplitz_circulant: float
+    eigavg_x: float
+    eigavg_log: float
+    eigavg_inv: float
+    spectral_x: float
+    spectral_log: float
+    spectral_inv: float
+    weak_diff_toeplitz_banded: float
+    weak_diff_banded_circulant: float
     strong_toeplitz: float
-    strong_banded: float
     strong_circulant: float
     abs_sum_bound: float
 
@@ -257,26 +263,36 @@ class EquivalenceRow:
 def asym_equiv_report(
     cov: CovarianceSequence, n_list: Sequence[int]
 ) -> list[EquivalenceRow]:
-    """Weak/strong norm table for the Toeplitz, banded and circulant triple.
+    """One row per n, from one dense eigensolve (of T) per n.
 
-    The weak-norm differences should decay with n while all strong norms
-    stay below twice the absolute covariance sum.
+    T's strong norm is its largest |eigenvalue| from that solve; C's comes
+    from its FFT eigenvalues.
     """
+    spectrum = cov.spectrum()
+    targets = {
+        "spectral_x": spectral_integral(lambda s: s, spectrum),
+        "spectral_log": spectral_integral(np.log, spectrum),
+        "spectral_inv": spectral_integral(lambda s: 1.0 / s, spectrum),
+    }
     bound = 2.0 * cov.abs_sum
     rows = []
     for n in n_list:
         toep = numlin.toeplitz_from_cov(cov, n)
         band = numlin.banded_from_cov(cov, n)
         circ = numlin.circulant_from_cov(cov, n)
+        eigs = numlin.eigvals_sym(toep)
         rows.append(
             EquivalenceRow(
                 n=n,
-                weak_toeplitz_banded=numlin.weak_norm(toep - band),
-                weak_banded_circulant=numlin.weak_norm(band - circ),
-                weak_toeplitz_circulant=numlin.weak_norm(toep - circ),
-                strong_toeplitz=numlin.strong_norm(toep),
-                strong_banded=numlin.strong_norm(band),
-                strong_circulant=numlin.strong_norm(circ),
+                weak_diff_toeplitz_circulant=numlin.weak_norm(toep - circ),
+                eigavg_x=eig_functional_avg(lambda v: v, eigs),
+                eigavg_log=eig_functional_avg(np.log, eigs),
+                eigavg_inv=eig_functional_avg(lambda v: 1.0 / v, eigs),
+                **targets,
+                weak_diff_toeplitz_banded=numlin.weak_norm(toep - band),
+                weak_diff_banded_circulant=numlin.weak_norm(band - circ),
+                strong_toeplitz=float(np.max(np.abs(eigs))),
+                strong_circulant=float(np.max(np.abs(circulant_eigs(cov, n)))),
                 abs_sum_bound=bound,
             )
         )

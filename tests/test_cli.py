@@ -1,9 +1,10 @@
+import dataclasses
 import json
 import math
 
 import pytest
 
-from steinlab import cli, units
+from steinlab import cli, spectral, units
 
 
 def run_cli(capsys, *argv):
@@ -117,6 +118,29 @@ class TestAsymptoticsCommand:
             rows[0]["weak_diff_toeplitz_circulant"]
         )
 
+    def test_rows_are_the_report(self, capsys):
+        code, out, _ = run_cli(capsys, "asymptotics", "--n-list", "8,17,64")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        cov = spectral.CovarianceSequence.geometric(0.5)
+        report = spectral.asym_equiv_report(cov, [8, 17, 64])
+        assert header == [field.name for field in dataclasses.fields(spectral.EquivalenceRow)]
+        assert rows == [
+            {key: cli._format_value(value) for key, value in dataclasses.asdict(row).items()}
+            for row in report
+        ]
+
+    def test_check_fails_above_the_strong_norm_bound(self, capsys, monkeypatch):
+        report = spectral.asym_equiv_report
+
+        def tight_bound(cov, ns):
+            return [dataclasses.replace(row, abs_sum_bound=1.0) for row in report(cov, ns)]
+
+        monkeypatch.setattr(spectral, "asym_equiv_report", tight_bound)
+        code, _, err = run_cli(capsys, "asymptotics", "--n-list", "8,16", "--check")
+        assert code == 4
+        assert "abs_sum_bound" in err
+
 
 class TestPlumbing:
     def test_deterministic_output(self, capsys):
@@ -184,6 +208,70 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert "config error" in err
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "geometric", "rho": "0.5", "scale": 1.0},
+            {"kind": "geometric", "rho": 0.5, "scale": True},
+            {"kind": "geometric", "rho": math.inf},
+            {"kind": "table", "values": ["1", "0.25"]},
+            {"kind": "table", "values": []},
+            {"kind": "table", "values": 1.0},
+            {"kind": "table", "values": [3.0, True]},
+            {"kind": "geometric", "rho": 0.5, "sigma": 1.0},
+            {"kind": "geometric", "rho": 0.5, "values": [1.0]},
+            {"rho": 0.5},
+            {"kind": ["white"]},
+            "white",
+        ],
+        ids=[
+            "rho-string", "scale-bool", "rho-inf", "values-strings", "values-empty",
+            "values-scalar", "values-bool", "unknown-key", "key-of-other-kind",
+            "kind-missing", "kind-not-string", "spec-not-object",
+        ],
+    )
+    def test_bad_covariance_spec_exits_2(self, capsys, tmp_path, spec):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": [4, 8], "cov_p": spec}))
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    def test_integer_spec_fields_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "ns": [4, 8],
+                    "cov_p": {"kind": "table", "values": [3, 1]},
+                    "cov_q": {"kind": "white", "scale": 2},
+                }
+            )
+        )
+        code, _, _ = run_cli(capsys, "rate", "--config", str(cfg))
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("rate", "sample"), ("asymptotics", "cov_q"), ("typical", "variants"), ("sublinear", "n")],
+        ids=["rate-typo", "asymptotics-cov_q", "typical-typo", "sublinear-typo"],
+    )
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path, command, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": [4, 8], key: 1000}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
+    def test_flag_keys_accepted_in_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": [4, 8], "seed": 3}))
+        code, out, _ = run_cli(capsys, "asymptotics", "--config", str(cfg), "--seed", "5")
+        assert code == 0
+        assert "seed=5" in parse_csv(out)[0][0]
 
     @pytest.mark.parametrize(
         "command, n_list",

@@ -61,8 +61,8 @@ class TestNpCalibrate:
     def test_alpha_near_tau(self, small_pair):
         tau = 0.2
         det = detect.np_calibrate(small_pair, tau, count=50_000, seed=4)
-        est = detect.estimate_alpha(det, small_pair, count=50_000, seed=5)
-        assert abs(est.alpha_hat - tau) < 4.0 * est.stderr + 0.005
+        est = detect.estimate_beta_is(det, small_pair, count=50_000, seed=5)
+        assert abs(est.alpha_hat - tau) < 4.0 * est.stderr_alpha + 0.005
 
     def test_validation(self, small_pair):
         with pytest.raises(ValueError):

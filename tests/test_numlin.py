@@ -148,6 +148,12 @@ class TestAsymptoticProperties:
             toep = numlin.toeplitz_from_cov(cov, n)
             assert numlin.strong_norm(toep) <= 2.0 * cov.abs_sum
 
+    def test_banded_strong_norm_bound(self):
+        cov = geo(0.5)
+        for n in (128, 512):
+            band = numlin.banded_from_cov(cov, n)
+            assert numlin.strong_norm(band) <= 2.0 * cov.abs_sum
+
     def test_weak_norm_difference_decays(self):
         cov = geo(0.5)
         diff = {

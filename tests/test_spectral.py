@@ -35,6 +35,11 @@ class TestCovarianceSequence:
         assert cov.k(1) == 0.5
         assert cov.k(2) == 0.0
 
+    def test_equality_is_identity(self):
+        cov = spectral.CovarianceSequence.geometric(0.5)
+        assert cov == cov
+        assert cov != spectral.CovarianceSequence.geometric(0.5)
+
     def test_nonpositive_k0_rejected(self):
         with pytest.raises(ValueError):
             spectral.CovarianceSequence.from_table([0.0, 0.1])
@@ -267,16 +272,35 @@ class TestAsymEquivReport:
     def test_white_all_zero(self):
         rows = spectral.asym_equiv_report(WHITE, [4, 8])
         for row in rows:
-            assert row.weak_toeplitz_banded == 0.0
-            assert row.weak_banded_circulant == 0.0
-            assert row.weak_toeplitz_circulant == 0.0
+            assert row.weak_diff_toeplitz_banded == 0.0
+            assert row.weak_diff_banded_circulant == 0.0
+            assert row.weak_diff_toeplitz_circulant == 0.0
 
     def test_geometric_decay_and_bounds(self):
         rows = spectral.asym_equiv_report(GEO, [128, 512])
-        assert rows[1].weak_toeplitz_circulant < rows[0].weak_toeplitz_circulant
+        assert rows[1].weak_diff_toeplitz_circulant < rows[0].weak_diff_toeplitz_circulant
         for row in rows:
             bound = row.abs_sum_bound
             assert bound == pytest.approx(6.0, abs=1e-10)
             assert row.strong_toeplitz <= bound
-            assert row.strong_banded <= bound
             assert row.strong_circulant <= bound
+
+    def test_strong_norms_match_dense_matrices(self):
+        for row in spectral.asym_equiv_report(GEO, [16, 17, 64]):
+            toep = numlin.toeplitz_from_cov(GEO, row.n)
+            circ = numlin.circulant_from_cov(GEO, row.n)
+            assert row.strong_toeplitz == pytest.approx(numlin.strong_norm(toep), rel=1e-12)
+            assert row.strong_circulant == pytest.approx(numlin.strong_norm(circ), rel=1e-12)
+
+    def test_one_eigensolve_per_n(self, monkeypatch):
+        calls = []
+        for name in ("eigvals_sym", "eig_sym", "strong_norm"):
+            solve = getattr(numlin, name)
+
+            def counted(*args, _solve=solve, _name=name, **kwargs):
+                calls.append(_name)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(numlin, name, counted)
+        spectral.asym_equiv_report(GEO, [16, 32, 64])
+        assert calls == ["eigvals_sym"] * 3
