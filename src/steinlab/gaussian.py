@@ -190,8 +190,8 @@ def _llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
 def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
     """Yield the LLR values of `count` whitened draws from p or q, by chunk."""
     coef, offset = _llr_form(pair, under)
-    for z in streams.standard_normal_chunks(seed, count, pair.n):
-        yield (z * z) @ coef + offset
+    for quad in streams.quadratic_chunks(seed, count, coef):
+        yield quad + offset
 
 
 def llr(pair: HypothesisPair, x: np.ndarray) -> float:

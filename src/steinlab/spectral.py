@@ -40,6 +40,13 @@ GRID = np.linspace(0.0, 1.0, GRID_SIZE)
 TAIL_CUTOFF = 1e-14
 
 
+def _is_real(value) -> bool:
+    # A type check, not a conversion: numpy turns '2' into 2.0 and True into
+    # 1.0, and bool is a subclass of int.
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    return real and not isinstance(value, (bool, np.bool_))
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceSequence:
     """Symmetric, absolutely summable auto-covariance sequence.
@@ -52,7 +59,11 @@ class CovarianceSequence:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = self.values
+        numeric = isinstance(values, np.ndarray) and values.dtype.kind in "iuf"
+        if not numeric and not all(map(_is_real, np.asarray(values, dtype=object).flat)):
+            raise ValueError(f"covariance values must be real numbers, got {values!r}")
+        values = np.asarray(values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError("covariance values must be a non-empty 1-d array")
         if not np.all(np.isfinite(values)):
@@ -64,11 +75,13 @@ class CovarianceSequence:
     @classmethod
     def white(cls, scale: float = 1.0) -> "CovarianceSequence":
         """White noise: K[0] = scale, all other lags zero."""
-        return cls(np.array([scale]))
+        return cls([scale])
 
     @classmethod
     def geometric(cls, rho: float, scale: float = 1.0) -> "CovarianceSequence":
         """K[m] = scale * rho^|m|, truncated below TAIL_CUTOFF * K[0]."""
+        if not (_is_real(rho) and _is_real(scale)):
+            raise ValueError(f"rho and scale must be real numbers, got {rho!r}, {scale!r}")
         if not 0.0 <= abs(rho) < 1.0:
             raise ValueError(f"geometric ratio must satisfy |rho| < 1, got {rho}")
         if rho == 0.0:
@@ -79,7 +92,7 @@ class CovarianceSequence:
     @classmethod
     def from_table(cls, values: Sequence[float]) -> "CovarianceSequence":
         """Finitely supported sequence given as K[0], K[1], ..."""
-        return cls(np.asarray(values, dtype=float))
+        return cls(values)
 
     def k(self, m) -> np.ndarray | float:
         """K[|m|]; zero beyond the truncation lag."""
@@ -243,7 +256,8 @@ def eig_functional_avg(func: Callable, eigs) -> float:
 @dataclass(frozen=True)
 class EquivalenceRow:
     """Diagnostics at one n of the Toeplitz (T), banded (B) and circulant (C)
-    matrices; `abs_sum_bound` is twice the absolute covariance sum."""
+    matrices; `abs_sum_bound` is the absolute covariance sum, sum_m |K[m]|,
+    which bounds the strong norm of every one of them (Gray)."""
 
     n: int
     weak_diff_toeplitz_circulant: float
@@ -274,7 +288,7 @@ def asym_equiv_report(
         "spectral_log": spectral_integral(np.log, spectrum),
         "spectral_inv": spectral_integral(lambda s: 1.0 / s, spectrum),
     }
-    bound = 2.0 * cov.abs_sum
+    bound = cov.abs_sum
     rows = []
     for n in n_list:
         toep = numlin.toeplitz_from_cov(cov, n)

@@ -4,15 +4,32 @@ Monte Carlo routines draw their randomness through fixed-size chunks, one
 independent generator per chunk (stream id = chunk index).  The output for a
 given (seed, count) is therefore byte-identical regardless of how chunks are
 scheduled across workers.
+
+`quadratic_chunks` is the one Monte Carlo kernel: it reduces each chunk's
+draws to the weighted sums of squares every statistic needs, in cache-sized
+row blocks, on every usable core.  Its output does not depend on the core
+count.  `standard_normal_chunks` yields the raw draws, for routines that
+need the vectors themselves.
 """
 
 from __future__ import annotations
 
+import collections
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
 
 CHUNK_SIZE = 4096
+
+# Doubles in one worker's draw buffer: 256 KB, so a block stays in L2.
+_BLOCK_DOUBLES = 32_768
+# Block boundaries fall on multiples of this many rows.  The BLAS
+# matrix-vector product sums a ragged last group of rows by another path,
+# so a boundary inside such a group would change the low bits of its rows.
+_ROW_ALIGN = 64
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
@@ -47,3 +64,60 @@ def standard_normal_chunks(seed: int, count: int, dim: int) -> Iterator[np.ndarr
     """Yield (size, dim) blocks of iid standard normals."""
     for index, size in chunk_sizes(count):
         yield chunk_rng(seed, index).standard_normal((size, dim))
+
+
+def _worker_count() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# Per-thread draw buffers.  Only pool threads use them, and each call of
+# `quadratic_chunks` has its own pool, so no two calls share a buffer.
+_buffers = threading.local()
+
+
+def _quadratic_chunk(seed: int, index: int, size: int, coef: np.ndarray) -> np.ndarray:
+    # One chunk's draws, a block of rows at a time, in this thread's buffer.
+    dim = coef.size
+    rows = max(_ROW_ALIGN, _BLOCK_DOUBLES // dim // _ROW_ALIGN * _ROW_ALIGN)
+    buf = getattr(_buffers, "buf", None)
+    if buf is None or buf.shape != (rows + 1, dim):
+        buf = _buffers.buf = np.empty((rows + 1, dim))
+    rng = chunk_rng(seed, index)
+    out = np.empty(size)
+    start = 0
+    while start < size:
+        # No one-row tail: numpy reduces a lone row by a dot product, which
+        # sums in another order than the matrix-vector product does.
+        stop = size if size - start <= rows + 1 else start + rows
+        block = buf[: stop - start]
+        rng.standard_normal(out=block)
+        np.square(block, out=block)
+        np.matmul(block, coef, out=out[start:stop])
+        start = stop
+    return out
+
+
+def quadratic_chunks(seed: int, count: int, coef: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield, by chunk, sum_j coef[j] z_ij^2 over the rows z_i of
+    `standard_normal_chunks(seed, count, coef.size)`, bit for bit.
+
+    Chunks are computed on every usable core and yielded in chunk order;
+    at most two per worker are in flight, so memory stays bounded and a
+    consumer that stops early does not pay for the rest.
+    """
+    coef = np.ascontiguousarray(coef, dtype=float)
+    workers = _worker_count()
+    pool = ThreadPoolExecutor(max_workers=workers)
+    pending = collections.deque()
+    try:
+        for index, size in chunk_sizes(count):
+            pending.append(pool.submit(_quadratic_chunk, seed, index, size, coef))
+            if len(pending) >= 2 * workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)

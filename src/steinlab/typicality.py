@@ -234,8 +234,8 @@ def mc_typical_prob(
         model = spec.model
         offset = 0.5 * (model.n * gaussian.LOG_2PI + model.log_det)
         stats = (
-            offset + 0.5 * np.einsum("ij,ij->i", z, z)
-            for z in streams.standard_normal_chunks(seed, count, model.n)
+            quad + offset
+            for quad in streams.quadratic_chunks(seed, count, np.full(model.n, 0.5))
         )
     else:
         stats = gaussian.llr_chunks(spec.pair, count, seed, "p")

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from steinlab import cli, spectral, units
+from steinlab import cli, detect, spectral, units
 
 
 def run_cli(capsys, *argv):
@@ -107,6 +107,80 @@ class TestDetectCommand:
         for row in rows:
             assert float(row["lower"]) <= float(row["np_beta_log"]) + 1.0
             assert row["in_window"] == "true"
+
+    def test_alpha_and_stderr_columns(self, capsys):
+        args = ("detect", "--n-list", "32,64,96", "--samples", "10000", "--seed", "4")
+        _, out_nats, _ = run_cli(capsys, *args)
+        _, out_bits, _ = run_cli(capsys, *args, "--unit", "bits")
+        config = dict(cli.DEFAULTS["detect"], ns=[32, 64, 96], samples=10000, seed=4)
+        result = detect.gcsl_experiment(
+            cli.covariance_from_spec(config["cov_p"]),
+            cli.covariance_from_spec(config["cov_q"]),
+            config["tau"],
+            config["ns"],
+            config["samples"],
+            config["seed"],
+        )
+        rows_nats, rows_bits = parse_csv(out_nats)[2], parse_csv(out_bits)[2]
+        for r, nats, bits in zip(result.rows, rows_nats, rows_bits):
+            for col in ("np_alpha", "ts_alpha"):
+                assert nats[col] == bits[col] == cli._format_value(getattr(r, col))
+            for col in ("np_beta_stderr", "ts_beta_stderr"):
+                assert nats[col] == cli._format_value(getattr(r, col))
+                assert bits[col] == cli._format_value(getattr(r, col) / units.LN2)
+
+
+# Output of the three runs below, recorded before every Monte Carlo statistic
+# moved onto the blocked, threaded kernel `streams.quadratic_chunks`, which
+# must reproduce it bit for bit.  `detect` has since gained four columns
+# after `in_window`; the recorded seven are compared as printed.
+GOLDEN_DETECT = """\
+# command=detect config_hash=8e3aa35ecf40 seed=9 unit=nats
+# summary: slope=0.120582172346 C_s=0.143841036226 rel_err=0.161698389348
+n,D,lower,upper,np_beta_log,ts_beta_log,in_window
+32,4.459072123,0.361668525143,9.06730134463,3.98217817319,2.81194676515,true
+64,9.06198528223,3.20473535825,15.43006083,7.84744570102,6.09798119433,true
+96,13.6648984415,6.46586815257,21.3747543541,11.6994372033,9.63235280664,true
+"""
+GOLDEN_TYPICAL = {
+    "rel_entropy": """\
+# command=typical config_hash=543815e0ae62 seed=9 unit=nats
+# summary: variant=rel_entropy eps=0.05 delta_factor=1.1
+n,B_n,delta_min,p_hat,stderr,pass
+16,3.12694383992,4.33364342627,0.9574,0.00201953559018,true
+64,6.46357314322,8.95789073815,0.9649,0.00184032578638,true
+100,8.1103500404,11.2401651378,0.9688,0.00173857872988,true
+""",
+    "entropy": """\
+# command=typical config_hash=0de476965645 seed=9 unit=nats
+# summary: variant=entropy eps=0.05 delta_factor=1.1
+n,B_n,delta_min,p_hat,stderr,pass
+16,4,5.5436152974,0.9677,0.00176795673024,true
+64,8,11.0872305948,0.9707,0.0016864610876,true
+100,10,13.8590382435,0.9672,0.00178112773265,true
+""",
+}
+DETECT_ADDED = ["np_alpha", "np_beta_stderr", "ts_alpha", "ts_beta_stderr"]
+
+
+class TestGoldenOutput:
+    def test_detect(self, capsys):
+        args = ("detect", "--n-list", "32,64,96", "--samples", "10000", "--seed", "9")
+        code, out, _ = run_cli(capsys, *args)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[2].split(",")[7:] == DETECT_ADDED
+        recorded = [",".join(line.split(",")[:7]) for line in lines]
+        assert "\n".join(recorded) + "\n" == GOLDEN_DETECT
+
+    @pytest.mark.parametrize("variant", ["rel_entropy", "entropy"])
+    def test_typical(self, capsys, tmp_path, variant):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": variant}))
+        args = ("--config", str(cfg), "--n-list", "16,64,100", "--samples", "10000")
+        code, out, _ = run_cli(capsys, "typical", *args, "--seed", "9")
+        assert code == 0
+        assert out == GOLDEN_TYPICAL[variant]
 
 
 class TestAsymptoticsCommand:

@@ -146,13 +146,24 @@ class TestAsymptoticProperties:
         cov = geo(0.5)
         for n in (16, 64):
             toep = numlin.toeplitz_from_cov(cov, n)
-            assert numlin.strong_norm(toep) <= 2.0 * cov.abs_sum
+            assert numlin.strong_norm(toep) <= cov.abs_sum
 
     def test_banded_strong_norm_bound(self):
         cov = geo(0.5)
         for n in (128, 512):
             band = numlin.banded_from_cov(cov, n)
-            assert numlin.strong_norm(band) <= 2.0 * cov.abs_sum
+            assert numlin.strong_norm(band) <= cov.abs_sum
+
+    @pytest.mark.parametrize(
+        "cov",
+        [geo(-0.9), spectral.CovarianceSequence.from_table([2.0, 0.5, -0.25])],
+        ids=["geometric--0.9", "table"],
+    )
+    def test_strong_norms_within_abs_sum(self, cov):
+        # Gray: every strong norm is at most sum_m |K[m]|.
+        for n in (16, 128, 512):
+            for build in (numlin.toeplitz_from_cov, numlin.banded_from_cov):
+                assert numlin.strong_norm(build(cov, n)) <= cov.abs_sum
 
     def test_weak_norm_difference_decays(self):
         cov = geo(0.5)

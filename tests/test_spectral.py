@@ -35,6 +35,29 @@ class TestCovarianceSequence:
         assert cov.k(1) == 0.5
         assert cov.k(2) == 0.0
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: spectral.CovarianceSequence.white("2"),
+            lambda: spectral.CovarianceSequence.white(None),
+            lambda: spectral.CovarianceSequence.from_table(["1", "0.25"]),
+            lambda: spectral.CovarianceSequence.from_table([True, 0.5]),
+            lambda: spectral.CovarianceSequence.from_table([1.0, None]),
+            lambda: spectral.CovarianceSequence.geometric("0.5"),
+            lambda: spectral.CovarianceSequence.geometric(0.5, True),
+        ],
+        ids=["white-str", "white-none", "table-str", "table-bool", "table-none",
+             "geometric-str-rho", "geometric-bool-scale"],
+    )
+    def test_non_real_values_rejected(self, build):
+        with pytest.raises(ValueError, match="real numbers"):
+            build()
+
+    def test_numpy_numbers_accepted(self):
+        cov = spectral.CovarianceSequence.from_table([np.int64(2), np.float32(0.5)])
+        assert cov.values.tolist() == [2.0, 0.5]
+        assert spectral.CovarianceSequence.from_table(np.array([2, 1])).k(1) == 1.0
+
     def test_equality_is_identity(self):
         cov = spectral.CovarianceSequence.geometric(0.5)
         assert cov == cov
@@ -281,9 +304,25 @@ class TestAsymEquivReport:
         assert rows[1].weak_diff_toeplitz_circulant < rows[0].weak_diff_toeplitz_circulant
         for row in rows:
             bound = row.abs_sum_bound
-            assert bound == pytest.approx(6.0, abs=1e-10)
+            assert bound == pytest.approx(3.0, abs=1e-10)
             assert row.strong_toeplitz <= bound
             assert row.strong_circulant <= bound
+
+    @pytest.mark.parametrize(
+        "cov, bound",
+        [
+            (spectral.CovarianceSequence.geometric(-0.9), 19.0),
+            (spectral.CovarianceSequence.from_table([2.0, 0.5, -0.25]), 3.5),
+        ],
+        ids=["geometric--0.9", "table"],
+    )
+    def test_bound_is_the_abs_sum(self, cov, bound):
+        # The circulant attains sum_m |K[m]| once n covers every lag (rho=-0.9:
+        # at f = 1/2, even n); the run_check slack is for that equality.
+        for row in spectral.asym_equiv_report(cov, [16, 17, 128, 1024]):
+            assert row.abs_sum_bound == pytest.approx(bound, rel=1e-12)
+            assert row.strong_toeplitz < row.abs_sum_bound
+            assert row.strong_circulant <= row.abs_sum_bound * (1.0 + 1e-12)
 
     def test_strong_norms_match_dense_matrices(self):
         for row in spectral.asym_equiv_report(GEO, [16, 17, 64]):

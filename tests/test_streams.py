@@ -1,4 +1,8 @@
+import threading
+import time
+
 import numpy as np
+import pytest
 
 from steinlab import streams
 
@@ -54,3 +58,47 @@ def test_derived_seeds_are_distinct_ints():
     ]
     assert all(type(s) is int for s in seeds)
     assert len(set(seeds)) == len(seeds)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [1, 4095, 2 * streams.CHUNK_SIZE + 7])
+@pytest.mark.parametrize("dim", [1, 3, 7, 64, 100, 384, 1000])
+def test_quadratic_chunks_match_the_normal_stream(monkeypatch, dim, count, workers):
+    monkeypatch.setattr(streams, "_worker_count", lambda: workers)
+    coef = np.random.default_rng(dim).standard_normal(dim)
+    expected = [(z * z) @ coef for z in streams.standard_normal_chunks(11, count, dim)]
+    got = list(streams.quadratic_chunks(11, count, coef))
+    assert len(got) == len(expected)
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("dim", [384, 1000])
+def test_quadratic_chunks_leave_no_one_row_tail(dim):
+    # 64-row blocks: a chunk of 65 or 129 rows ends in a lone row, which numpy
+    # would reduce by a dot product instead of the matrix-vector product.
+    coef = np.random.default_rng(dim).standard_normal(dim)
+    for count in (65, 129, streams.CHUNK_SIZE + 65):
+        expected = [(z * z) @ coef for z in streams.standard_normal_chunks(2, count, dim)]
+        got = list(streams.quadratic_chunks(2, count, coef))
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def test_abandoned_quadratic_chunks_stop_promptly(monkeypatch):
+    workers = 2
+    monkeypatch.setattr(streams, "_worker_count", lambda: workers)
+    computed = []
+    reduce_chunk = streams._quadratic_chunk
+
+    def counted(seed, index, size, coef):
+        computed.append(index)
+        return reduce_chunk(seed, index, size, coef)
+
+    monkeypatch.setattr(streams, "_quadratic_chunk", counted)
+    threads = threading.active_count()
+    start = time.perf_counter()
+    chunks = streams.quadratic_chunks(3, 10**9, np.ones(64))  # minutes if run out
+    assert next(chunks).shape == (streams.CHUNK_SIZE,)
+    chunks.close()
+    assert time.perf_counter() - start < 5.0
+    assert len(computed) <= 2 * workers + 1
+    assert threading.active_count() == threads
