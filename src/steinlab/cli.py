@@ -114,26 +114,22 @@ SPEC_KEYS = {"white": {"scale"}, "geometric": {"rho", "scale"}, "table": {"value
 
 
 def _is_number(value) -> bool:
-    # type() rather than isinstance(): bool is a subclass of int.
-    return type(value) in (int, float) and math.isfinite(value)
+    # type() rather than isinstance(): bool is a subclass of int.  An int is
+    # finite, and math.isfinite cannot take one too large for a float.
+    return type(value) is int or (type(value) is float and math.isfinite(value))
 
 
 def covariance_from_spec(spec: dict) -> spectral.CovarianceSequence:
     kind = spec.get("kind") if isinstance(spec, dict) else None
     if kind not in list(SPEC_KEYS) or not set(spec) <= SPEC_KEYS[kind] | {"kind"}:
         raise ConfigError(f"bad covariance spec {spec!r}: keys by kind are {SPEC_KEYS}")
-    values = spec.get("values", [1.0])  # a stand-in, so one check covers every kind
-    if not (isinstance(values, list) and values) or not all(
-        map(_is_number, [spec.get("rho", 0.0), spec.get("scale", 1.0), *values])
-    ):
-        raise ConfigError(f"bad covariance spec {spec!r}: rho, scale, values must be finite")
     try:
         if kind == "white":
             return spectral.CovarianceSequence.white(spec.get("scale", 1.0))
         if kind == "geometric":
             return spectral.CovarianceSequence.geometric(spec["rho"], spec.get("scale", 1.0))
-        return spectral.CovarianceSequence.from_table(values)
-    except (KeyError, ValueError) as exc:
+        return spectral.CovarianceSequence.from_table(spec["values"])
+    except (KeyError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad covariance spec {spec!r}: {exc}") from exc
 
 

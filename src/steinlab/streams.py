@@ -7,16 +7,17 @@ scheduled across workers.
 
 `quadratic_chunks` is the one Monte Carlo kernel: it reduces each chunk's
 draws to the weighted sums of squares every statistic needs, in cache-sized
-row blocks, on every usable core.  Its output does not depend on the core
-count.  `standard_normal_chunks` yields the raw draws, for routines that
-need the vectors themselves.
+row blocks, on every usable core.  It matches the plain reduction of
+`standard_normal_chunks` bit for bit as long as BLAS sums each row of a
+matrix-vector product in the same order whatever the rows around it and
+its own thread count; that was verified on x86-64 with OpenBLAS 0.3.31 at
+1-4 BLAS threads and 1-3 workers, not in general.  `standard_normal_chunks`
+yields the raw draws, for routines that need the vectors themselves.
 """
 
 from __future__ import annotations
 
-import collections
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
@@ -73,18 +74,11 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-# Per-thread draw buffers.  Only pool threads use them, and each call of
-# `quadratic_chunks` has its own pool, so no two calls share a buffer.
-_buffers = threading.local()
-
-
 def _quadratic_chunk(seed: int, index: int, size: int, coef: np.ndarray) -> np.ndarray:
-    # One chunk's draws, a block of rows at a time, in this thread's buffer.
+    # One chunk's draws, a block of rows at a time, in one cache-sized buffer.
     dim = coef.size
     rows = max(_ROW_ALIGN, _BLOCK_DOUBLES // dim // _ROW_ALIGN * _ROW_ALIGN)
-    buf = getattr(_buffers, "buf", None)
-    if buf is None or buf.shape != (rows + 1, dim):
-        buf = _buffers.buf = np.empty((rows + 1, dim))
+    buf = np.empty((rows + 1, dim))
     rng = chunk_rng(seed, index)
     out = np.empty(size)
     start = 0
@@ -104,20 +98,10 @@ def quadratic_chunks(seed: int, count: int, coef: np.ndarray) -> Iterator[np.nda
     """Yield, by chunk, sum_j coef[j] z_ij^2 over the rows z_i of
     `standard_normal_chunks(seed, count, coef.size)`, bit for bit.
 
-    Chunks are computed on every usable core and yielded in chunk order;
-    at most two per worker are in flight, so memory stays bounded and a
-    consumer that stops early does not pay for the rest.
+    Chunks are computed on every usable core and yielded in chunk order.
     """
     coef = np.ascontiguousarray(coef, dtype=float)
-    workers = _worker_count()
-    pool = ThreadPoolExecutor(max_workers=workers)
-    pending = collections.deque()
-    try:
-        for index, size in chunk_sizes(count):
-            pending.append(pool.submit(_quadratic_chunk, seed, index, size, coef))
-            if len(pending) >= 2 * workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
+    with ThreadPoolExecutor(_worker_count()) as pool:
+        yield from pool.map(
+            lambda chunk: _quadratic_chunk(seed, *chunk, coef), chunk_sizes(count)
+        )

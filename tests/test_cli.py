@@ -289,6 +289,7 @@ class TestPlumbing:
             {"kind": "geometric", "rho": "0.5", "scale": 1.0},
             {"kind": "geometric", "rho": 0.5, "scale": True},
             {"kind": "geometric", "rho": math.inf},
+            {"kind": "geometric", "rho": 0.5, "scale": 10**400},
             {"kind": "table", "values": ["1", "0.25"]},
             {"kind": "table", "values": []},
             {"kind": "table", "values": 1.0},
@@ -300,8 +301,8 @@ class TestPlumbing:
             "white",
         ],
         ids=[
-            "rho-string", "scale-bool", "rho-inf", "values-strings", "values-empty",
-            "values-scalar", "values-bool", "unknown-key", "key-of-other-kind",
+            "rho-string", "scale-bool", "rho-inf", "scale-beyond-float", "values-strings",
+            "values-empty", "values-scalar", "values-bool", "unknown-key", "key-of-other-kind",
             "kind-missing", "kind-not-string", "spec-not-object",
         ],
     )

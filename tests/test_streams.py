@@ -1,5 +1,7 @@
+import os
+import subprocess
+import sys
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -83,22 +85,40 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
-def test_abandoned_quadratic_chunks_stop_promptly(monkeypatch):
-    workers = 2
-    monkeypatch.setattr(streams, "_worker_count", lambda: workers)
-    computed = []
-    reduce_chunk = streams._quadratic_chunk
+_ONE_BLAS_THREAD_SCRIPT = """
+import numpy as np
+from steinlab import streams
+for dim in (3, 384, 1000):
+    coef = np.random.default_rng(dim).standard_normal(dim)
+    count = 2 * streams.CHUNK_SIZE + 7
+    expected = [(z * z) @ coef for z in streams.standard_normal_chunks(11, count, dim)]
+    got = list(streams.quadratic_chunks(11, count, coef))
+    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    print(np.concatenate(got).tobytes().hex())
+"""
 
-    def counted(seed, index, size, coef):
-        computed.append(index)
-        return reduce_chunk(seed, index, size, coef)
 
-    monkeypatch.setattr(streams, "_quadratic_chunk", counted)
+def test_quadratic_chunks_match_under_one_blas_thread():
+    # OpenBLAS splits a large matrix-vector product across its own threads;
+    # its thread count is fixed when numpy loads, hence the subprocess.
+    src = os.path.dirname(os.path.dirname(streams.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    single = subprocess.run(
+        [sys.executable, "-c", _ONE_BLAS_THREAD_SCRIPT],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout.split()
+    here = []
+    for dim in (3, 384, 1000):
+        coef = np.random.default_rng(dim).standard_normal(dim)
+        got = streams.quadratic_chunks(11, 2 * streams.CHUNK_SIZE + 7, coef)
+        here.append(np.concatenate(list(got)).tobytes().hex())
+    # The default thread count gives the same bytes as one thread.
+    assert single == here
+
+
+def test_closing_quadratic_chunks_leaves_no_threads():
     threads = threading.active_count()
-    start = time.perf_counter()
-    chunks = streams.quadratic_chunks(3, 10**9, np.ones(64))  # minutes if run out
+    chunks = streams.quadratic_chunks(3, 64 * streams.CHUNK_SIZE, np.ones(64))
     assert next(chunks).shape == (streams.CHUNK_SIZE,)
     chunks.close()
-    assert time.perf_counter() - start < 5.0
-    assert len(computed) <= 2 * workers + 1
     assert threading.active_count() == threads
