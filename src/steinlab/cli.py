@@ -167,9 +167,7 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
         raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
     rows = []
     for n in config["ns"]:
-        kl = gaussian.kl_gaussian(
-            numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
-        )
+        kl = gaussian.kl_toeplitz(cov_p, cov_q, n)
         rows.append(
             {
                 "n": n,

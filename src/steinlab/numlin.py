@@ -1,9 +1,15 @@
-"""Dense symmetric matrix kernel.
+"""Symmetric and Toeplitz matrix kernel.
 
-Builds the three covariance-matrix variants used by the asymptotic-equivalence
-arguments (full Toeplitz, banded, circulant), exposes symmetric and
-symmetric-definite (pencil) eigensolves with the positive-definiteness rule,
-and implements the weak and strong matrix norms.
+Builds the three dense covariance-matrix variants used by the
+asymptotic-equivalence arguments (full Toeplitz, banded, circulant), exposes
+symmetric and symmetric-definite (pencil) eigensolves with the
+positive-definiteness rule, and implements the weak and strong matrix norms.
+
+A symmetric Toeplitz matrix is also handled through its lags alone, in O(n)
+memory: the Levinson-Durbin recursion gives its log-determinant and its
+predictor, the Gohberg-Semencul formula turns the predictor into the
+diagonal sums of the inverse, and its weak and strong norms come from a sum
+over lags and from Lanczos on an FFT matrix-vector product.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse.linalg
 
 from .exceptions import (
     InvalidDimensionError,
@@ -58,14 +65,19 @@ def toeplitz_from_cov(cov, n: int) -> np.ndarray:
     return scipy.linalg.toeplitz(col)
 
 
-def banded_from_cov(cov, n: int) -> np.ndarray:
-    """Toeplitz matrix with lags at or beyond floor(n/2)+1 zeroed."""
+def banded_column(cov, n: int) -> np.ndarray:
+    """First column of the banded matrix: lags at or beyond floor(n/2)+1 zeroed."""
     if n < 3:
         raise InvalidDimensionError(f"n must be >= 3, got {n}")
     n_hat = n // 2 + 1
     col = cov.k(np.arange(n))
     col[n_hat:] = 0.0
-    return scipy.linalg.toeplitz(col)
+    return col
+
+
+def banded_from_cov(cov, n: int) -> np.ndarray:
+    """Toeplitz matrix with lags at or beyond floor(n/2)+1 zeroed."""
+    return scipy.linalg.toeplitz(banded_column(cov, n))
 
 
 def circulant_column(cov, n: int) -> np.ndarray:
@@ -137,3 +149,131 @@ def weak_norm(m: np.ndarray) -> float:
 def strong_norm(m: np.ndarray) -> float:
     """l2 operator norm (largest singular value; max |eigenvalue| if symmetric)."""
     return float(np.linalg.norm(_check_square_finite(m), 2))
+
+
+def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
+    """Levinson-Durbin recursion for the symmetric Toeplitz matrix T of `lags`.
+
+    Returns the monic order-(n-1) predictor a (T a = E_{n-1} e_1, so
+    T^-1 e_1 = a / E_{n-1}) and the prediction-error variances E_0..E_{n-1};
+    log det T = sum(log E_k).  O(n^2) time, O(n) memory.  T is positive
+    definite iff every reflection coefficient has modulus below 1; the
+    recursion also rejects E_{n-1} <= PD_RTOL * K[0], and since
+    lambda_min <= E_{n-1} and K[0] <= lambda_max it never rejects a matrix
+    that `check_pd` accepts.
+    """
+    lags = np.asarray(lags, dtype=float)
+    if lags.ndim != 1 or lags.size == 0:
+        raise InvalidDimensionError(f"expected a non-empty lag vector, got shape {lags.shape}")
+    if not np.all(np.isfinite(lags)):
+        raise NumericalFailureError("lags have non-finite entries")
+    n = lags.size
+    if not lags[0] > 0.0:
+        raise NotPositiveDefiniteError(
+            f"Toeplitz matrix is not positive definite: K[0]={lags[0]:.3e}"
+        )
+    reversed_lags = lags[::-1].copy()
+    a = np.zeros(n)
+    a[0] = 1.0
+    errors = np.empty(n)
+    errors[0] = lags[0]
+    step = np.empty(n)  # reused, so the loop allocates no arrays
+    for k in range(1, n):
+        refl = -np.dot(a[:k], reversed_lags[n - 1 - k : n - 1]) / errors[k - 1]
+        if not abs(refl) < 1.0:
+            raise NotPositiveDefiniteError(
+                f"Toeplitz matrix is not positive definite: reflection coefficient "
+                f"{refl:.3e} at order {k}"
+            )
+        a[1 : k + 1] += np.multiply(a[k - 1 :: -1], refl, out=step[:k])
+        errors[k] = errors[k - 1] * ((1.0 - refl) * (1.0 + refl))
+    if not errors[-1] > PD_RTOL * lags[0]:
+        raise NotPositiveDefiniteError(
+            f"Toeplitz matrix is not positive definite: E_{n - 1}={errors[-1]:.3e}, "
+            f"K[0]={lags[0]:.3e}"
+        )
+    return a, errors
+
+
+def _semencul_columns(a: np.ndarray) -> np.ndarray:
+    """First columns of A and B (rows 0 and 1) in the Gohberg-Semencul formula
+    T^-1 = (A A^T - B B^T) / E_{n-1}: a and (0, a_{n-1}, ..., a_1)."""
+    a = np.asarray(a, dtype=float)
+    return np.stack((a, np.concatenate(([0.0], a[:0:-1]))))
+
+
+def inverse_diagonal_sums(a: np.ndarray, error: float) -> np.ndarray:
+    """Diagonal sums s_d = sum_i (T^-1)_{i, i+d}, d = 0..n-1, from `levinson`'s
+    predictor a and last error variance.
+
+    For a lower-triangular Toeplitz L(u), the d-th diagonal sum of L(u) L(u)^T
+    is (n - d) c_d - c'_d, with c_d = sum_m u_m u_{m+d} and
+    c'_d = sum_m m u_m u_{m+d}; s_d is that for A minus that for B, over
+    E_{n-1}.  The correlations are taken by FFT on 2n points.
+    """
+    cols = _semencul_columns(a)
+    n = cols.shape[1]
+    lag = np.arange(n)
+    size = 2 * n
+    plain, moment = np.fft.rfft(cols, size), np.fft.rfft(lag * cols, size)
+
+    def a_minus_b(products):
+        return np.fft.irfft(products[0] - products[1], size)[:n]
+
+    corr, moment_corr = a_minus_b(plain.conj() * plain), a_minus_b(moment.conj() * plain)
+    return ((n - lag) * corr - moment_corr) / error
+
+
+def weak_norm_toeplitz(lags) -> float:
+    """`weak_norm` of the symmetric Toeplitz matrix of `lags`, from the lags:
+    n |T|_weak^2 = n K[0]^2 + sum_{d>=1} 2 (n - d) K[d]^2."""
+    lags = np.asarray(lags, dtype=float)
+    n = lags.size
+    weights = 2.0 * (n - np.arange(n))
+    weights[0] = n
+    return float(np.sqrt(np.dot(weights, lags * lags) / n))
+
+
+def strong_norm_toeplitz(lags) -> float:
+    """`strong_norm` (largest eigenvalue) of a positive-definite symmetric
+    Toeplitz matrix T, from its lags in O(n^2) time and O(n) memory.
+
+    T is the leading block of the 2n-point circulant with first column
+    (lags, 0, reversed lags[1:]), so by interlacing that circulant's largest
+    FFT eigenvalue sigma bounds lambda_max.  Lanczos then runs on
+    (sigma I - T)^-1, applied by FFT through `levinson` and Gohberg-Semencul;
+    its top eigenvalue 1/(sigma - lambda_max) stands well apart from the
+    rest, where T's own top eigenvalues crowd together as n grows.
+    """
+    lags = np.asarray(lags, dtype=float)
+    n = lags.size
+    sigma = float(np.fft.rfft(np.concatenate((lags, [0.0], lags[:0:-1]))).real.max())
+    shifted = -lags
+    shifted[0] += sigma
+    try:
+        a, errors = levinson(shifted)
+    except NotPositiveDefiniteError:
+        # sigma I - T is singular to working precision, since its least
+        # eigenvalue sigma - lambda_max is at most E_{n-1}.
+        return sigma
+    size = 2 * n
+    spectra = np.fft.rfft(_semencul_columns(a), size)
+
+    def matvec(x):
+        # (A A^T - B B^T) x / E: the transposes are correlations.
+        half = np.fft.irfft(spectra.conj() * np.fft.rfft(x.ravel(), size), size)[:, :n]
+        full = spectra * np.fft.rfft(half, size)
+        return np.fft.irfft(full[0] - full[1], size)[:n] / errors[-1]
+
+    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
+    # A fixed start keeps the output reproducible (ARPACK's default start is
+    # random); a random-valued one, unlike all ones, is not orthogonal to the
+    # skew-symmetric eigenvectors, one of which may be the top one.
+    start = np.random.default_rng(0).standard_normal(n)
+    try:
+        top = scipy.sparse.linalg.eigsh(
+            op, k=1, which="LA", tol=0, v0=start, return_eigenvectors=False
+        )
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NumericalFailureError(f"Lanczos failed: {exc}") from exc
+    return sigma - 1.0 / float(top[0])

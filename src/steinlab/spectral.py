@@ -95,8 +95,11 @@ class CovarianceSequence:
         return cls(values)
 
     def k(self, m) -> np.ndarray | float:
-        """K[|m|]; zero beyond the truncation lag."""
-        lags = np.abs(np.asarray(m, dtype=int))
+        """K[|m|]; zero beyond the truncation lag.  Lags must be integers."""
+        lags = np.asarray(m)
+        if lags.dtype.kind not in "iu":
+            raise ValueError(f"lags must be integers, got {m!r}")
+        lags = np.abs(lags)
         scalar = lags.ndim == 0
         lags = np.atleast_1d(lags)
         out = np.zeros(lags.shape, dtype=float)
@@ -277,10 +280,14 @@ class EquivalenceRow:
 def asym_equiv_report(
     cov: CovarianceSequence, n_list: Sequence[int]
 ) -> list[EquivalenceRow]:
-    """One row per n, from one dense eigensolve (of T) per n.
+    """One row per n, from the lags alone: no n x n matrix is formed.
 
-    T's strong norm is its largest |eigenvalue| from that solve; C's comes
-    from its FFT eigenvalues.
+    T, B and C are symmetric Toeplitz, so each weak-norm difference is
+    `numlin.weak_norm_toeplitz` of a lag difference.  One `numlin.levinson`
+    of T per n gives the Szego averages: eigavg_x = K[0] (the trace over n),
+    eigavg_log = log det T / n and eigavg_inv = tr(T^-1) / n, the zeroth
+    diagonal sum from `numlin.inverse_diagonal_sums`.  T's strong norm comes
+    from `numlin.strong_norm_toeplitz`; C's from its FFT eigenvalues.
     """
     spectrum = cov.spectrum()
     targets = {
@@ -291,21 +298,22 @@ def asym_equiv_report(
     bound = cov.abs_sum
     rows = []
     for n in n_list:
-        toep = numlin.toeplitz_from_cov(cov, n)
-        band = numlin.banded_from_cov(cov, n)
-        circ = numlin.circulant_from_cov(cov, n)
-        eigs = numlin.eigvals_sym(toep)
+        toep = cov.k(np.arange(n))
+        band = numlin.banded_column(cov, n)
+        circ = numlin.circulant_column(cov, n)
+        predictor, errors = numlin.levinson(toep)
+        inverse_trace = numlin.inverse_diagonal_sums(predictor, errors[-1])[0]
         rows.append(
             EquivalenceRow(
                 n=n,
-                weak_diff_toeplitz_circulant=numlin.weak_norm(toep - circ),
-                eigavg_x=eig_functional_avg(lambda v: v, eigs),
-                eigavg_log=eig_functional_avg(np.log, eigs),
-                eigavg_inv=eig_functional_avg(lambda v: 1.0 / v, eigs),
+                weak_diff_toeplitz_circulant=numlin.weak_norm_toeplitz(toep - circ),
+                eigavg_x=float(toep[0]),
+                eigavg_log=float(np.sum(np.log(errors))) / n,
+                eigavg_inv=float(inverse_trace) / n,
                 **targets,
-                weak_diff_toeplitz_banded=numlin.weak_norm(toep - band),
-                weak_diff_banded_circulant=numlin.weak_norm(band - circ),
-                strong_toeplitz=float(np.max(np.abs(eigs))),
+                weak_diff_toeplitz_banded=numlin.weak_norm_toeplitz(toep - band),
+                weak_diff_banded_circulant=numlin.weak_norm_toeplitz(band - circ),
+                strong_toeplitz=numlin.strong_norm_toeplitz(toep),
                 strong_circulant=float(np.max(np.abs(circulant_eigs(cov, n)))),
                 abs_sum_bound=bound,
             )
