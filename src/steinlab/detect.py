@@ -261,6 +261,8 @@ def gcsl_experiment(
     ns = list(ns)
     if ns != sorted(ns) or len(set(ns)) != len(ns):
         raise ValueError("ns must be strictly ascending")
+    if len(ns) < 3:
+        raise ValueError(f"need at least 3 ns for the exponent fit, got {len(ns)}")
     spectrum_p = cov_p.spectrum()
     spectrum_q = cov_q.spectrum()
     rate = spectral.stein_rate(spectrum_p, spectrum_q)

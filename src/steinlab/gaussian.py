@@ -1,13 +1,15 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
-A `GaussianModel` holds the symmetric square-root factors, log-determinant
-and differential entropy of its covariance, from one eigen-decomposition.
-`whiten` reduces a pair of covariances to the equivalent diagonal-vs-identity
-test with one generalized eigensolve and records the diagonal entries
-(kappas); there the log-likelihood ratio is an affine weighted sum of
-chi-square variables, which `llr_chunks` samples for all the detection code.
-`kl_toeplitz` gives the same relative entropy for two stationary covariances
-straight from their lags, without an n x n matrix.
+A `GaussianModel` holds the log-determinant and differential entropy of its
+covariance, from one values-only eigensolve; its lower Cholesky factor,
+which only sampling and densities need, is built on first use.  `whiten`
+reduces a pair of covariances to the equivalent diagonal-vs-identity test
+and records the diagonal entries (kappas, the eigenvalues of the pencil);
+there the log-likelihood ratio is an affine weighted sum of chi-square
+variables, which `llr_chunks` samples for all the detection code.  The
+whitening map itself is solved for only when it is read.  `kl_toeplitz`
+gives the same relative entropy for two stationary covariances straight
+from their lags, without an n x n matrix.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from . import numlin, streams
 from .exceptions import (
@@ -29,11 +32,9 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class GaussianModel:
-    """n-dimensional zero-mean Gaussian law with cached factors (nats)."""
+    """n-dimensional zero-mean Gaussian law (nats)."""
 
     cov: np.ndarray = field(repr=False)
-    sqrt_cov: np.ndarray = field(repr=False)
-    inv_sqrt_cov: np.ndarray = field(repr=False)
     log_det: float
     entropy: float
 
@@ -41,24 +42,20 @@ class GaussianModel:
     def n(self) -> int:
         return self.cov.shape[0]
 
+    @functools.cached_property
+    def chol(self) -> np.ndarray:
+        """Lower Cholesky factor L of the covariance: cov = L L^T."""
+        return scipy.linalg.cholesky(self.cov, lower=True)
+
 
 def model_from_cov(cov: np.ndarray) -> GaussianModel:
     """Build a model from a symmetric positive-definite covariance."""
     cov = numlin.symmetrize(cov)
-    dec = numlin.eig_sym(cov)
-    w, v = dec.eigenvalues, dec.basis
+    w = numlin.eigvals_sym(cov)
     numlin.check_pd(w, "covariance")
-    root = np.sqrt(w)
-    n = cov.shape[0]
     log_det = float(np.sum(np.log(w)))
-    entropy = 0.5 * (n * (LOG_2PI + 1.0) + log_det)
-    return GaussianModel(
-        cov=cov,
-        sqrt_cov=numlin.symmetrize((v * root) @ v.T),
-        inv_sqrt_cov=numlin.symmetrize((v / root) @ v.T),
-        log_det=log_det,
-        entropy=entropy,
-    )
+    entropy = 0.5 * (cov.shape[0] * (LOG_2PI + 1.0) + log_det)
+    return GaussianModel(cov=cov, log_det=log_det, entropy=entropy)
 
 
 def _check_vector(n: int, x: np.ndarray) -> np.ndarray:
@@ -80,18 +77,18 @@ def log_density(model: GaussianModel, x: np.ndarray) -> float:
 
 def log_density_batch(model: GaussianModel, xs: np.ndarray) -> np.ndarray:
     """Log-density of each row of an (N, n) array."""
-    xs = np.asarray(xs, dtype=float)
-    ys = xs @ model.inv_sqrt_cov
-    quad = np.einsum("ij,ij->i", ys, ys)
+    # x^T cov^-1 x = |L^-1 x|^2, from one triangular solve per batch.
+    ys = scipy.linalg.solve_triangular(model.chol, np.asarray(xs, dtype=float).T, lower=True)
+    quad = np.einsum("ij,ij->j", ys, ys)
     return -0.5 * (model.n * LOG_2PI + model.log_det + quad)
 
 
 def sample(model: GaussianModel, seed: int, count: int) -> np.ndarray:
-    """Draw `count` vectors as Lambda^{1/2} z with chunked seeded streams."""
+    """Draw `count` vectors as L z (L = `chol`) with chunked seeded streams."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     blocks = [
-        z @ model.sqrt_cov
+        z @ model.chol.T
         for z in streams.standard_normal_chunks(seed, count, model.n)
     ]
     return np.concatenate(blocks, axis=0)
@@ -142,16 +139,21 @@ def kl_toeplitz(cov_p, cov_q, n: int) -> float:
 class HypothesisPair:
     """A (p, q) Gaussian pair with its whitened diagonal form.
 
-    `whitener` maps the observation space to coordinates in which p has
-    covariance diag(kappas) and q the identity; `kl` is the exact
-    finite-n relative entropy in nats.  Models `p` and `q` are built lazily.
+    In whitened coordinates p has covariance diag(kappas) and q the
+    identity; `kl` is the exact finite-n relative entropy in nats.  The
+    `whitener` and the models `p` and `q` are built on first use.
     """
 
     cov_p: np.ndarray = field(repr=False)
     cov_q: np.ndarray = field(repr=False)
     kappas: np.ndarray  # descending
-    whitener: np.ndarray = field(repr=False)
     kl: float
+
+    @functools.cached_property
+    def whitener(self) -> np.ndarray:
+        """V^T, for the generalized eigenbasis V of the pencil (Lp, Lq):
+        V^T Lq V = I and V^T Lp V = diag(kappas), rows in kappa order."""
+        return numlin.eig_sym(self.cov_p, self.cov_q).basis[:, ::-1].T
 
     @functools.cached_property
     def p(self) -> GaussianModel:
@@ -174,23 +176,17 @@ class HypothesisPair:
 def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
     """Reduce (cov_p, cov_q) to the diagonal-vs-identity equivalent test.
 
-    The generalized eigenbasis V of the pencil (Lp, Lq) satisfies
-    V^T Lq V = I and V^T Lp V = diag(kappas), so the whitener is V^T.
-    Kappas are returned descending, ties adjacent.
+    The kappas are the eigenvalues of the pencil (Lp, Lq), from one
+    values-only solve, returned descending, ties adjacent.  Both
+    covariances first pass `numlin.check_pd`, whose near-singular rule the
+    pencil solve alone would miss.
     """
     cov_p = numlin.symmetrize(cov_p)
     cov_q = numlin.symmetrize(cov_q)
     numlin.check_pd(numlin.eigvals_sym(cov_q), "q covariance")
     numlin.check_pd(numlin.eigvals_sym(cov_p), "p covariance")
-    dec = numlin.eig_sym(cov_p, cov_q)
-    kappas = dec.eigenvalues[::-1].copy()
-    return HypothesisPair(
-        cov_p=cov_p,
-        cov_q=cov_q,
-        kappas=kappas,
-        whitener=dec.basis[:, ::-1].T,
-        kl=_kl_from_kappas(kappas),
-    )
+    kappas = numlin.eigvals_sym(cov_p, cov_q)[::-1].copy()
+    return HypothesisPair(cov_p=cov_p, cov_q=cov_q, kappas=kappas, kl=_kl_from_kappas(kappas))
 
 
 def diagonal_pair(kappas) -> HypothesisPair:

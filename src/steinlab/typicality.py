@@ -226,7 +226,9 @@ def mc_typical_prob(
 ) -> MonteCarloProbability:
     """Fraction of samples from p that land in the typical set.
 
-    Entropy set: -log p(Lambda^{1/2} z) = 0.5 (n ln 2 pi + log det) + 0.5 |z|^2.
+    Entropy set: a draw from p is L z (L L^T = Lambda), and
+    -log p(L z) = 0.5 (n ln 2 pi + log det Lambda) + 0.5 |z|^2, so only the
+    model's log-determinant is read.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")

@@ -350,8 +350,20 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "command, n_list",
-        [("asymptotics", "8,8"), ("asymptotics", "2"), ("rate", "0,4"), ("sublinear", "2,4")],
-        ids=["duplicate", "asymptotics-below-3", "rate-below-1", "sublinear-below-3"],
+        [
+            ("asymptotics", "8,8"),
+            ("asymptotics", "2"),
+            ("rate", "0,4"),
+            ("sublinear", "2,4"),
+            ("detect", "128,256"),
+        ],
+        ids=[
+            "duplicate",
+            "asymptotics-below-3",
+            "rate-below-1",
+            "sublinear-below-3",
+            "detect-fewer-than-3",
+        ],
     )
     def test_bad_n_list_exits_2(self, capsys, command, n_list):
         code, out, err = run_cli(capsys, command, "--n-list", n_list)

@@ -201,3 +201,13 @@ class TestGcslExperiment:
         white = spectral.CovarianceSequence.white()
         with pytest.raises(ValueError):
             detect.gcsl_experiment(cov_p, white, 0.2, [32, 16, 64], 20_000, 0)
+
+    def test_too_few_ns_rejected_before_sampling(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before checking ns")
+
+        monkeypatch.setattr(streams, "quadratic_chunks", refuse)
+        cov_p = spectral.CovarianceSequence.geometric(0.5)
+        white = spectral.CovarianceSequence.white()
+        with pytest.raises(ValueError, match="at least 3"):
+            detect.gcsl_experiment(cov_p, white, 0.2, [128, 256], 20_000, 0)

@@ -1,8 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
-from steinlab import gaussian, numlin, spectral, streams
+from steinlab import cli, gaussian, numlin, spectral, streams
 from steinlab.exceptions import (
     InvalidDimensionError,
     NotPositiveDefiniteError,
@@ -20,8 +23,7 @@ class TestModel:
     def test_identity_factors(self):
         model = gaussian.model_from_cov(np.eye(3))
         assert model.log_det == pytest.approx(0.0)
-        assert np.allclose(model.sqrt_cov, np.eye(3))
-        assert np.allclose(model.inv_sqrt_cov, np.eye(3))
+        assert np.allclose(model.chol, np.eye(3))
 
     def test_identity_entropy(self):
         # differential entropy of N(0, I_n) is n/2 * (ln(2 pi) + 1)
@@ -40,25 +42,21 @@ class TestModel:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.model_from_cov(np.diag([1.0, -1.0]))
 
-    def test_identity_sqrt_factors(self):
-        model = gaussian.model_from_cov(np.eye(3))
-        assert np.allclose(model.sqrt_cov, np.eye(3))
-        assert np.allclose(model.inv_sqrt_cov, np.eye(3))
+    def test_near_singular_rejected(self):
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.model_from_cov(NEAR_SINGULAR)
 
-    def test_diagonal_sqrt_factors(self):
+    def test_diagonal_cholesky_factor(self):
         model = gaussian.model_from_cov(np.diag([4.0, 9.0]))
-        assert np.allclose(model.sqrt_cov, np.diag([2.0, 3.0]))
-        assert np.allclose(model.inv_sqrt_cov, np.diag([0.5, 1.0 / 3.0]))
+        assert np.allclose(model.chol, np.diag([2.0, 3.0]))
 
-    def test_sqrt_factors_reconstruct_random_pd(self):
+    def test_cholesky_factor_reconstructs_random_pd(self):
         m = random_pd(4, seed=2)
         model = gaussian.model_from_cov(m)
-        s, si = model.sqrt_cov, model.inv_sqrt_cov
-        norm = numlin.strong_norm(m)
-        assert numlin.strong_norm(s @ s - m) <= 1e-8 * norm
-        assert numlin.strong_norm(s @ si - np.eye(4)) <= 1e-8
-        assert np.array_equal(s, s.T)
-        assert np.array_equal(si, si.T)
+        chol = model.chol
+        assert np.array_equal(chol, np.tril(chol))
+        assert numlin.strong_norm(chol @ chol.T - m) <= 1e-12 * numlin.strong_norm(m)
+        assert model.chol is chol
 
 
 class TestDensity:
@@ -140,6 +138,16 @@ class TestKl:
             gaussian.kl_gaussian(np.eye(2), NEAR_SINGULAR)
 
 
+GEO_HALF = spectral.CovarianceSequence.geometric(0.5)
+KAPPA_CASES = [
+    pytest.param(numlin.toeplitz_from_cov(GEO_HALF, n), np.eye(n), id=f"rho=0.5-n={n}")
+    for n in range(32, 257, 32)
+] + [
+    pytest.param(random_pd(n, seed=n), random_pd(n, seed=n + 1), id=f"random-n={n}")
+    for n in (3, 8, 40)
+]
+
+
 class TestWhiten:
     @pytest.mark.parametrize(
         "cov_p, cov_q", [(NEAR_SINGULAR, np.eye(2)), (np.eye(2), NEAR_SINGULAR)],
@@ -162,6 +170,19 @@ class TestWhiten:
         m = pair.whitener
         assert np.allclose(m @ cov_q @ m.T, np.eye(6), atol=1e-8)
         assert np.allclose(m @ cov_p @ m.T, np.diag(pair.kappas), atol=1e-8)
+
+    def test_whitener_built_on_first_read(self):
+        pair = gaussian.whiten(random_pd(5, seed=22), random_pd(5, seed=23))
+        assert "whitener" not in pair.__dict__
+        assert pair.whitener is pair.whitener
+
+    @pytest.mark.parametrize("cov_p, cov_q", KAPPA_CASES)
+    def test_kappas_match_the_vector_solve(self, cov_p, cov_q):
+        # The values-only pencil solve against the one that also returns the
+        # whitening basis.
+        kappas = gaussian.whiten(cov_p, cov_q).kappas
+        expected = numlin.eig_sym(cov_p, cov_q).eigenvalues[::-1]
+        np.testing.assert_allclose(kappas, expected, rtol=1e-13, atol=0.0)
 
     def test_kappas_descending(self):
         pair = gaussian.whiten(random_pd(8, seed=12), random_pd(8, seed=13))
@@ -248,3 +269,24 @@ class TestLlr:
         xs = gaussian.sample(pair.p, seed=19, count=200_000)
         mean = float(np.mean(gaussian.llr_batch(pair, xs)))
         assert mean == pytest.approx(pair.kl, abs=0.02)
+
+
+def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
+    # detect and typical need the pencil eigenvalues and log-determinants
+    # only: no eigenvector solve and no Cholesky factor.
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigenvector solve or Cholesky factor")
+
+    for module, name in [
+        (numlin, "eig_sym"),
+        (np.linalg, "eigh"),
+        (scipy.linalg, "cholesky"),
+    ]:
+        monkeypatch.setattr(module, name, refuse)
+    small = ["--n-list", "32,64,96", "--samples", "10000", "--check"]
+    assert cli.main(["detect", *small]) == 0, capsys.readouterr().err
+    for variant in ("rel_entropy", "entropy"):
+        cfg = tmp_path / f"{variant}.json"
+        cfg.write_text(json.dumps({"variant": variant}))
+        assert cli.main(["typical", "--config", str(cfg), *small]) == 0, capsys.readouterr().err
+    capsys.readouterr()
