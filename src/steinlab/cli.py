@@ -244,6 +244,10 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
             "np_beta_stderr": r.np_beta_stderr,
             "ts_alpha": r.ts_alpha,
             "ts_beta_stderr": r.ts_beta_stderr,
+            "np_ess": r.np_ess,
+            "ts_ess": r.ts_ess,
+            "np_underflow": r.np_underflow,
+            "ts_underflow": r.ts_underflow,
         }
         for r in result.rows
     ]

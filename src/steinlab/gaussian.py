@@ -6,10 +6,10 @@ which only sampling and densities need, is built on first use.  `whiten`
 reduces a pair of covariances to the equivalent diagonal-vs-identity test
 and records the diagonal entries (kappas, the eigenvalues of the pencil);
 there the log-likelihood ratio is an affine weighted sum of chi-square
-variables, which `llr_chunks` samples for all the detection code.  The
-whitening map itself is solved for only when it is read.  `kl_toeplitz`
-gives the same relative entropy for two stationary covariances straight
-from their lags, without an n x n matrix.
+variables, whose weights `llr_form` gives and which `llr_chunks` samples
+for all the detection code.  The whitening map itself is solved for only
+when it is read.  `kl_toeplitz` gives the same relative entropy for two
+stationary covariances straight from their lags, without an n x n matrix.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import scipy.linalg
 from . import numlin, streams
 from .exceptions import (
     InvalidDimensionError,
-    NotPositiveDefiniteError,
     NumericalFailureError,
 )
 
@@ -103,15 +102,10 @@ def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
 
     Closed form 0.5 tr(Lp Lq^-1) - 0.5 log(det Lp / det Lq) - n/2, evaluated
     through the kappas (eigenvalues of the pencil (Lp, Lq)) so it is exactly
-    the diagonal-form value 0.5 sum(kappa - log kappa - 1).
+    the diagonal-form value 0.5 sum(kappa - log kappa - 1).  Both
+    covariances must pass the positive-definiteness checks of `whiten`.
     """
-    cov_p = numlin.symmetrize(cov_p)
-    cov_q = numlin.symmetrize(cov_q)
-    numlin.check_pd(numlin.eigvals_sym(cov_q), "q covariance")
-    kappas = numlin.eigvals_sym(cov_p, cov_q)
-    if kappas[0] <= 0.0:
-        raise NotPositiveDefiniteError("p covariance is not positive definite")
-    return _kl_from_kappas(kappas)
+    return whiten(cov_p, cov_q).kl
 
 
 def kl_toeplitz(cov_p, cov_q, n: int) -> float:
@@ -195,7 +189,9 @@ def diagonal_pair(kappas) -> HypothesisPair:
     return whiten(np.diag(kappas), np.eye(kappas.size))
 
 
-def _llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
+def llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
+    """(coef, offset) with LLR = offset + sum_j coef[j] z_j^2, z ~ N(0, I),
+    for draws from p or q."""
     # Whitened draws are sqrt(kappa) z under p and z under q (z ~ N(0, I)),
     # so LLR = sum c z^2 - 0.5 sum log kappa, c = 0.5 (kappa - 1) [/ kappa].
     if under not in ("p", "q"):
@@ -208,7 +204,7 @@ def _llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
 
 def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
     """Yield the LLR values of `count` whitened draws from p or q, by chunk."""
-    coef, offset = _llr_form(pair, under)
+    coef, offset = llr_form(pair, under)
     for quad in streams.quadratic_chunks(seed, count, coef):
         yield quad + offset
 
@@ -222,6 +218,6 @@ def llr(pair: HypothesisPair, x: np.ndarray) -> float:
 def llr_batch(pair: HypothesisPair, xs: np.ndarray) -> np.ndarray:
     """Log-likelihood ratio of each row of an (N, n) array."""
     # Whitened coordinates are standard normal under q.
-    coef, offset = _llr_form(pair, "q")
+    coef, offset = llr_form(pair, "q")
     ys = np.asarray(xs, dtype=float) @ pair.whitener.T
     return (ys * ys) @ coef + offset

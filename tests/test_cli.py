@@ -1,6 +1,9 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -123,8 +126,10 @@ class TestDetectCommand:
         )
         rows_nats, rows_bits = parse_csv(out_nats)[2], parse_csv(out_bits)[2]
         for r, nats, bits in zip(result.rows, rows_nats, rows_bits):
-            for col in ("np_alpha", "ts_alpha"):
+            for col in ("np_alpha", "ts_alpha", "np_ess", "ts_ess", "np_underflow", "ts_underflow"):
                 assert nats[col] == bits[col] == cli._format_value(getattr(r, col))
+            assert 1.0 < float(nats["np_ess"]) < 10000 and 1.0 < float(nats["ts_ess"]) < 10000
+            assert nats["np_underflow"] == nats["ts_underflow"] == "false"
             for col in ("np_beta_stderr", "ts_beta_stderr"):
                 assert nats[col] == cli._format_value(getattr(r, col))
                 assert bits[col] == cli._format_value(getattr(r, col) / units.LN2)
@@ -132,15 +137,18 @@ class TestDetectCommand:
 
 # Output of the three runs below, recorded before every Monte Carlo statistic
 # moved onto the blocked, threaded kernel `streams.quadratic_chunks`, which
-# must reproduce it bit for bit.  `detect` has since gained four columns
-# after `in_window`; the recorded seven are compared as printed.
+# must reproduce it bit for bit.  `detect` has since gained eight columns
+# after `in_window`; the recorded seven are compared as printed.  Its
+# `np_beta_log` and summary were re-recorded when the threshold detector
+# became exact (`detect.np_threshold_exact`); the other columns and the
+# evaluation draws were unchanged.
 GOLDEN_DETECT = """\
 # command=detect config_hash=8e3aa35ecf40 seed=9 unit=nats
-# summary: slope=0.120582172346 C_s=0.143841036226 rel_err=0.161698389348
+# summary: slope=0.120840419276 C_s=0.143841036226 rel_err=0.159903025963
 n,D,lower,upper,np_beta_log,ts_beta_log,in_window
-32,4.459072123,0.361668525143,9.06730134463,3.98217817319,2.81194676515,true
-64,9.06198528223,3.20473535825,15.43006083,7.84744570102,6.09798119433,true
-96,13.6648984415,6.46586815257,21.3747543541,11.6994372033,9.63235280664,true
+32,4.459072123,0.361668525143,9.06730134463,3.98136051301,2.81194676515,true
+64,9.06198528223,3.20473535825,15.43006083,7.81570985795,6.09798119433,true
+96,13.6648984415,6.46586815257,21.3747543541,11.7151473467,9.63235280664,true
 """
 GOLDEN_TYPICAL = {
     "rel_entropy": """\
@@ -160,7 +168,16 @@ n,B_n,delta_min,p_hat,stderr,pass
 100,10,13.8590382435,0.9672,0.00178112773265,true
 """,
 }
-DETECT_ADDED = ["np_alpha", "np_beta_stderr", "ts_alpha", "ts_beta_stderr"]
+DETECT_ADDED = [
+    "np_alpha",
+    "np_beta_stderr",
+    "ts_alpha",
+    "ts_beta_stderr",
+    "np_ess",
+    "ts_ess",
+    "np_underflow",
+    "ts_underflow",
+]
 
 
 class TestGoldenOutput:
@@ -217,6 +234,16 @@ class TestAsymptoticsCommand:
 
 
 class TestPlumbing:
+    def test_import_loads_neither_mpmath_nor_scipy_stats(self):
+        # Either would add to every run's start-up time; only tests use them.
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        script = "import sys, steinlab.cli; print('mpmath' in sys.modules, 'scipy.stats' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", script],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+        ).stdout
+        assert out.split() == ["False", "False"]
+
     def test_deterministic_output(self, capsys):
         args = ("typical", "--n-list", "32", "--samples", "2000", "--seed", "9")
         _, out1, _ = run_cli(capsys, *args)

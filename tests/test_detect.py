@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from steinlab import detect, gaussian, numlin, spectral, streams, typicality
-from steinlab.exceptions import DegeneratePairError, VacuousBoundError
+from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality
+from steinlab.exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
 
 
 @pytest.fixture(scope="module")
@@ -101,12 +101,162 @@ class TestEstimateBeta:
         assert est.underflow
         assert est.beta_hat == 0.0
         assert est.beta_log == math.inf
+        assert est.ess == 0.0
+
+    def test_ess_of_the_weights(self, small_pair):
+        det = detect.DetectorSpec.np_threshold(small_pair.kl)
+        est = detect.estimate_beta_is(det, small_pair, count=20_000, seed=12)
+        llrs = detect.sample_llr(small_pair, count=20_000, seed=12)
+        weights = np.where(det.accepts_p(llrs, small_pair.kl), np.exp(-llrs), 0.0)
+        assert est.ess == pytest.approx(np.sum(weights) ** 2 / np.sum(weights**2), rel=1e-10)
+        assert 1.0 < est.ess < 20_000
 
     def test_deterministic(self, small_pair):
         det = detect.DetectorSpec.np_threshold(0.0)
         a = detect.estimate_beta_is(det, small_pair, count=2000, seed=10)
         b = detect.estimate_beta_is(det, small_pair, count=2000, seed=10)
         assert a.beta_hat == b.beta_hat
+
+
+def imhof_reference(coef, x):
+    """P(sum c_j z_j^2 <= x) from Imhof's real integral, at 20 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(20):
+        c = [mp.mpf(float(v)) for v in coef]
+        x = mp.mpf(float(x))
+
+        def integrand(u):
+            theta = mp.fsum(mp.atan(cj * u) for cj in c) / 2 - x * u / 2
+            log_rho = mp.fsum(mp.log1p((cj * u) ** 2) for cj in c) / 4
+            return mp.sin(theta) / (u * mp.exp(log_rho))
+
+        m = len(c)
+        if m <= 2:
+            # Decays like u^(-1 - m/2) only: sum the oscillations to infinity.
+            integral = mp.quadosc(integrand, [0, mp.inf], omega=abs(x) / 2)
+        else:
+            # Imhof's bound: the tail beyond U is below 2 / (m U^(m/2) prod sqrt|c|).
+            log_u = 2.0 / m * (math.log(2.0 / (m * 1e-15)) - 0.5 * np.sum(np.log(np.abs(coef))))
+            upper = math.exp(log_u)
+            pieces = 2 + int(upper * abs(float(x)) / (4.0 * math.pi))
+            integral = mp.quad(integrand, mp.linspace(0, upper, pieces), method="gauss-legendre")
+        return float(mp.mpf(1) / 2 - integral / mp.pi)
+
+
+def toeplitz_form(n, rho=0.5):
+    pair = gaussian.whiten(numlin.toeplitz_from_cov(spectral.CovarianceSequence.geometric(rho), n), np.eye(n))
+    coef, offset = gaussian.llr_form(pair, "p")
+    return pair, coef, offset
+
+
+CRITERION_07_NS = list(range(32, 257, 32))
+
+
+class TestExactThreshold:
+    @pytest.mark.parametrize(
+        "coef, x",
+        [
+            pytest.param([0.15], 0.05, id="n=1"),
+            pytest.param([-0.4], -0.7, id="n=1-negative"),
+            pytest.param([0.7, -0.3], -0.14, id="n=2-mixed"),
+        ],
+    )
+    def test_cdf_matches_imhof_reference(self, coef, x):
+        cdf, _ = detect.quadratic_form_cdf(np.array(coef), x)
+        assert abs(cdf - imhof_reference(coef, x)) < 1e-10
+
+    @pytest.mark.parametrize("n, z", [(32, -1.5), (256, None)])
+    def test_cdf_matches_imhof_reference_on_toeplitz_forms(self, n, z):
+        # kappas on both sides of 1, so the coefficients have mixed signs;
+        # z=None checks alpha at the exact threshold itself.
+        pair, coef, offset = toeplitz_form(n)
+        assert coef.min() < 0.0 < coef.max()
+        if z is None:
+            x = detect.np_threshold_exact(pair, 0.2).threshold - offset
+        else:
+            x = float(np.sum(coef)) + z * pair.b_n / math.sqrt(2.0)
+        cdf, _ = detect.quadratic_form_cdf(coef, x)
+        reference = imhof_reference(coef, x)
+        assert abs(cdf - reference) < 1e-10
+        if z is None:
+            assert abs(reference - 0.2) < 1e-10
+
+    def test_density_is_the_derivative(self):
+        _, coef, _ = toeplitz_form(32)
+        h = 1e-4
+        lower, _ = detect.quadratic_form_cdf(coef, 1.0 - h)
+        upper, _ = detect.quadratic_form_cdf(coef, 1.0 + h)
+        _, density = detect.quadratic_form_cdf(coef, 1.0)
+        assert density == pytest.approx((upper - lower) / (2.0 * h), rel=1e-6)
+
+    def test_support_edges(self):
+        assert detect.quadratic_form_cdf(np.array([0.5, 0.0, 2.0]), -1.0) == (0.0, 0.0)
+        assert detect.quadratic_form_cdf(np.array([-0.5, -2.0]), 0.0) == (1.0, 0.0)
+        with pytest.raises(ValueError):
+            detect.quadratic_form_cdf(np.zeros(3), 1.0)
+
+    # rho=0.9 at small tau needs the bisection bracket: there plain Newton
+    # steps from the normal quantile overshoot far into a tail.
+    @pytest.mark.parametrize(
+        "rho, n, tau", [(0.5, 96, 0.01), (0.5, 96, 0.2), (0.5, 96, 0.45), (0.9, 16, 0.05), (0.9, 64, 0.001)]
+    )
+    def test_alpha_is_tau(self, rho, n, tau):
+        pair, coef, offset = toeplitz_form(n, rho)
+        det = detect.np_threshold_exact(pair, tau)
+        alpha, _ = detect.quadratic_form_cdf(coef, det.threshold - offset)
+        assert abs(alpha - tau) <= 1e-12
+
+    def test_within_three_quantile_stderr_of_np_calibrate(self):
+        # Criterion 07's sweep, with the calibration seeds it used to draw.
+        tau, count = 0.2, 100_000
+        for i, n in enumerate(CRITERION_07_NS):
+            pair, coef, offset = toeplitz_form(n)
+            exact = detect.np_threshold_exact(pair, tau).threshold
+            sampled = detect.np_calibrate(pair, tau, count, streams.derive_seed(7, i, 0))
+            _, density = detect.quadratic_form_cdf(coef, exact - offset)
+            stderr = math.sqrt(tau * (1.0 - tau) / count) / density
+            assert abs(sampled.threshold - exact) < 3.0 * stderr, n
+
+    def test_experiment_draws_only_evaluation_samples(self, monkeypatch):
+        calls = []
+        kernel = streams.quadratic_chunks
+
+        def counted(seed, count, coef):
+            calls.append((seed, count, coef.size))
+            return kernel(seed, count, coef)
+
+        monkeypatch.setattr(streams, "quadratic_chunks", counted)
+        ns = [16, 32, 48]
+        result = detect.gcsl_experiment(
+            spectral.CovarianceSequence.geometric(0.5),
+            spectral.CovarianceSequence.white(),
+            0.2,
+            ns,
+            10_000,
+            3,
+        )
+        assert len(calls) == len(ns)
+        assert calls == [(streams.derive_seed(3, i, 1), 10_000, n) for i, n in enumerate(ns)]
+        assert [r.np_threshold for r in result.rows] == [
+            detect.np_threshold_exact(toeplitz_form(n)[0], 0.2).threshold for n in ns
+        ]
+
+    def test_no_convergence_is_a_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(detect, "_NEWTON_STEPS", 1)
+        pair, _, _ = toeplitz_form(32)
+        with pytest.raises(NumericalFailureError):
+            detect.np_threshold_exact(pair, 0.2)
+        code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_validation(self):
+        pair, _, _ = toeplitz_form(8)
+        for tau in (0.0, 0.5, math.nan):
+            with pytest.raises(ValueError):
+                detect.np_threshold_exact(pair, tau)
+        with pytest.raises(DegeneratePairError):
+            detect.np_threshold_exact(gaussian.diagonal_pair(np.ones(4)), 0.2)
 
 
 class TestSteinBounds:

@@ -137,6 +137,11 @@ class TestKl:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.kl_gaussian(np.eye(2), NEAR_SINGULAR)
 
+    def test_near_singular_p_rejected(self):
+        # The pencil's kappas are all positive here; `whiten`'s rule rejects it.
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.kl_gaussian(NEAR_SINGULAR, np.eye(2))
+
 
 GEO_HALF = spectral.CovarianceSequence.geometric(0.5)
 KAPPA_CASES = [
