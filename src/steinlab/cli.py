@@ -9,8 +9,11 @@ Subcommands map one-to-one onto the studies the library supports:
     sublinear    the closed-form sublinear-KL example
 
 Configuration comes from a JSON file (--config) with flag overrides; output
-is CSV with '#'-prefixed metadata lines.  Exit codes: 0 success, 2 config
-error, 3 numerical failure, 4 check failure (with --check).
+is CSV with '#'-prefixed metadata lines.  A study takes only the settings it
+reads: its config keys are its entry in DEFAULTS plus 'seed', and of --tau,
+--eps and --samples it takes those among its keys.  Any other flag or key is
+rejected with exit 2.  Exit codes: 0 success, 2 config error, 3 numerical
+failure, 4 check failure (with --check).
 """
 
 from __future__ import annotations
@@ -106,9 +109,6 @@ NAT_COLUMNS: dict[str, set[str]] = {
 }
 
 
-# Keys a flag can set; a config file may hold only these and DEFAULTS[command]'s.
-FLAG_KEYS = ("seed", "tau", "eps", "samples", "unit", "out")
-
 # The keys each covariance kind takes besides 'kind'.
 SPEC_KEYS = {"white": {"scale"}, "geometric": {"rho", "scale"}, "table": {"values"}}
 
@@ -157,6 +157,12 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"field 'samples': must be >= 1000, got {config['samples']}")
     if config.get("unit") not in ("nats", "bits"):
         raise ConfigError(f"field 'unit': must be 'nats' or 'bits', got {config.get('unit')}")
+    if config.get("variant", "entropy") not in ("entropy", "rel_entropy"):
+        raise ConfigError(
+            f"field 'variant': must be 'entropy' or 'rel_entropy', got {config['variant']!r}"
+        )
+    if config.get("delta_factor", 1.0) <= 0.0:
+        raise ConfigError(f"field 'delta_factor': must be > 0, got {config['delta_factor']}")
 
 
 def run_rate(config: dict) -> tuple[list[str], list[dict]]:
@@ -186,7 +192,7 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     factor = config["delta_factor"]
     samples = config["samples"]
     seed = config["seed"]
-    variant = config.get("variant", "rel_entropy")
+    variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"])
     rows = []
@@ -198,13 +204,11 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
             spec = typicality.TypicalSetSpec.entropy(
                 gaussian.model_from_cov(lam_p), factor * delta_min
             )
-        elif variant == "rel_entropy":
+        else:
             pair = gaussian.whiten(lam_p, numlin.toeplitz_from_cov(cov_q, n))
             threshold = typicality.good_delta_correlated(pair, eps)
             delta_min, b_n = threshold.delta, threshold.b_n
             spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * delta_min)
-        else:
-            raise ConfigError(f"field 'variant': unknown value {variant!r}")
         mc = typicality.mc_typical_prob(spec, samples, streams.derive_seed(seed, i))
         rows.append(
             {
@@ -366,9 +370,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON config file")
         p.add_argument("--seed", type=int)
         p.add_argument("--n-list", metavar="N1,N2,...", help="comma-separated n values")
-        p.add_argument("--tau", type=float)
-        p.add_argument("--eps", type=float)
-        p.add_argument("--samples", type=int)
+        # Only the scalars this study reads get a flag.
+        for key, kind in (("tau", float), ("eps", float), ("samples", int)):
+            if key in DEFAULTS[name]:
+                p.add_argument(f"--{key}", type=kind)
         p.add_argument("--unit", choices=["nats", "bits"])
         p.add_argument("--out", metavar="PATH", help="output CSV path (default stdout)")
         p.add_argument("--check", action="store_true", help="run built-in checks")
@@ -377,6 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[args.command])
+    # 'seed' is echoed in the CSV header, so every study takes it.
+    keys = set(config) | {"seed"}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -385,7 +392,7 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULTS[args.command]) - set(FLAG_KEYS)
+        unknown = set(loaded) - keys
         if unknown:
             raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
         config.update(loaded)
@@ -394,9 +401,8 @@ def merge_config(args: argparse.Namespace) -> dict:
             config["ns"] = [int(v) for v in args.n_list.split(",") if v]
         except ValueError as exc:
             raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
-    for key in FLAG_KEYS:
-        value = getattr(args, key)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in keys and value is not None:
             config[key] = value
     _validate(config)
     return config

@@ -84,8 +84,6 @@ class ErrorEstimates:
     beta_log: float  # -ln beta_hat, nats
     stderr_alpha: float
     stderr_beta_log: float
-    count: int
-    seed: int
     ess: float  # IS effective sample size (sum w)^2 / sum w^2
     underflow: bool = False
 
@@ -243,12 +241,10 @@ def estimate_beta_is(
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    return _error_estimates(det, sample_llr(pair, count, seed), pair.kl, seed)
+    return _error_estimates(det, sample_llr(pair, count, seed), pair.kl)
 
 
-def _error_estimates(
-    det: DetectorSpec, llrs: np.ndarray, kl: float, seed: int
-) -> ErrorEstimates:
+def _error_estimates(det: DetectorSpec, llrs: np.ndarray, kl: float) -> ErrorEstimates:
     """Reduce LLR values drawn under p to the detector's alpha and IS beta."""
     count = llrs.size
     accepted = det.accepts_p(llrs, kl)
@@ -263,8 +259,6 @@ def _error_estimates(
             beta_log=math.inf,
             stderr_alpha=stderr_alpha,
             stderr_beta_log=math.inf,
-            count=count,
-            seed=seed,
             ess=0.0,
             underflow=True,
         )
@@ -282,8 +276,6 @@ def _error_estimates(
         beta_log=-log_beta,
         stderr_alpha=stderr_alpha,
         stderr_beta_log=stderr_beta_log,
-        count=count,
-        seed=seed,
         ess=math.exp(2.0 * log_sum - log_sum_sq),
     )
 
@@ -345,9 +337,6 @@ class GcslRow:
 
     n: int
     kl: float
-    kl_per_n: float
-    b_n: float
-    delta: float
     gamma: float
     exp_lower: float
     exp_upper: float
@@ -369,9 +358,7 @@ class GcslRow:
 class GcslResult:
     rows: list[GcslRow]
     stein_rate: float
-    bn_rate: float
     slope: float
-    intercept: float
     r2: float
     slope_rel_err: float
 
@@ -386,12 +373,12 @@ def gcsl_experiment(
 ) -> GcslResult:
     """Run the full exponent study for a pair of covariance sequences.
 
-    For each n: exact KL and B_n, minimal good thresholds at (tau, eps=tau),
-    the analytic exponent window, the exact level-tau threshold
-    (`np_threshold_exact`, no draws), and Monte Carlo -ln(beta) for both
-    the threshold detector and the typical-set detector.  Each n draws one
-    set of evaluation samples, from its own derived seed, and both
-    detectors are scored on it.
+    For each n: exact KL, the minimal good threshold gamma (from B_n, at
+    eps=tau), the analytic exponent window with delta = gamma, the exact
+    level-tau threshold (`np_threshold_exact`, no draws), and Monte Carlo
+    -ln(beta) for both the threshold detector and the typical-set detector.
+    Each n draws one set of evaluation samples, from its own derived seed,
+    and both detectors are scored on it.
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
@@ -400,12 +387,9 @@ def gcsl_experiment(
         raise ValueError("ns must be strictly ascending")
     if len(ns) < 3:
         raise ValueError(f"need at least 3 ns for the exponent fit, got {len(ns)}")
-    spectrum_p = cov_p.spectrum()
-    spectrum_q = cov_q.spectrum()
-    rate = spectral.stein_rate(spectrum_p, spectrum_q)
+    rate = spectral.stein_rate(cov_p.spectrum(), cov_q.spectrum())
     if rate == 0.0:
         raise DegeneratePairError("the two covariance sequences coincide")
-    bn_rate = spectral.bn_limit(spectrum_p, spectrum_q)
 
     rows = []
     for i, n in enumerate(ns):
@@ -413,16 +397,15 @@ def gcsl_experiment(
         lam_q = numlin.toeplitz_from_cov(cov_q, n)
         pair = gaussian.whiten(lam_p, lam_q)
         _require_pair(pair)
-        threshold_info = typicality.good_delta_correlated(pair, tau)
-        delta = gamma = threshold_info.delta
-        window = stein_bounds(pair.kl, delta, gamma, tau, tau)
+        # The window's delta and gamma are the same minimal good threshold.
+        gamma = typicality.good_delta_correlated(pair, tau).delta
+        window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
 
-        seed_eval = streams.derive_seed(seed, i, 1)
         det_np = np_threshold_exact(pair, tau)
         det_ts = DetectorSpec.typical_set(gamma)
-        llrs = sample_llr(pair, count, seed_eval)
-        est_np = _error_estimates(det_np, llrs, pair.kl, seed_eval)
-        est_ts = _error_estimates(det_ts, llrs, pair.kl, seed_eval)
+        llrs = sample_llr(pair, count, streams.derive_seed(seed, i, 1))
+        est_np = _error_estimates(det_np, llrs, pair.kl)
+        est_ts = _error_estimates(det_ts, llrs, pair.kl)
 
         margin = 3.0 * est_np.stderr_beta_log
         in_window = (
@@ -432,9 +415,6 @@ def gcsl_experiment(
             GcslRow(
                 n=n,
                 kl=pair.kl,
-                kl_per_n=pair.kl / n,
-                b_n=threshold_info.b_n,
-                delta=delta,
                 gamma=gamma,
                 exp_lower=window.exp_lower,
                 exp_upper=window.exp_upper,
@@ -457,9 +437,7 @@ def gcsl_experiment(
     return GcslResult(
         rows=rows,
         stein_rate=rate,
-        bn_rate=bn_rate,
         slope=fit.slope,
-        intercept=fit.intercept,
         r2=fit.r2,
         slope_rel_err=abs(fit.slope - rate) / rate,
     )

@@ -79,7 +79,11 @@ def crossover_n(delta: float) -> int:
         n *= 2
         if n > 10**12:
             raise ValueError(f"no crossover found below n=1e12 for delta={delta}")
-    # walk back to the first qualifying n
+    # The residual rises from n=3 to a peak at n=6 and falls after it, so
+    # the bisection back to the first qualifying n holds only once the
+    # doubling has passed the peak, which it has unless n=3 qualifies.
+    if n == 3:
+        return n
     lo, hi = n // 2, n
     while lo + 1 < hi:
         mid = (lo + hi) // 2
@@ -87,7 +91,7 @@ def crossover_n(delta: float) -> int:
             hi = mid
         else:
             lo = mid
-    return max(hi, 3)
+    return hi
 
 
 def sub_typical_lb(n: int) -> float:

@@ -10,7 +10,7 @@ bound formulas.  Everything is in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -20,6 +20,8 @@ from . import gaussian, streams
 from .exceptions import DegeneratePairError, VacuousBoundError
 
 EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
+# `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
+CLT_KS_BOUND = 0.02
 
 
 def qfunc(x: float) -> float:
@@ -181,72 +183,74 @@ def good_delta_correlated(
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalSetSpec:
-    """A typical set: which center (entropy or KL), whose law, what delta."""
+    """A typical set as the statistic it tests.
 
-    variant: str  # "entropy" | "rel_entropy"
+    A draw from p lies in the set when its statistic,
+    offset + sum_j coef[j] z_j^2 with z ~ N(0, I), is within delta of
+    center.  Both kinds of set have a statistic of that form: -log p(x)
+    for the entropy set (`entropy`), the log-likelihood ratio for the
+    relative-entropy set (`relative_entropy`).
+    """
+
     delta: float
-    model: gaussian.GaussianModel | None = None
-    pair: gaussian.HypothesisPair | None = None
+    center: float
+    coef: np.ndarray = field(repr=False)
+    offset: float
 
     @classmethod
     def entropy(cls, model: gaussian.GaussianModel, delta: float) -> "TypicalSetSpec":
+        """Entropy-centred set: a draw from p is L z (L L^T = Lambda), and
+        -log p(L z) = 0.5 (n ln 2 pi + log det Lambda) + 0.5 |z|^2, so only
+        the model's log-determinant and entropy are read."""
         if delta <= 0.0:
             raise ValueError(f"delta must be positive, got {delta}")
-        return cls(variant="entropy", delta=delta, model=model)
+        return cls(
+            delta=delta,
+            center=model.entropy,
+            coef=np.full(model.n, 0.5),
+            offset=0.5 * (model.n * gaussian.LOG_2PI + model.log_det),
+        )
 
     @classmethod
     def relative_entropy(
         cls, pair: gaussian.HypothesisPair, delta: float
     ) -> "TypicalSetSpec":
+        """KL-centred set, on the LLR under p (`gaussian.llr_form`)."""
         if delta <= 0.0:
             raise ValueError(f"delta must be positive, got {delta}")
         if not math.isfinite(pair.kl):
             raise ValueError("pair KL must be finite")
-        return cls(variant="rel_entropy", delta=delta, pair=pair)
-
-    @property
-    def center(self) -> float:
-        if self.variant == "entropy":
-            return self.model.entropy
-        return self.pair.kl
+        coef, offset = gaussian.llr_form(pair, "p")
+        return cls(delta=delta, center=pair.kl, coef=coef, offset=offset)
 
 
 @dataclass(frozen=True)
 class MonteCarloProbability:
     estimate: float
     stderr: float
-    count: int
-    seed: int
 
 
 def mc_typical_prob(
     spec: TypicalSetSpec, count: int, seed: int
 ) -> MonteCarloProbability:
-    """Fraction of samples from p that land in the typical set.
+    """Fraction of `count` samples from p that land in the typical set,
+    with its binomial standard error.
 
-    Entropy set: a draw from p is L z (L L^T = Lambda), and
-    -log p(L z) = 0.5 (n ln 2 pi + log det Lambda) + 0.5 |z|^2, so only the
-    model's log-determinant is read.
+    Each draw's statistic is spec.offset plus its weighted sum of squares
+    from `streams.quadratic_chunks`: for a relative-entropy set, the same
+    values `gaussian.llr_chunks` yields.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    if spec.variant == "entropy":
-        model = spec.model
-        offset = 0.5 * (model.n * gaussian.LOG_2PI + model.log_det)
-        stats = (
-            quad + offset
-            for quad in streams.quadratic_chunks(seed, count, np.full(model.n, 0.5))
-        )
-    else:
-        stats = gaussian.llr_chunks(spec.pair, count, seed, "p")
     hits = 0
-    for stat in stats:
+    for quad in streams.quadratic_chunks(seed, count, spec.coef):
+        stat = quad + spec.offset
         hits += int(np.count_nonzero(np.abs(stat - spec.center) <= spec.delta))
     estimate = hits / count
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
-    return MonteCarloProbability(estimate=estimate, stderr=stderr, count=count, seed=seed)
+    return MonteCarloProbability(estimate=estimate, stderr=stderr)
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -333,18 +337,13 @@ class CltCheck:
     passed: bool
 
 
-def clt_psi_check(
-    pair: gaussian.HypothesisPair,
-    count: int,
-    seed: int,
-    ks_bound: float = 0.02,
-) -> CltCheck:
+def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCheck:
     """Simulate the normalized LLR fluctuation and compare it to Phi.
 
     Each replicate is (LLR - D) sqrt(2) / B_n under p, i.e. sum_k (kappa_k - 1)
     / (sqrt(2) B_n) * (Y_k^2 - 1) with iid standard normal Y; its law should
     be near standard normal for large n.  Returns the Kolmogorov-Smirnov
-    sup-gap of the empirical CDF against Phi.
+    sup-gap of the empirical CDF against Phi, which passes below CLT_KS_BOUND.
     """
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
@@ -357,4 +356,4 @@ def clt_psi_check(
     ks = float(np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count)))
     mean = float(np.mean(values))
     variance = float(np.var(values))
-    return CltCheck(ks_distance=ks, mean=mean, variance=variance, passed=ks < ks_bound)
+    return CltCheck(ks_distance=ks, mean=mean, variance=variance, passed=ks < CLT_KS_BOUND)

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from steinlab import cli, detect, spectral, units
+from steinlab import cli, detect, numlin, spectral, units
 
 
 def run_cli(capsys, *argv):
@@ -294,12 +294,14 @@ class TestPlumbing:
             ("typical", "eps", "0.1"),
             ("typical", "delta_factor", "1.1"),
             ("typical", "delta_factor", math.inf),
+            ("typical", "delta_factor", 0),
+            ("typical", "delta_factor", -1),
             ("detect", "tau", "0.2"),
         ],
         ids=[
             "seed-fraction", "seed-bool", "seed-negative", "samples-fraction",
             "samples-string", "eps-string", "delta_factor-string", "delta_factor-inf",
-            "tau-string",
+            "delta_factor-zero", "delta_factor-negative", "tau-string",
         ],
     )
     def test_bad_scalar_exits_2(self, capsys, tmp_path, command, field, value):
@@ -357,8 +359,21 @@ class TestPlumbing:
 
     @pytest.mark.parametrize(
         "command, key",
-        [("rate", "sample"), ("asymptotics", "cov_q"), ("typical", "variants"), ("sublinear", "n")],
-        ids=["rate-typo", "asymptotics-cov_q", "typical-typo", "sublinear-typo"],
+        [
+            ("rate", "sample"),
+            ("asymptotics", "cov_q"),
+            ("typical", "variants"),
+            ("sublinear", "n"),
+            ("rate", "tau"),
+            ("asymptotics", "samples"),
+            ("sublinear", "eps"),
+            ("typical", "tau"),
+            ("detect", "eps"),
+        ],
+        ids=[
+            "rate-typo", "asymptotics-cov_q", "typical-typo", "sublinear-typo", "rate-tau",
+            "asymptotics-samples", "sublinear-eps", "typical-tau", "detect-eps",
+        ],
     )
     def test_unknown_config_key_exits_2(self, capsys, tmp_path, command, key):
         cfg = tmp_path / "cfg.json"
@@ -367,6 +382,51 @@ class TestPlumbing:
         assert code == 2
         assert out == ""
         assert "config error" in err
+        assert f"unknown config keys for {command}: [{key!r}]" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["rate", "--n-list", "8", "--tau", "0.2"],
+            ["detect", "--n-list", "32,64,96", "--eps", "0.1"],
+            ["typical", "--n-list", "32", "--tau", "0.1"],
+        ],
+        ids=["rate-tau", "detect-eps", "typical-tau"],
+    )
+    def test_unread_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_each_study_has_only_the_flags_it_reads(self):
+        common = {"config", "seed", "n_list", "unit", "out", "check"}
+        subparsers = cli.build_parser()._subparsers._group_actions[0].choices
+        assert set(subparsers) == set(cli.DEFAULTS)
+        for command, parser in subparsers.items():
+            dests = {action.dest for action in parser._actions} - {"help"}
+            assert dests <= set(cli.DEFAULTS[command]) | common, command
+            assert common <= dests, command
+            assert set(cli.DEFAULTS[command]) & {"tau", "eps", "samples"} <= dests, command
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("variant", "entropi"), ("delta_factor", 0), ("delta_factor", -1.0)],
+        ids=["variant", "delta_factor-zero", "delta_factor-negative"],
+    )
+    def test_typical_config_errors_found_before_any_work(
+        self, capsys, tmp_path, monkeypatch, field, value
+    ):
+        def no_work(cov, n):
+            raise AssertionError("a Toeplitz matrix was built for a bad config")
+
+        monkeypatch.setattr(numlin, "toeplitz_from_cov", no_work)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        code, out, err = run_cli(capsys, "typical", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert f"config error: field {field!r}" in err
 
     def test_flag_keys_accepted_in_config(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -84,6 +84,19 @@ class TestResidual:
         if n > 3:
             assert abs(sublinear.sub_residual(n - 1)) >= delta
 
+    @pytest.mark.parametrize(
+        "delta",
+        [*np.geomspace(1e-3, 0.127, 30), *np.linspace(0.128, 0.5, 50)],
+        ids=lambda delta: f"{delta:.4g}",
+    )
+    def test_crossover_matches_linear_scan(self, delta):
+        # The residual peaks at n=6, so for delta above |residual(3)| the
+        # answer is 3 even though larger n up to the peak do not qualify.
+        n = 3
+        while abs(sublinear.sub_residual(n)) >= delta:
+            n += 1
+        assert sublinear.crossover_n(delta) == n
+
     def test_crossover_monotone(self):
         assert sublinear.crossover_n(0.01) >= sublinear.crossover_n(0.1)
 
