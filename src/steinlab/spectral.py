@@ -8,7 +8,10 @@ for the three covariance matrix constructions.
 
 A spectrum is its samples on one 4097-point Simpson grid (`GRID`), computed
 by a single real FFT per covariance; every spectral integral runs on those
-samples.  `spectrum_partial` is the truncated cosine sum S^[n] at arbitrary
+samples.  The composite Simpson weights of GRID are formed once, at
+import, as `scipy.integrate.simpson(y, x=GRID)` forms them, so each
+integral is three products and one sum with scipy's bits.
+`spectrum_partial` is the truncated cosine sum S^[n] at arbitrary
 frequencies, the one off-grid evaluation.
 
 All logarithms are natural; bit-valued presentation is a reporting
@@ -21,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from . import numlin
 from .exceptions import (
@@ -35,6 +37,29 @@ from .exceptions import (
 # the lag sequence give the spectrum at every grid point.
 GRID_SIZE = 4097
 GRID = np.linspace(0.0, 1.0, GRID_SIZE)
+
+
+def _simpson_weights(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Composite Simpson over the pairs of steps (h0, h1) of an odd-length
+    # grid, weights as `scipy.integrate.simpson(y, x=x)` forms them: the
+    # pair [x_2k, x_2k+2] contributes
+    # (h0 + h1)/6 * (y_2k w0 + y_2k+1 w1 + y_2k+2 w2).
+    steps = np.diff(x)
+    h0, h1 = steps[0::2], steps[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    return hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio
+
+
+_SIMPSON_SCALE, _SIMPSON_W0, _SIMPSON_W1, _SIMPSON_W2 = _simpson_weights(GRID)
+
+
+def _simpson(y: np.ndarray) -> float:
+    """Composite Simpson integral over GRID of its samples y, bit for bit
+    `scipy.integrate.simpson(y, x=GRID)`."""
+    pairs = y[0:-2:2] * _SIMPSON_W0 + y[1::2] * _SIMPSON_W1 + y[2::2] * _SIMPSON_W2
+    return float(np.sum(_SIMPSON_SCALE * pairs))
+
 
 # Lags with |K[m]| below this fraction of K[0] are dropped.
 TAIL_CUTOFF = 1e-14
@@ -214,7 +239,7 @@ def spectral_integral(
     integrand = np.asarray(func(spectrum.values), dtype=float)
     if not np.all(np.isfinite(integrand)):
         raise NumericalFailureError("integrand is non-finite on the grid")
-    return float(simpson(integrand, x=GRID))
+    return _simpson(integrand)
 
 
 # Dynamic-range guard for spectral ratios.
@@ -241,13 +266,13 @@ def stein_rate(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
     """
     ratio = _spectral_ratio(spectrum_p, spectrum_q)
     integrand = ratio - np.log(ratio) - 1.0
-    return float(0.5 * simpson(integrand, x=GRID))
+    return 0.5 * _simpson(integrand)
 
 
 def bn_limit(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
     """Limit of B_n / sqrt(n): sqrt of the integral of (r - 1)^2."""
     ratio = _spectral_ratio(spectrum_p, spectrum_q)
-    return float(np.sqrt(simpson((ratio - 1.0) ** 2, x=GRID)))
+    return float(np.sqrt(_simpson((ratio - 1.0) ** 2)))
 
 
 def eig_functional_avg(func: Callable, eigs) -> float:

@@ -234,15 +234,18 @@ class TestAsymptoticsCommand:
 
 
 class TestPlumbing:
-    def test_import_loads_neither_mpmath_nor_scipy_stats(self):
-        # Either would add to every run's start-up time; only tests use them.
+    def test_import_loads_only_runtime_scipy(self):
+        # Each of these would add to every run's start-up time, and the
+        # package uses none of them: it needs numpy, scipy.linalg,
+        # scipy.sparse.linalg and scipy.special.
         src = os.path.dirname(os.path.dirname(cli.__file__))
-        script = "import sys, steinlab.cli; print('mpmath' in sys.modules, 'scipy.stats' in sys.modules)"
+        unwanted = ("mpmath", "scipy.stats", "scipy.integrate", "scipy.optimize")
+        script = f"import sys, steinlab.cli; print(*[m in sys.modules for m in {unwanted!r}])"
         out = subprocess.run(
             [sys.executable, "-c", script],
             env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
         ).stdout
-        assert out.split() == ["False", "False"]
+        assert dict(zip(unwanted, out.split())) == {m: "False" for m in unwanted}
 
     def test_deterministic_output(self, capsys):
         args = ("typical", "--n-list", "32", "--samples", "2000", "--seed", "9")

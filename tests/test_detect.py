@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.special
 
 from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality
 from steinlab.exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
@@ -118,6 +121,37 @@ class TestEstimateBeta:
         assert a.beta_hat == b.beta_hat
 
 
+class TestLogsumexp:
+    # The reduction's own logsumexp must give scipy's bits, so the IS
+    # columns of every study stay byte-identical.
+    @pytest.mark.parametrize(
+        "values",
+        [
+            pytest.param([-math.inf, 3.5, -math.inf], id="single-finite"),
+            pytest.param([2.0], id="one-entry"),
+            pytest.param([1.25, -0.5, 1.25, -math.inf, 1.25], id="ties-at-max"),
+            pytest.param([0.0, -1000.0, -math.inf], id="rest-underflows"),
+            pytest.param([-750.0, -745.0, -760.0], id="all-below-exp-range"),
+        ],
+    )
+    def test_is_scipy_bit_for_bit(self, values):
+        a = np.array(values)
+        assert detect._logsumexp(a) == float(scipy.special.logsumexp(a))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weights_are_scipy_bit_for_bit(self, seed):
+        # As `_error_estimates` forms them: -LLR where accepted, else -inf,
+        # with ties at the maximum in half the cases.
+        rng = np.random.default_rng(seed)
+        llrs = rng.normal(40.0, 8.0, size=1 + 5000 * seed)
+        if seed % 2:
+            llrs[rng.integers(llrs.size, size=4)] = llrs.min()
+        log_weights = np.where(llrs > 38.0, -llrs, -math.inf)
+        for a in (log_weights, 2.0 * log_weights):
+            if np.any(np.isfinite(a)):
+                assert detect._logsumexp(a) == float(scipy.special.logsumexp(a))
+
+
 def imhof_reference(coef, x):
     """P(sum c_j z_j^2 <= x) from Imhof's real integral, at 20 digits."""
     mp = pytest.importorskip("mpmath")
@@ -141,6 +175,55 @@ def imhof_reference(coef, x):
             pieces = 2 + int(upper * abs(float(x)) / (4.0 * math.pi))
             integral = mp.quad(integrand, mp.linspace(0, upper, pieces), method="gauss-legendre")
         return float(mp.mpf(1) / 2 - integral / mp.pi)
+
+
+def conditional_reference(coef, x):
+    """P(c_1 z_1^2 [+ c_2 z_2^2] <= x) at 30 digits, by conditioning on z_2.
+
+    Unlike `imhof_reference`, it holds near x = 0, where Imhof's real
+    integrand oscillates too slowly for `quadosc`.
+    """
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(30):
+        c1, x = mp.mpf(float(coef[0])), mp.mpf(float(x))
+
+        def cdf1(y):
+            if c1 > 0:
+                return mp.erf(mp.sqrt(y / (2 * c1))) if y > 0 else mp.mpf(0)
+            return mp.erfc(mp.sqrt(y / (2 * c1))) if y < 0 else mp.mpf(1)
+
+        if len(coef) == 1:
+            return float(cdf1(x))
+        c2 = mp.mpf(float(coef[1]))
+        kink = x / c2  # z_2^2 where the inner probability stops changing
+        points = [0, mp.sqrt(kink), mp.inf] if kink > 0 else [0, mp.inf]
+        inner = mp.quad(lambda z: cdf1(x - c2 * z * z) * mp.exp(-z * z / 2), points)
+        return float(inner * mp.sqrt(2 / mp.pi))
+
+
+def counted_panels(monkeypatch):
+    """Record how many panels each G10/K21 batch of the inversion holds."""
+    calls = []
+    kernel = detect._gk21_panels
+
+    def counted(f, bounds):
+        calls.append(bounds.shape[1])
+        return kernel(f, bounds)
+
+    monkeypatch.setattr(detect, "_gk21_panels", counted)
+    return calls
+
+
+def ar1_pair(rho, n):
+    """Geometric(rho) against white noise at dimension n, without an n x n
+    matrix: the kappas are the eigenvalues of the AR(1) Toeplitz matrix,
+    the reciprocals of those of its tridiagonal inverse."""
+    diag = np.full(n, 1.0 + rho**2)
+    diag[[0, -1]] = 1.0
+    inverse = scipy.linalg.eigvalsh_tridiagonal(diag / (1.0 - rho**2), np.full(n - 1, -rho / (1.0 - rho**2)))
+    kappas = np.sort(1.0 / inverse)[::-1]
+    # np_threshold_exact reads only the kappas and the KL.
+    return gaussian.HypothesisPair(cov_p=None, cov_q=None, kappas=kappas, kl=gaussian._kl_from_kappas(kappas))
 
 
 def toeplitz_form(n, rho=0.5):
@@ -249,6 +332,101 @@ class TestExactThreshold:
         code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    # Each case needs the adaptive bisection: n=1 of either sign far into
+    # both tails, n=2 with mixed signs (both tails and next to the density's
+    # log singularity at 0), and a level-1e-9 threshold.
+    @pytest.mark.parametrize(
+        "coef, x",
+        [
+            pytest.param([0.15], 6.0, id="n=1-upper-tail"),
+            pytest.param([0.15], 1e-6, id="n=1-lower-tail"),
+            pytest.param([-0.4], -15.0, id="n=1-negative-lower-tail"),
+            pytest.param([-0.4], -1e-5, id="n=1-negative-upper-tail"),
+            pytest.param([0.7, -0.3], 12.0, id="n=2-mixed-upper-tail"),
+            pytest.param([0.7, -0.3], -6.0, id="n=2-mixed-lower-tail"),
+            pytest.param([0.7, -0.3], 1e-3, id="n=2-mixed-near-0"),
+        ],
+    )
+    def test_refined_cdf_matches_reference(self, monkeypatch, coef, x):
+        calls = counted_panels(monkeypatch)
+        cdf, _ = detect.quadratic_form_cdf(np.array(coef), x)
+        assert len(calls) > 1
+        assert abs(cdf - conditional_reference(coef, x)) < 1e-10
+
+    def test_refined_cdf_at_level_1e_9(self, monkeypatch):
+        pair, coef, offset = toeplitz_form(2)
+        x = detect.np_threshold_exact(pair, 1e-9).threshold - offset
+        calls = counted_panels(monkeypatch)
+        cdf, _ = detect.quadratic_form_cdf(coef, x)
+        assert len(calls) > 1
+        reference = conditional_reference(coef, x)
+        assert abs(cdf - reference) < 1e-10
+        # The inversion's 1e-12 absolute accuracy is 1e-3 relative here.
+        assert abs(cdf / reference - 1.0) < 1e-3
+
+    def test_blocks_do_not_change_the_result(self, monkeypatch):
+        _, coef, _ = toeplitz_form(32)
+        whole = detect.quadratic_form_cdf(coef, 1.0)
+        monkeypatch.setattr(detect, "_BLOCK_DOUBLES", 1)  # one node per block
+        assert detect.quadratic_form_cdf(coef, 1.0) == whole
+
+    def test_refinement_cap_is_a_numerical_failure(self, monkeypatch, capsys):
+        monkeypatch.setattr(detect, "_CDF_SPLITS", 0)
+        with pytest.raises(NumericalFailureError, match="bisections"):
+            detect.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
+        code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "coef, x",
+        [
+            pytest.param([0.15], 1e-6, id="n=1-near-0"),
+            pytest.param([0.15], 60.0, id="n=1-near-the-pole"),
+            pytest.param([0.7, -0.3], -30.0, id="n=2-near-the-negative-pole"),
+            pytest.param([0.7, -0.3], 0.4, id="root-at-0"),
+        ],
+    )
+    def test_saddlepoint_solves_k_prime(self, coef, x):
+        c = np.array(coef)
+        lo = 0.5 / c.min() * (1.0 - 1e-9) if c.min() < 0.0 else -c.size / x
+        hi = 0.5 / c.max() * (1.0 - 1e-9) if c.max() > 0.0 else -c.size / x
+        a, curvature = detect._saddlepoint(c, x, lo, hi)
+        ratio = c / (1.0 - 2.0 * c * a)
+        assert lo < a < hi
+        # K'(a) - x is what a few ulps of a give, at slope K''(a).
+        assert abs(np.sum(ratio) - x) <= 16.0 * np.finfo(float).eps * (abs(a) * curvature + abs(x))
+        assert curvature == pytest.approx(2.0 * np.sum(ratio**2), rel=1e-15)
+
+    def test_saddlepoint_failure_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(detect, "_SADDLE_STEPS", 1)
+        with pytest.raises(NumericalFailureError, match="saddlepoint"):
+            detect.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
+        code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
+        assert code == 3
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_n_4096_in_bounded_memory(self, monkeypatch):
+        pair = ar1_pair(0.9, 4096)
+        coef, offset = gaussian.llr_form(pair, "p")
+
+        def threshold_and_peak():
+            tracemalloc.start()
+            try:
+                return detect.np_threshold_exact(pair, 0.2), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        det, peak = threshold_and_peak()
+        alpha, _ = detect.quadratic_form_cdf(coef, det.threshold - offset)
+        assert abs(alpha - 0.2) <= 1e-12
+        assert peak < 64 * 2**20
+        # The peak follows the block size: 2^16 doubles is 0.5 MB a temporary.
+        monkeypatch.setattr(detect, "_BLOCK_DOUBLES", 1 << 16)
+        small_det, small_peak = threshold_and_peak()
+        assert small_det.threshold == det.threshold
+        assert small_peak < 4 * 2**20
 
     def test_validation(self):
         pair, _, _ = toeplitz_form(8)

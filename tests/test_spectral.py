@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from steinlab import numlin, spectral
 from steinlab.exceptions import IllConditionedSpectraError, NumericalFailureError
@@ -209,6 +209,24 @@ class TestSpectralIntegral:
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(NumericalFailureError), np.errstate(invalid="ignore"):
             spectral.spectral_integral(lambda s: np.log(s - 1.0), GEO.spectrum())
+
+    # The module's Simpson rule must give scipy's bits, so every spectral
+    # column stays byte-identical.
+    @pytest.mark.parametrize("seed", range(4))
+    def test_simpson_is_scipy_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        y = rng.standard_normal(spectral.GRID_SIZE) * 10.0 ** rng.uniform(-8, 8)
+        assert spectral._simpson(y) == float(simpson(y, x=spectral.GRID))
+        sp = spectral.Spectrum(np.exp(rng.standard_normal(spectral.GRID_SIZE)))
+        assert spectral.spectral_integral(np.log, sp) == float(simpson(np.log(sp.values), x=spectral.GRID))
+
+    @pytest.mark.parametrize("rho", [0.5, 0.99])
+    def test_stein_rate_integrand_is_scipy_simpson_bit_for_bit(self, rho):
+        sp = spectral.CovarianceSequence.geometric(rho).spectrum()
+        ratio = sp.values / WHITE.spectrum().values
+        integrand = ratio - np.log(ratio) - 1.0
+        assert spectral._simpson(integrand) == float(simpson(integrand, x=spectral.GRID))
+        assert spectral.stein_rate(sp, WHITE.spectrum()) == float(0.5 * simpson(integrand, x=spectral.GRID))
 
 
 class TestSteinRate:
