@@ -1,6 +1,6 @@
 """Error exponents for Gaussian hypothesis tests on stationary processes.
 
-Typical sets and good threshold families, Toeplitz/circulant spectral
+Typical sets and their good thresholds, Toeplitz/circulant spectral
 asymptotics, exact Gaussian relative entropy, detector error-rate
 estimation, and a closed-form sublinear-growth example.
 """

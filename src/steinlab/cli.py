@@ -10,10 +10,11 @@ Subcommands map one-to-one onto the studies the library supports:
 
 Configuration comes from a JSON file (--config) with flag overrides; output
 is CSV with '#'-prefixed metadata lines.  A study takes only the settings it
-reads: its config keys are its entry in DEFAULTS plus 'seed', and of --tau,
---eps and --samples it takes those among its keys.  Any other flag or key is
-rejected with exit 2.  Exit codes: 0 success, 2 config error, 3 numerical
-failure, 4 check failure (with --check).
+reads: its config keys are its entry in DEFAULTS plus 'seed' (less 'cov_q'
+for the entropy variant of 'typical'), and of --tau, --eps and --samples it
+takes those among its keys.  Any other flag or key is rejected with exit 2.
+Exit codes: 0 success, 2 config error, 3 numerical failure, 4 check
+failure (with --check).
 """
 
 from __future__ import annotations
@@ -194,7 +195,8 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     seed = config["seed"]
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
-    cov_q = covariance_from_spec(config["cov_q"])
+    if variant == "rel_entropy":
+        cov_q = covariance_from_spec(config["cov_q"])
     rows = []
     for i, n in enumerate(config["ns"]):
         lam_p = numlin.toeplitz_from_cov(cov_p, n)
@@ -382,8 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def merge_config(args: argparse.Namespace) -> dict:
     config = dict(DEFAULTS[args.command])
-    # 'seed' is echoed in the CSV header, so every study takes it.
-    keys = set(config) | {"seed"}
+    loaded = {}
     if args.config:
         try:
             with open(args.config) as handle:
@@ -392,10 +393,15 @@ def merge_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - keys
-        if unknown:
-            raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
-        config.update(loaded)
+    # The entropy-centred typical set is a set of p alone: it reads no cov_q.
+    if "variant" in config and loaded.get("variant") == "entropy":
+        del config["cov_q"]
+    # 'seed' is echoed in the CSV header, so every study takes it.
+    keys = set(config) | {"seed"}
+    unknown = set(loaded) - keys
+    if unknown:
+        raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
+    config.update(loaded)
     if args.n_list is not None:
         try:
             config["ns"] = [int(v) for v in args.n_list.split(",") if v]

@@ -1,15 +1,16 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
 A `GaussianModel` holds the log-determinant and differential entropy of its
-covariance, from one values-only eigensolve; its lower Cholesky factor,
-which only sampling and densities need, is built on first use.  `whiten`
-reduces a pair of covariances to the equivalent diagonal-vs-identity test
-and records the diagonal entries (kappas, the eigenvalues of the pencil);
-there the log-likelihood ratio is an affine weighted sum of chi-square
-variables, whose weights `llr_form` gives and which `llr_chunks` samples
-for all the detection code.  The whitening map itself is solved for only
-when it is read.  `kl_toeplitz` gives the same relative entropy for two
-stationary covariances straight from their lags, without an n x n matrix.
+covariance, from one values-only eigensolve.  `whiten` reduces a pair of
+covariances to the equivalent diagonal-vs-identity test and records the
+diagonal entries (kappas, the eigenvalues of the pencil); there the
+log-likelihood ratio is an affine weighted sum of chi-square variables,
+whose weights `llr_form` gives and which `llr_chunks` samples for all the
+detection code, through `streams.quadratic_chunks`: no density is
+evaluated and no draw is kept as a vector.  The whitening map itself is
+solved for only when it is read.  `kl_toeplitz` gives the same relative
+entropy for two stationary covariances straight from their lags, without
+an n x n matrix.
 """
 
 from __future__ import annotations
@@ -18,13 +19,9 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import numlin, streams
-from .exceptions import (
-    InvalidDimensionError,
-    NumericalFailureError,
-)
+from .exceptions import InvalidDimensionError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -41,11 +38,6 @@ class GaussianModel:
     def n(self) -> int:
         return self.cov.shape[0]
 
-    @functools.cached_property
-    def chol(self) -> np.ndarray:
-        """Lower Cholesky factor L of the covariance: cov = L L^T."""
-        return scipy.linalg.cholesky(self.cov, lower=True)
-
 
 def model_from_cov(cov: np.ndarray) -> GaussianModel:
     """Build a model from a symmetric positive-definite covariance."""
@@ -55,42 +47,6 @@ def model_from_cov(cov: np.ndarray) -> GaussianModel:
     log_det = float(np.sum(np.log(w)))
     entropy = 0.5 * (cov.shape[0] * (LOG_2PI + 1.0) + log_det)
     return GaussianModel(cov=cov, log_det=log_det, entropy=entropy)
-
-
-def _check_vector(n: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InvalidDimensionError(
-            f"expected a vector of length {n}, got shape {x.shape}"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NumericalFailureError("input vector has non-finite entries")
-    return x
-
-
-def log_density(model: GaussianModel, x: np.ndarray) -> float:
-    """Natural log of the Gaussian PDF at x."""
-    x = _check_vector(model.n, x)
-    return float(log_density_batch(model, x[np.newaxis, :])[0])
-
-
-def log_density_batch(model: GaussianModel, xs: np.ndarray) -> np.ndarray:
-    """Log-density of each row of an (N, n) array."""
-    # x^T cov^-1 x = |L^-1 x|^2, from one triangular solve per batch.
-    ys = scipy.linalg.solve_triangular(model.chol, np.asarray(xs, dtype=float).T, lower=True)
-    quad = np.einsum("ij,ij->j", ys, ys)
-    return -0.5 * (model.n * LOG_2PI + model.log_det + quad)
-
-
-def sample(model: GaussianModel, seed: int, count: int) -> np.ndarray:
-    """Draw `count` vectors as L z (L = `chol`) with chunked seeded streams."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    blocks = [
-        z @ model.chol.T
-        for z in streams.standard_normal_chunks(seed, count, model.n)
-    ]
-    return np.concatenate(blocks, axis=0)
 
 
 def _kl_from_kappas(kappas: np.ndarray) -> float:
@@ -135,7 +91,7 @@ class HypothesisPair:
 
     In whitened coordinates p has covariance diag(kappas) and q the
     identity; `kl` is the exact finite-n relative entropy in nats.  The
-    `whitener` and the models `p` and `q` are built on first use.
+    `whitener` is built on first use.
     """
 
     cov_p: np.ndarray = field(repr=False)
@@ -148,14 +104,6 @@ class HypothesisPair:
         """V^T, for the generalized eigenbasis V of the pencil (Lp, Lq):
         V^T Lq V = I and V^T Lp V = diag(kappas), rows in kappa order."""
         return numlin.eig_sym(self.cov_p, self.cov_q).basis[:, ::-1].T
-
-    @functools.cached_property
-    def p(self) -> GaussianModel:
-        return model_from_cov(self.cov_p)
-
-    @functools.cached_property
-    def q(self) -> GaussianModel:
-        return model_from_cov(self.cov_q)
 
     @property
     def n(self) -> int:
@@ -207,17 +155,3 @@ def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
     coef, offset = llr_form(pair, under)
     for quad in streams.quadratic_chunks(seed, count, coef):
         yield quad + offset
-
-
-def llr(pair: HypothesisPair, x: np.ndarray) -> float:
-    """Log-likelihood ratio log p(x) - log q(x) in nats."""
-    x = _check_vector(pair.n, x)
-    return float(llr_batch(pair, x[np.newaxis, :])[0])
-
-
-def llr_batch(pair: HypothesisPair, xs: np.ndarray) -> np.ndarray:
-    """Log-likelihood ratio of each row of an (N, n) array."""
-    # Whitened coordinates are standard normal under q.
-    coef, offset = llr_form(pair, "q")
-    ys = np.asarray(xs, dtype=float) @ pair.whitener.T
-    return (ys * ys) @ coef + offset

@@ -12,7 +12,9 @@ row blocks, on every usable core.  It matches the plain reduction of
 matrix-vector product in the same order whatever the rows around it and
 its own thread count; that was verified on x86-64 with OpenBLAS 0.3.31 at
 1-4 BLAS threads and 1-3 workers, not in general.  `standard_normal_chunks`
-yields the raw draws, for routines that need the vectors themselves.
+yields the raw draws.  No library routine calls it: it is the reference
+definition of the draws, against which tests check `quadratic_chunks` and
+the LLR samplers.
 """
 
 from __future__ import annotations

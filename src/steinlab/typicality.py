@@ -1,32 +1,28 @@
-"""Typical sets, good threshold families, and their bound calculators.
+"""Typical sets, their good thresholds, and their bound calculators.
 
 Covers both flavors of typical set (entropy-centered and relative-entropy-
-centered), the normal-tail utilities they calibrate against, the minimal
-good thresholds for the iid / white Gaussian / correlated Gaussian cases,
-Monte Carlo set-probability estimation, and the volume / q-probability
-bound formulas.  Everything is in nats.
+centered) as the statistic each tests, the inverse normal tail they
+calibrate against, the minimal good thresholds for the white and the
+correlated Gaussian cases, Monte Carlo set-probability estimation on the
+draws of `streams.quadratic_chunks`, the volume / q-probability bound
+formulas, and a CLT check of the log-likelihood-ratio fluctuation.
+Everything is in nats.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 import numpy as np
 from scipy import special
 
 from . import gaussian, streams
-from .exceptions import DegeneratePairError, VacuousBoundError
+from .exceptions import DegeneratePairError
 
 EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
 # `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
 CLT_KS_BOUND = 0.02
-
-
-def qfunc(x: float) -> float:
-    """Standard normal upper-tail probability Q(x)."""
-    return float(0.5 * special.erfc(np.asarray(x, dtype=float) / math.sqrt(2.0)))
 
 
 def qfunc_inv(p: float) -> float:
@@ -34,126 +30,6 @@ def qfunc_inv(p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError(f"qfunc_inv requires p in (0, 1), got {p}")
     return float(math.sqrt(2.0) * special.erfcinv(2.0 * p))
-
-
-@dataclass(frozen=True)
-class ScalarFamily:
-    """A positive threshold family delta^[n] with an asymptotic-class tag.
-
-    Kinds: constant c, linear n*xi, sqrt_scaled c*sqrt(n), bn_scaled
-    c*B_n (pair-dependent, via a supplied n -> B_n map), or a finite table.
-    """
-
-    kind: str
-    coeff: float = 1.0
-    table: Mapping[int, float] | None = None
-    bn_of: Callable[[int], float] | None = None
-
-    _KINDS = ("constant", "linear", "sqrt_scaled", "bn_scaled", "table")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-        if self.kind == "table" and not self.table:
-            raise ValueError("table family needs a non-empty table")
-        if self.kind == "bn_scaled" and self.bn_of is None:
-            raise ValueError("bn_scaled family needs an n -> B_n map")
-        if self.kind != "table" and self.coeff <= 0.0:
-            raise ValueError(f"family coefficient must be positive, got {self.coeff}")
-
-    @classmethod
-    def constant(cls, c: float) -> "ScalarFamily":
-        return cls(kind="constant", coeff=c)
-
-    @classmethod
-    def linear(cls, xi: float) -> "ScalarFamily":
-        return cls(kind="linear", coeff=xi)
-
-    @classmethod
-    def sqrt_scaled(cls, c: float) -> "ScalarFamily":
-        return cls(kind="sqrt_scaled", coeff=c)
-
-    @classmethod
-    def bn_scaled(cls, c: float, bn_of: Callable[[int], float]) -> "ScalarFamily":
-        return cls(kind="bn_scaled", coeff=c, bn_of=bn_of)
-
-    @classmethod
-    def tabulated(cls, table: Mapping[int, float]) -> "ScalarFamily":
-        return cls(kind="table", table=dict(table))
-
-    def value(self, n: int) -> float:
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if self.kind == "constant":
-            v = self.coeff
-        elif self.kind == "linear":
-            v = self.coeff * n
-        elif self.kind == "sqrt_scaled":
-            v = self.coeff * math.sqrt(n)
-        elif self.kind == "bn_scaled":
-            v = self.coeff * self.bn_of(n)
-        else:
-            v = self.table[n]
-        if not (v > 0.0 and math.isfinite(v)):
-            raise ValueError(f"family value at n={n} is not positive finite: {v}")
-        return float(v)
-
-
-GOOD_FOR_ALL_CONSTANTS = "good-for-all-constants"
-NOT_GOOD_FOR_ALL_CONSTANTS = "not"
-
-
-@dataclass(frozen=True)
-class FamilyClassification:
-    label: str
-    heuristic: bool = False
-
-
-def family_class(fam: ScalarFamily) -> FamilyClassification:
-    """Classify whether delta^[n]/sqrt(n) grows without bound.
-
-    Linear families qualify; constant, sqrt-scaled and B_n-scaled ones do
-    not (B_n is Theta(sqrt(n)) for bounded spectra).  Tables are judged by
-    the trend of delta/sqrt(n) over their range and flagged heuristic.
-    """
-    if fam.kind == "linear":
-        return FamilyClassification(GOOD_FOR_ALL_CONSTANTS)
-    if fam.kind in ("constant", "sqrt_scaled", "bn_scaled"):
-        return FamilyClassification(NOT_GOOD_FOR_ALL_CONSTANTS)
-    ns = sorted(fam.table)
-    first = fam.value(ns[0]) / math.sqrt(ns[0])
-    last = fam.value(ns[-1]) / math.sqrt(ns[-1])
-    label = GOOD_FOR_ALL_CONSTANTS if last > 2.0 * first else NOT_GOOD_FOR_ALL_CONSTANTS
-    return FamilyClassification(label, heuristic=True)
-
-
-def entropy_typical_member(
-    model: gaussian.GaussianModel, delta: float, x: np.ndarray
-) -> bool:
-    """True iff -log p(x) is within delta of the differential entropy."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    neg_log = -gaussian.log_density(model, x)
-    return bool(model.entropy - delta <= neg_log <= model.entropy + delta)
-
-
-def rel_typical_member(
-    pair: gaussian.HypothesisPair, delta: float, x: np.ndarray
-) -> bool:
-    """True iff the log-likelihood ratio at x is within delta of the KL."""
-    if delta <= 0.0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    value = gaussian.llr(pair, x)
-    return bool(pair.kl - delta <= value <= pair.kl + delta)
-
-
-def good_delta_iid(sigma: float, n: int, eps: float) -> float:
-    """Minimal CLT threshold sigma*sqrt(n)*Qinv(eps/2) for the iid case."""
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be positive, got {sigma}")
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return sigma * math.sqrt(n) * qfunc_inv(eps / 2.0)
 
 
 def good_delta_white_gaussian(n: int, eps: float) -> float:
@@ -284,22 +160,6 @@ def volume_bounds(h: float, delta: float, eps: float) -> VolumeBounds:
         log_upper=log_upper,
         log_lower=log_lower,
     )
-
-
-@dataclass(frozen=True)
-class LowerBound:
-    value: float
-    log_value: float
-
-
-def other_set_volume_lb(h: float, delta: float, eps: float, eps2: float) -> LowerBound:
-    """Volume floor (1-eps-eps2)e^(h-delta) for any high-p-probability set."""
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if eps < 0.0 or eps2 < 0.0 or eps + eps2 >= 1.0:
-        raise VacuousBoundError(f"eps + eps2 must be < 1, got {eps} + {eps2}")
-    log_value = math.log1p(-(eps + eps2)) + h - delta
-    return LowerBound(value=exp_or_inf(log_value), log_value=log_value)
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,9 @@ class TestDetectCommand:
 # after `in_window`; the recorded seven are compared as printed.  Its
 # `np_beta_log` and summary were re-recorded when the threshold detector
 # became exact (`detect.np_threshold_exact`); the other columns and the
-# evaluation draws were unchanged.
+# evaluation draws were unchanged.  The `entropy` run's config_hash was
+# re-recorded when that variant stopped taking `cov_q`, which it never
+# read; its rows did not move.
 GOLDEN_DETECT = """\
 # command=detect config_hash=8e3aa35ecf40 seed=9 unit=nats
 # summary: slope=0.120840419276 C_s=0.143841036226 rel_err=0.159903025963
@@ -160,7 +162,7 @@ n,B_n,delta_min,p_hat,stderr,pass
 100,8.1103500404,11.2401651378,0.9688,0.00173857872988,true
 """,
     "entropy": """\
-# command=typical config_hash=0de476965645 seed=9 unit=nats
+# command=typical config_hash=4bada8fb4a03 seed=9 unit=nats
 # summary: variant=entropy eps=0.05 delta_factor=1.1
 n,B_n,delta_min,p_hat,stderr,pass
 16,4,5.5436152974,0.9677,0.00176795673024,true
@@ -386,6 +388,18 @@ class TestPlumbing:
         assert out == ""
         assert "config error" in err
         assert f"unknown config keys for {command}: [{key!r}]" in err
+
+    @pytest.mark.parametrize(
+        "cov_q", [{"kind": "white", "scale": 1.0}, {"kind": "bogus"}], ids=["white", "malformed"]
+    )
+    def test_entropy_variant_rejects_cov_q(self, capsys, tmp_path, cov_q):
+        # The entropy-centred set is a set of p alone, so cov_q is unread there.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"ns": [4, 8], "variant": "entropy", "cov_q": cov_q}))
+        code, out, err = run_cli(capsys, "typical", "--config", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unknown config keys for typical: ['cov_q']" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.special
+from scipy.stats import multivariate_normal
 
 from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality
 from steinlab.exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
@@ -52,12 +53,14 @@ class TestSampleLlr:
         # with the diagonal already in descending order the whitened
         # coordinates coincide with the originals, so the chi-square
         # shortcut must reproduce the density-ratio values samplewise
-        pair = gaussian.diagonal_pair(np.linspace(2.5, 0.5, 16))
-        direct = gaussian.llr_batch(
-            pair, gaussian.sample(pair.p, seed=3, count=4096)
-        )
+        kappas = np.linspace(2.5, 0.5, 16)
+        pair = gaussian.diagonal_pair(kappas)
+        zs = np.concatenate(list(streams.standard_normal_chunks(3, 4096, 16)))
+        xs = np.sqrt(kappas) * zs
+        log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(xs)
+        log_q = multivariate_normal(cov=np.eye(16)).logpdf(xs)
         shortcut = detect.sample_llr(pair, count=4096, seed=3, under="p")
-        assert np.allclose(direct, shortcut, atol=1e-8)
+        assert np.allclose(log_p - log_q, shortcut, atol=1e-8)
 
 
 class TestNpCalibrate:

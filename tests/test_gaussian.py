@@ -6,11 +6,7 @@ import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from steinlab import cli, gaussian, numlin, spectral, streams
-from steinlab.exceptions import (
-    InvalidDimensionError,
-    NotPositiveDefiniteError,
-    NumericalFailureError,
-)
+from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
 
 from conftest import random_pd
 
@@ -23,7 +19,6 @@ class TestModel:
     def test_identity_factors(self):
         model = gaussian.model_from_cov(np.eye(3))
         assert model.log_det == pytest.approx(0.0)
-        assert np.allclose(model.chol, np.eye(3))
 
     def test_identity_entropy(self):
         # differential entropy of N(0, I_n) is n/2 * (ln(2 pi) + 1)
@@ -45,62 +40,6 @@ class TestModel:
     def test_near_singular_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.model_from_cov(NEAR_SINGULAR)
-
-    def test_diagonal_cholesky_factor(self):
-        model = gaussian.model_from_cov(np.diag([4.0, 9.0]))
-        assert np.allclose(model.chol, np.diag([2.0, 3.0]))
-
-    def test_cholesky_factor_reconstructs_random_pd(self):
-        m = random_pd(4, seed=2)
-        model = gaussian.model_from_cov(m)
-        chol = model.chol
-        assert np.array_equal(chol, np.tril(chol))
-        assert numlin.strong_norm(chol @ chol.T - m) <= 1e-12 * numlin.strong_norm(m)
-        assert model.chol is chol
-
-
-class TestDensity:
-    def test_matches_scipy(self):
-        cov = random_pd(5, seed=3)
-        model = gaussian.model_from_cov(cov)
-        oracle = multivariate_normal(mean=np.zeros(5), cov=cov)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            x = rng.standard_normal(5)
-            assert gaussian.log_density(model, x) == pytest.approx(
-                oracle.logpdf(x), abs=1e-10
-            )
-
-    def test_batch_matches_single(self):
-        model = gaussian.model_from_cov(random_pd(4, seed=4))
-        xs = np.random.default_rng(1).standard_normal((6, 4))
-        batch = gaussian.log_density_batch(model, xs)
-        singles = [gaussian.log_density(model, x) for x in xs]
-        assert np.allclose(batch, singles, atol=1e-12)
-
-    def test_wrong_shape_rejected(self):
-        model = gaussian.model_from_cov(np.eye(3))
-        with pytest.raises(InvalidDimensionError):
-            gaussian.log_density(model, np.zeros(4))
-
-
-class TestSample:
-    def test_deterministic(self):
-        model = gaussian.model_from_cov(np.eye(2))
-        assert np.array_equal(
-            gaussian.sample(model, seed=5, count=100),
-            gaussian.sample(model, seed=5, count=100),
-        )
-
-    def test_sample_covariance_close(self):
-        cov = np.array([[2.0, 0.8], [0.8, 1.0]])
-        xs = gaussian.sample(gaussian.model_from_cov(cov), seed=6, count=200_000)
-        emp = xs.T @ xs / xs.shape[0]
-        assert np.max(np.abs(emp - cov)) < 0.03
-
-    def test_bad_count_rejected(self):
-        with pytest.raises(ValueError):
-            gaussian.sample(gaussian.model_from_cov(np.eye(2)), seed=0, count=0)
 
 
 class TestKl:
@@ -162,12 +101,6 @@ class TestWhiten:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.whiten(cov_p, cov_q)
 
-    def test_models_built_from_the_covariances(self):
-        cov_p, cov_q = random_pd(3, seed=20), random_pd(3, seed=21)
-        pair = gaussian.whiten(cov_p, cov_q)
-        assert np.allclose(pair.p.cov, cov_p) and np.allclose(pair.q.cov, cov_q)
-        assert pair.p is pair.p
-
     def test_whitener_normalizes_q_and_diagonalizes_p(self):
         cov_p = random_pd(6, seed=10)
         cov_q = random_pd(6, seed=11)
@@ -216,64 +149,21 @@ class TestWhiten:
 
 
 class TestLlr:
-    def test_matches_density_difference(self):
-        pair = gaussian.whiten(random_pd(4, seed=16), random_pd(4, seed=17))
-        x = np.random.default_rng(2).standard_normal(4)
-        expected = gaussian.log_density(pair.p, x) - gaussian.log_density(pair.q, x)
-        assert gaussian.llr(pair, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_diagonal_closed_form(self):
-        # for p = N(0, diag(kappa)), q = N(0, I):
-        # llr(x) = 0.5 sum (1 - 1/kappa) x^2 - 0.5 sum log kappa
-        kappas = np.array([2.0, 0.5])
-        pair = gaussian.diagonal_pair(kappas)
-        x = np.array([1.0, -2.0])
-        expected = 0.5 * np.sum((1.0 - 1.0 / kappas) * x**2) - 0.5 * np.sum(
-            np.log(kappas)
-        )
-        assert gaussian.llr(pair, x) == pytest.approx(expected, abs=1e-12)
-
-    def test_batch_matches_single(self):
-        pair = gaussian.whiten(random_pd(3, seed=18), np.eye(3))
-        xs = np.random.default_rng(3).standard_normal((5, 3))
-        assert np.allclose(
-            gaussian.llr_batch(pair, xs),
-            [gaussian.llr(pair, x) for x in xs],
-            atol=1e-12,
-        )
-
-    @pytest.mark.parametrize(
-        "x, error",
-        [
-            (np.zeros(4), InvalidDimensionError),
-            (np.array([1.0, np.nan, 0.0]), NumericalFailureError),
-            (np.array([np.inf, 0.0, 0.0]), NumericalFailureError),
-        ],
-        ids=["wrong-length", "nan", "inf"],
-    )
-    def test_bad_input_rejected(self, x, error):
-        pair = gaussian.diagonal_pair([2.0, 1.0, 0.5])
-        with pytest.raises(error):
-            gaussian.llr(pair, x)
-
     def test_chunks_under_q_match_density_llr(self):
         # With descending diagonal kappas and q = I, whitened coordinates are
         # the originals up to sign, so q-draws are the raw normals.
-        pair = gaussian.diagonal_pair(np.linspace(2.5, 0.5, 6))
+        kappas = np.linspace(2.5, 0.5, 6)
+        pair = gaussian.diagonal_pair(kappas)
         zs = np.concatenate(list(streams.standard_normal_chunks(4, 5000, 6)))
         sampled = np.concatenate(list(gaussian.llr_chunks(pair, 5000, 4, "q")))
-        assert np.allclose(sampled, gaussian.llr_batch(pair, zs), atol=1e-10)
+        log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(zs)
+        log_q = multivariate_normal(cov=np.eye(6)).logpdf(zs)
+        assert np.allclose(sampled, log_p - log_q, atol=1e-10)
 
     def test_chunks_reject_unknown_law(self):
         pair = gaussian.diagonal_pair([2.0, 0.5])
         with pytest.raises(ValueError):
             next(gaussian.llr_chunks(pair, 10, 0, "r"))
-
-    def test_mean_under_p_is_kl(self):
-        pair = gaussian.diagonal_pair([2.0, 0.5, 1.5])
-        xs = gaussian.sample(pair.p, seed=19, count=200_000)
-        mean = float(np.mean(gaussian.llr_batch(pair, xs)))
-        assert mean == pytest.approx(pair.kl, abs=0.02)
 
 
 def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):

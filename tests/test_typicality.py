@@ -5,23 +5,13 @@ import pytest
 from scipy.stats import norm
 
 from steinlab import gaussian, numlin, typicality
-from steinlab.exceptions import DegeneratePairError, VacuousBoundError
+from steinlab.exceptions import DegeneratePairError
 
 
 class TestQfunc:
-    def test_values(self):
-        assert typicality.qfunc(0.0) == pytest.approx(0.5)
-        assert typicality.qfunc(1.6448536269514722) == pytest.approx(0.05, abs=1e-12)
-
-    def test_matches_scipy_sf(self):
-        for x in (-2.0, -0.3, 0.0, 1.0, 3.5):
-            assert typicality.qfunc(x) == pytest.approx(norm.sf(x), abs=1e-14)
-
-    def test_inverse_roundtrip(self):
+    def test_inverse_matches_scipy_isf(self):
         for p in (1e-6, 0.025, 0.5, 0.9):
-            assert typicality.qfunc(typicality.qfunc_inv(p)) == pytest.approx(
-                p, rel=1e-10
-            )
+            assert typicality.qfunc_inv(p) == pytest.approx(norm.isf(p), rel=1e-10)
 
     def test_inverse_domain(self):
         for p in (0.0, 1.0, -0.1):
@@ -29,81 +19,12 @@ class TestQfunc:
                 typicality.qfunc_inv(p)
 
 
-class TestScalarFamily:
-    def test_values(self):
-        assert typicality.ScalarFamily.constant(2.0).value(100) == 2.0
-        assert typicality.ScalarFamily.linear(0.5).value(10) == 5.0
-        assert typicality.ScalarFamily.sqrt_scaled(3.0).value(4) == 6.0
-        fam = typicality.ScalarFamily.bn_scaled(2.0, lambda n: float(n))
-        assert fam.value(7) == 14.0
-        assert typicality.ScalarFamily.tabulated({8: 1.5}).value(8) == 1.5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            typicality.ScalarFamily.constant(-1.0)
-        with pytest.raises(ValueError):
-            typicality.ScalarFamily(kind="nope")
-        with pytest.raises(ValueError):
-            typicality.ScalarFamily.tabulated({})
-        with pytest.raises(ValueError):
-            typicality.ScalarFamily.constant(1.0).value(0)
-
-    def test_classification(self):
-        good = typicality.GOOD_FOR_ALL_CONSTANTS
-        not_good = typicality.NOT_GOOD_FOR_ALL_CONSTANTS
-        assert typicality.family_class(typicality.ScalarFamily.linear(0.1)).label == good
-        for fam in (
-            typicality.ScalarFamily.constant(5.0),
-            typicality.ScalarFamily.sqrt_scaled(1.0),
-            typicality.ScalarFamily.bn_scaled(1.0, math.sqrt),
-        ):
-            result = typicality.family_class(fam)
-            assert result.label == not_good
-            assert not result.heuristic
-
-    def test_table_classification_is_heuristic(self):
-        growing = typicality.ScalarFamily.tabulated({4: 1.0, 64: 40.0})
-        flat = typicality.ScalarFamily.tabulated({4: 2.0, 64: 8.0})
-        assert typicality.family_class(growing).heuristic
-        assert (
-            typicality.family_class(growing).label == typicality.GOOD_FOR_ALL_CONSTANTS
-        )
-        assert (
-            typicality.family_class(flat).label
-            == typicality.NOT_GOOD_FOR_ALL_CONSTANTS
-        )
-
-
-class TestMembership:
-    def test_entropy_member_at_typical_radius(self):
-        model = gaussian.model_from_cov(np.eye(2))
-        # -log p(x) = log(2 pi) + |x|^2 / 2; entropy = log(2 pi) + 1
-        assert typicality.entropy_typical_member(model, 0.5, np.array([1.0, 1.0]))
-        assert not typicality.entropy_typical_member(model, 0.5, np.array([3.0, 3.0]))
-
-    def test_rel_member(self):
-        pair = gaussian.diagonal_pair([2.0, 2.0])
-        # llr(x) = 0.25 |x|^2 - log 2, kl = 0.5 (2 - log 2 - 1) * 2 / 2 ...
-        x_center = np.sqrt((pair.kl + np.log(2.0)) * 4.0 / 2.0) * np.ones(2)
-        assert typicality.rel_typical_member(pair, 1e-6, x_center)
-        assert not typicality.rel_typical_member(pair, 0.1, 100.0 * x_center)
-
-    def test_nonpositive_delta_rejected(self):
-        model = gaussian.model_from_cov(np.eye(2))
-        with pytest.raises(ValueError):
-            typicality.entropy_typical_member(model, 0.0, np.zeros(2))
-
-
 class TestGoodDeltas:
-    def test_iid_closed_form(self):
-        value = typicality.good_delta_iid(2.0, 25, 0.05)
-        assert value == pytest.approx(2.0 * 5.0 * typicality.qfunc_inv(0.025))
-
-    def test_white_gaussian_is_iid_with_half_variance(self):
+    def test_white_gaussian_closed_form(self):
         # the entropy statistic per coordinate has variance 1/2
         n, eps = 64, 0.1
         assert typicality.good_delta_white_gaussian(n, eps) == pytest.approx(
-            typicality.good_delta_iid(math.sqrt(0.5), n, eps)
+            math.sqrt(n / 2.0) * norm.isf(eps / 2.0)
         )
 
     def test_correlated_uses_b_n(self):
@@ -120,8 +41,6 @@ class TestGoodDeltas:
             typicality.good_delta_correlated(pair, 0.1)
 
     def test_bad_arguments(self):
-        with pytest.raises(ValueError):
-            typicality.good_delta_iid(0.0, 4, 0.1)
         with pytest.raises(ValueError):
             typicality.good_delta_white_gaussian(4, 0.0)
 
@@ -169,14 +88,6 @@ class TestBoundFormulas:
         b = typicality.volume_bounds(h=1000.0, delta=1.0, eps=0.0)
         assert b.upper == math.inf
         assert b.log_upper == pytest.approx(1001.0)
-
-    def test_other_set_volume_lb(self):
-        lb = typicality.other_set_volume_lb(h=3.0, delta=1.0, eps=0.1, eps2=0.2)
-        assert lb.log_value == pytest.approx(math.log(0.7) + 2.0)
-
-    def test_other_set_vacuous(self):
-        with pytest.raises(VacuousBoundError):
-            typicality.other_set_volume_lb(h=0.0, delta=1.0, eps=0.6, eps2=0.5)
 
     def test_q_prob_bounds(self):
         b = typicality.q_prob_bounds(kl=5.0, delta=0.5, eps=0.1)
