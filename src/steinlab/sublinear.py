@@ -59,12 +59,46 @@ def sub_kl(n: int) -> float:
     )
 
 
+def sub_residual(n: int) -> float:
+    """Gap between the outside-region LLR and the KL; vanishes as n grows.
+
+    Any constant delta exceeding |residual| makes the outside region a
+    subset of the relative-entropy typical set.
+    """
+    _check_n(n)
+    root = math.sqrt(n)
+    return (1.0 / n) * math.log((n - 1.0) * (n - root) / root)
+
+
+def crossover_n(delta: float) -> int:
+    """Smallest n >= 3 at which |residual(n)| drops below delta."""
+    if delta <= 0.0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    n = 3
+    while abs(sub_residual(n)) >= delta:
+        n *= 2
+        if n > 10**12:
+            raise ValueError(f"no crossover found below n=1e12 for delta={delta}")
+    # The residual rises from n=3 to a peak at n=6 and falls after it, so
+    # the bisection back to the first qualifying n holds only once the
+    # doubling has passed the peak, which it has unless n=3 qualifies.
+    if n == 3:
+        return n
+    lo, hi = n // 2, n
+    while lo + 1 < hi:
+        mid = (lo + hi) // 2
+        if abs(sub_residual(mid)) < delta:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def sub_typical_lb(n: int) -> float:
     """p-probability 1 - 1/n of the outside region.
 
     Lower-bounds the p-mass of the relative-entropy typical set for every
-    constant delta above the gap between the outside-region LLR and the
-    KL, which vanishes as n grows.
+    constant delta above the residual.
     """
     _check_n(n)
     return 1.0 - 1.0 / n
