@@ -95,7 +95,7 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 # Columns whose values are in nats; divided by ln 2 under --unit bits.
 NAT_COLUMNS: dict[str, set[str]] = {
     "rate": {"D", "D_over_n", "C_s", "abs_err"},
-    "typical": {"delta_min"},
+    "typical": {"B_n", "delta_min"},
     "detect": {
         "D",
         "lower",

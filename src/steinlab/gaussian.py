@@ -1,16 +1,16 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
-A `GaussianModel` holds the log-determinant and differential entropy of its
-covariance, from one values-only eigensolve.  `whiten` reduces a pair of
-covariances to the equivalent diagonal-vs-identity test and records the
-diagonal entries (kappas, the eigenvalues of the pencil); there the
+A `GaussianModel` holds the dimension, log-determinant and differential
+entropy of its covariance, from one checked Cholesky factor.  `whiten`
+checks both covariances by their factors and reduces the pair by one
+values-only pencil solve to the equivalent diagonal-vs-identity test, with
+diagonal entries the kappas (the pencil's eigenvalues); there the
 log-likelihood ratio is an affine weighted sum of chi-square variables,
 whose weights `llr_form` gives and which `llr_chunks` samples for all the
 detection code, through `streams.quadratic_chunks`: no density is
 evaluated and no draw is kept as a vector.  The whitening map itself is
 solved for only when it is read.  `kl_toeplitz` gives the same relative
-entropy for two stationary covariances straight from their lags, without
-an n x n matrix.
+entropy for two stationary covariances straight from their lags.
 """
 
 from __future__ import annotations
@@ -30,23 +30,18 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 class GaussianModel:
     """n-dimensional zero-mean Gaussian law (nats)."""
 
-    cov: np.ndarray = field(repr=False)
+    n: int
     log_det: float
     entropy: float
-
-    @property
-    def n(self) -> int:
-        return self.cov.shape[0]
 
 
 def model_from_cov(cov: np.ndarray) -> GaussianModel:
     """Build a model from a symmetric positive-definite covariance."""
-    cov = numlin.symmetrize(cov)
-    w = numlin.eigvals_sym(cov)
-    numlin.check_pd(w, "covariance")
-    log_det = float(np.sum(np.log(w)))
-    entropy = 0.5 * (cov.shape[0] * (LOG_2PI + 1.0) + log_det)
-    return GaussianModel(cov=cov, log_det=log_det, entropy=entropy)
+    factor = numlin.cholesky(numlin.symmetrize(cov), "covariance")
+    n = factor.shape[0]
+    log_det = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
+    entropy = 0.5 * (n * (LOG_2PI + 1.0) + log_det)
+    return GaussianModel(n=n, log_det=log_det, entropy=entropy)
 
 
 def _kl_from_kappas(kappas: np.ndarray) -> float:
@@ -106,10 +101,6 @@ class HypothesisPair:
         return numlin.eig_sym(self.cov_p, self.cov_q).basis[:, ::-1].T
 
     @property
-    def n(self) -> int:
-        return self.kappas.shape[0]
-
-    @property
     def b_n(self) -> float:
         """CLT scale of the log-likelihood ratio: sqrt(sum (kappa-1)^2)."""
         return float(np.sqrt(np.sum((self.kappas - 1.0) ** 2)))
@@ -120,13 +111,13 @@ def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
 
     The kappas are the eigenvalues of the pencil (Lp, Lq), from one
     values-only solve, returned descending, ties adjacent.  Both
-    covariances first pass `numlin.check_pd`, whose near-singular rule the
+    covariances first pass `numlin.cholesky`, whose near-singular rule the
     pencil solve alone would miss.
     """
     cov_p = numlin.symmetrize(cov_p)
     cov_q = numlin.symmetrize(cov_q)
-    numlin.check_pd(numlin.eigvals_sym(cov_q), "q covariance")
-    numlin.check_pd(numlin.eigvals_sym(cov_p), "p covariance")
+    numlin.cholesky(cov_q, "q covariance")
+    numlin.cholesky(cov_p, "p covariance")
     kappas = numlin.eigvals_sym(cov_p, cov_q)[::-1].copy()
     return HypothesisPair(cov_p=cov_p, cov_q=cov_q, kappas=kappas, kl=_kl_from_kappas(kappas))
 

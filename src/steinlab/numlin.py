@@ -2,8 +2,8 @@
 
 Builds the three dense covariance-matrix variants used by the
 asymptotic-equivalence arguments (full Toeplitz, banded, circulant), exposes
-symmetric and symmetric-definite (pencil) eigensolves with the
-positive-definiteness rule, and implements the weak and strong matrix norms.
+symmetric and symmetric-definite (pencil) eigensolves and the checked
+Cholesky factor, and implements the weak and strong matrix norms.
 
 A symmetric Toeplitz matrix is also handled through its lags alone, in O(n)
 memory: the Levinson-Durbin recursion gives its log-determinant and its
@@ -26,7 +26,11 @@ from .exceptions import (
     NumericalFailureError,
 )
 
-# Reject as non-PD when lambda_min <= PD_RTOL * lambda_max.
+# The one positive-definiteness rule: the least pivot of the triangular
+# factorization (Cholesky's L_kk^2, Levinson's E_k) must exceed PD_RTOL times
+# the largest diagonal entry.  As lambda_min <= every pivot and every diagonal
+# entry <= lambda_max, it rejects no matrix that lambda_min > PD_RTOL *
+# lambda_max accepts.
 PD_RTOL = 1e-12
 
 
@@ -120,23 +124,34 @@ def eig_sym(m: np.ndarray, b: np.ndarray | None = None) -> EigenDecomposition:
     return EigenDecomposition(eigenvalues=w, basis=v)
 
 
-def eigvals_sym(m: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Eigenvalues (ascending) of a symmetric matrix or of the pencil (M, B)."""
+def eigvals_sym(m: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of the symmetric-definite pencil (M, B)."""
     try:
-        if b is None:
-            return np.linalg.eigvalsh(_check_square_finite(m))
         return scipy.linalg.eigh(*_check_pencil(m, b), eigvals_only=True)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
 
 
-def check_pd(w: np.ndarray, what: str) -> None:
-    """Raise unless ascending eigenvalues w pass w_min > PD_RTOL * w_max."""
-    if w[0] <= PD_RTOL * max(w[-1], 0.0):
+def _check_pivots(pivots: np.ndarray, diagonal: float, what: str) -> None:
+    """Raise unless the least pivot exceeds PD_RTOL * the largest diagonal entry."""
+    least = pivots.min()
+    if not least > PD_RTOL * diagonal:
         raise NotPositiveDefiniteError(
-            f"{what} is not positive definite: lambda_min={w[0]:.3e}, "
-            f"lambda_max={w[-1]:.3e}"
+            f"{what} is not positive definite: least pivot {least:.3e}, "
+            f"largest diagonal entry {diagonal:.3e}"
         )
+
+
+def cholesky(m: np.ndarray, what: str) -> np.ndarray:
+    """Lower Cholesky factor L (M = L L^T) of a symmetric positive-definite
+    matrix; its pivots L_kk^2 must pass the positive-definiteness rule."""
+    m = _check_square_finite(m)
+    try:
+        factor = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"{what} is not positive definite: {exc}") from exc
+    _check_pivots(np.diagonal(factor) ** 2, m.diagonal().max(), what)
+    return factor
 
 
 def weak_norm(m: np.ndarray) -> float:
@@ -157,10 +172,8 @@ def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
     Returns the monic order-(n-1) predictor a (T a = E_{n-1} e_1, so
     T^-1 e_1 = a / E_{n-1}) and the prediction-error variances E_0..E_{n-1};
     log det T = sum(log E_k).  O(n^2) time, O(n) memory.  T is positive
-    definite iff every reflection coefficient has modulus below 1; the
-    recursion also rejects E_{n-1} <= PD_RTOL * K[0], and since
-    lambda_min <= E_{n-1} and K[0] <= lambda_max it never rejects a matrix
-    that `check_pd` accepts.
+    definite iff every reflection coefficient has modulus below 1; the E_k
+    are T's Cholesky pivots, so they must also pass the PD_RTOL rule.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -168,10 +181,8 @@ def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(lags)):
         raise NumericalFailureError("lags have non-finite entries")
     n = lags.size
-    if not lags[0] > 0.0:
-        raise NotPositiveDefiniteError(
-            f"Toeplitz matrix is not positive definite: K[0]={lags[0]:.3e}"
-        )
+    # E_0 = K[0] is the first pivot; check it before the recursion divides by it.
+    _check_pivots(lags[:1], lags[0], "Toeplitz matrix")
     reversed_lags = lags[::-1].copy()
     a = np.zeros(n)
     a[0] = 1.0
@@ -187,11 +198,7 @@ def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
             )
         a[1 : k + 1] += np.multiply(a[k - 1 :: -1], refl, out=step[:k])
         errors[k] = errors[k - 1] * ((1.0 - refl) * (1.0 + refl))
-    if not errors[-1] > PD_RTOL * lags[0]:
-        raise NotPositiveDefiniteError(
-            f"Toeplitz matrix is not positive definite: E_{n - 1}={errors[-1]:.3e}, "
-            f"K[0]={lags[0]:.3e}"
-        )
+    _check_pivots(errors, lags[0], "Toeplitz matrix")
     return a, errors
 
 

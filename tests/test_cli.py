@@ -92,6 +92,17 @@ class TestTypicalCommand:
         assert rows[0]["pass"] == "true"
         assert float(rows[0]["p_hat"]) > 0.85
 
+    def test_bits_conversion(self, capsys):
+        # B_n^2/2 is the variance of the LLR in nats, so B_n converts with
+        # delta_min = (B_n/sqrt(2)) Qinv(eps/2) and their ratio keeps.
+        args = ("typical", "--n-list", "64", "--samples", "1000")
+        nats = parse_csv(run_cli(capsys, *args)[1])[2][0]
+        bits = parse_csv(run_cli(capsys, *args, "--unit", "bits")[1])[2][0]
+        for col in ("B_n", "delta_min"):
+            assert float(bits[col]) == pytest.approx(float(nats[col]) / units.LN2, rel=1e-10)
+        ratio = float(nats["delta_min"]) / float(nats["B_n"])
+        assert float(bits["delta_min"]) / float(bits["B_n"]) == pytest.approx(ratio, rel=1e-10)
+
 
 class TestDetectCommand:
     def test_window_and_check(self, capsys):

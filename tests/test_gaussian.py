@@ -1,8 +1,8 @@
+import collections
 import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from steinlab import cli, gaussian, numlin, spectral, streams
@@ -10,8 +10,8 @@ from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
 
 from conftest import random_pd
 
-# Cholesky accepts this matrix; the PD rule (lambda_min <= 1e-12 lambda_max)
-# rejects it.
+# np.linalg.cholesky accepts this matrix; the PD rule (least pivot <= 1e-12
+# times the largest diagonal entry) rejects it.
 NEAR_SINGULAR = np.diag([1.0, 1e-13])
 
 
@@ -168,20 +168,38 @@ class TestLlr:
 
 def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
     # detect and typical need the pencil eigenvalues and log-determinants
-    # only: no eigenvector solve and no Cholesky factor.
+    # only: per n, one values-only pencil solve and two checked Cholesky
+    # factors for a pair, one factor for an entropy model, and no
+    # eigenvector solve.
     def refuse(*args, **kwargs):
-        raise AssertionError("eigenvector solve or Cholesky factor")
+        raise AssertionError("eigenvector solve")
 
-    for module, name in [
-        (numlin, "eig_sym"),
-        (np.linalg, "eigh"),
-        (scipy.linalg, "cholesky"),
-    ]:
+    for module, name in [(numlin, "eig_sym"), (np.linalg, "eigh")]:
         monkeypatch.setattr(module, name, refuse)
-    small = ["--n-list", "32,64,96", "--samples", "10000", "--check"]
-    assert cli.main(["detect", *small]) == 0, capsys.readouterr().err
-    for variant in ("rel_entropy", "entropy"):
-        cfg = tmp_path / f"{variant}.json"
-        cfg.write_text(json.dumps({"variant": variant}))
-        assert cli.main(["typical", "--config", str(cfg), *small]) == 0, capsys.readouterr().err
+    calls = collections.Counter()
+
+    def counted(name):
+        original = getattr(numlin, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("eigvals_sym", "cholesky"):
+        monkeypatch.setattr(numlin, name, counted(name))
+    ns = [32, 64, 96]
+    small = ["--n-list", ",".join(map(str, ns)), "--samples", "10000", "--check"]
+    pair = {"eigvals_sym": len(ns), "cholesky": 2 * len(ns)}
+    for command, config, expected in [
+        ("detect", {}, pair),
+        ("typical", {"variant": "rel_entropy"}, pair),
+        ("typical", {"variant": "entropy"}, {"cholesky": len(ns)}),
+    ]:
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(config))
+        calls.clear()
+        assert cli.main([command, "--config", str(cfg), *small]) == 0, capsys.readouterr().err
+        assert calls == expected, (command, config)
     capsys.readouterr()

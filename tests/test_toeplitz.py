@@ -177,12 +177,59 @@ class TestLevinson:
         with pytest.raises(InvalidDimensionError):
             numlin.levinson([])
 
-    def test_pd_rule_no_stricter_than_check_pd(self):
-        # E_{n-1} >= lambda_min and K[0] <= lambda_max, so a matrix that
-        # check_pd accepts passes the recursion too.
+    def test_pd_rule_no_stricter_than_the_eigenvalue_rule(self):
+        # E_{n-1} >= lambda_min and K[0] <= lambda_max, so a matrix that the
+        # eigenvalue rule lambda_min > PD_RTOL * lambda_max accepts passes
+        # the recursion too.
         values = [1.0, 1.0 - 1e-11]
-        numlin.check_pd(np.linalg.eigvalsh(scipy.linalg.toeplitz(values)), "T")
+        w = np.linalg.eigvalsh(scipy.linalg.toeplitz(values))
+        assert w[0] > numlin.PD_RTOL * w[-1]
         numlin.levinson(values)
+
+
+class TestPdRule:
+    """Cholesky, Levinson and whitening apply one rule: the least pivot must
+    exceed PD_RTOL times the largest diagonal entry."""
+
+    @staticmethod
+    def verdicts(values):
+        dense = scipy.linalg.toeplitz(values)
+        checks = {
+            "cholesky": lambda: numlin.cholesky(dense, "T"),
+            "levinson": lambda: numlin.levinson(values),
+            "kl_gaussian": lambda: gaussian.kl_gaussian(dense, np.eye(len(values))),
+        }
+        verdicts = {}
+        for name, check in checks.items():
+            try:
+                check()
+                verdicts[name] = True
+            except NotPositiveDefiniteError:
+                verdicts[name] = False
+        return verdicts
+
+    def test_accepted_everywhere(self):
+        # The last pivot is 1 - (1 - 1e-12)^2 ~ 2e-12 > 1e-12; the eigenvalue
+        # rule, lambda_min = 1e-12 <= PD_RTOL * lambda_max, would reject it.
+        verdicts = self.verdicts([1.0, 1.0 - 1e-12])
+        assert verdicts == dict.fromkeys(verdicts, True)
+
+    def test_rejected_everywhere(self):
+        verdicts = self.verdicts([1.0, 1.0 - 1e-13])
+        assert verdicts == dict.fromkeys(verdicts, False)
+
+    @pytest.mark.parametrize("name", list(COVS))
+    @pytest.mark.parametrize("n", [3, 17, 512])
+    def test_cholesky_pivots_are_the_levinson_errors(self, name, n):
+        # Cholesky forms a pivot as K[0] minus a sum, so its error is of order
+        # n eps K[0], on the scale the rule compares at; at rho = 0.999,
+        # n = 512, where E_k is K[0]/500, that is 1.8e-12 relative.
+        values = lags(name, n)
+        factor = numlin.cholesky(scipy.linalg.toeplitz(values), "T")
+        _, errors = numlin.levinson(values)
+        np.testing.assert_allclose(
+            np.diagonal(factor) ** 2, errors, rtol=1e-12, atol=n * np.finfo(float).eps * values[0]
+        )
 
 
 class TestLagNorms:
