@@ -195,8 +195,12 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     seed = config["seed"]
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
+    # A spectrum that is not positive is a configuration error here as in
+    # `rate`, before any n can fail the factorization instead.
+    cov_p.spectrum()
     if variant == "rel_entropy":
         cov_q = covariance_from_spec(config["cov_q"])
+        cov_q.spectrum()
     rows = []
     for i, n in enumerate(config["ns"]):
         lam_p = numlin.toeplitz_from_cov(cov_p, n)

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import gaussian, numlin, spectral, streams, typicality
 from .exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
@@ -357,7 +356,7 @@ def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> DetectorSpe
     _require_pair(pair)
     coef, offset = gaussian.llr_form(pair, "p")
     sd = pair.b_n / math.sqrt(2.0)
-    t = pair.kl + sd * float(ndtri(tau))
+    t = pair.kl - sd * typicality.qfunc_inv(tau)
     lo, hi = -math.inf, math.inf
     for _ in range(_NEWTON_STEPS):
         alpha, density = quadratic_form_cdf(coef, t - offset)

@@ -2,15 +2,17 @@
 
 A `GaussianModel` holds the dimension, log-determinant and differential
 entropy of its covariance, from one checked Cholesky factor.  `whiten`
-checks both covariances by their factors and reduces the pair by one
-values-only pencil solve to the equivalent diagonal-vs-identity test, with
-diagonal entries the kappas (the pencil's eigenvalues); there the
+checks both covariances by their factors Lp and Lq and reduces the pair
+through them to the equivalent diagonal-vs-identity test, with diagonal
+entries the kappas: the pencil's eigenvalues, from one values-only solve
+of X X^T with X = Lq^-1 Lp, so q is factored once; there the
 log-likelihood ratio is an affine weighted sum of chi-square variables,
 whose weights `llr_form` gives and which `llr_chunks` samples for all the
 detection code, through `streams.quadratic_chunks`: no density is
-evaluated and no draw is kept as a vector.  The whitening map itself is
-solved for only when it is read.  `kl_toeplitz` gives the same relative
-entropy for two stationary covariances straight from their lags.
+evaluated and no draw is kept as a vector.  The whitening map itself,
+U^T Lq^-1 for the eigenvectors U of X X^T, is solved for only when it is
+read.  `kl_toeplitz` gives the same relative entropy for two stationary
+covariances straight from their lags.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ def _kl_from_kappas(kappas: np.ndarray) -> float:
 def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     """Relative entropy D(N(0, cov_p) || N(0, cov_q)) in nats.
 
-    Closed form 0.5 tr(Lp Lq^-1) - 0.5 log(det Lp / det Lq) - n/2, evaluated
-    through the kappas (eigenvalues of the pencil (Lp, Lq)) so it is exactly
-    the diagonal-form value 0.5 sum(kappa - log kappa - 1).  Both
-    covariances must pass the positive-definiteness checks of `whiten`.
+    Closed form 0.5 tr(cov_q^-1 cov_p) - 0.5 log(det cov_p / det cov_q) - n/2,
+    evaluated through the kappas (eigenvalues of the pencil (cov_p, cov_q))
+    so it is exactly the diagonal-form value 0.5 sum(kappa - log kappa - 1).
+    Both covariances must pass the positive-definiteness checks of `whiten`.
     """
     return whiten(cov_p, cov_q).kl
 
@@ -96,8 +98,9 @@ class HypothesisPair:
 
     @functools.cached_property
     def whitener(self) -> np.ndarray:
-        """V^T, for the generalized eigenbasis V of the pencil (Lp, Lq):
-        V^T Lq V = I and V^T Lp V = diag(kappas), rows in kappa order."""
+        """V^T, for the generalized eigenbasis V = Lq^-T U of the pencil
+        (cov_p, cov_q): V^T cov_q V = I and V^T cov_p V = diag(kappas),
+        rows in kappa order."""
         return numlin.eig_sym(self.cov_p, self.cov_q).basis[:, ::-1].T
 
     @property
@@ -109,16 +112,16 @@ class HypothesisPair:
 def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
     """Reduce (cov_p, cov_q) to the diagonal-vs-identity equivalent test.
 
-    The kappas are the eigenvalues of the pencil (Lp, Lq), from one
-    values-only solve, returned descending, ties adjacent.  Both
-    covariances first pass `numlin.cholesky`, whose near-singular rule the
-    pencil solve alone would miss.
+    The kappas are the eigenvalues of the pencil (cov_p, cov_q), returned
+    descending, ties adjacent: one values-only solve through the factors
+    Lp and Lq of `numlin.cholesky`, which also applies the near-singular
+    rule that the pencil solve alone would miss.
     """
     cov_p = numlin.symmetrize(cov_p)
     cov_q = numlin.symmetrize(cov_q)
-    numlin.cholesky(cov_q, "q covariance")
-    numlin.cholesky(cov_p, "p covariance")
-    kappas = numlin.eigvals_sym(cov_p, cov_q)[::-1].copy()
+    factor_q = numlin.cholesky(cov_q, "q covariance")
+    factor_p = numlin.cholesky(cov_p, "p covariance")
+    kappas = numlin.pencil_eigvals(factor_p, factor_q)[::-1].copy()
     return HypothesisPair(cov_p=cov_p, cov_q=cov_q, kappas=kappas, kl=_kl_from_kappas(kappas))
 
 

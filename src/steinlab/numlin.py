@@ -1,15 +1,20 @@
-"""Symmetric and Toeplitz matrix kernel.
+"""Symmetric and Toeplitz matrix kernel, in numpy alone.
 
 Builds the three dense covariance-matrix variants used by the
 asymptotic-equivalence arguments (full Toeplitz, banded, circulant), exposes
-symmetric and symmetric-definite (pencil) eigensolves and the checked
-Cholesky factor, and implements the weak and strong matrix norms.
+the checked Cholesky factor, symmetric eigensolves and the symmetric-definite
+(pencil) eigensolve, and implements the weak and strong matrix norms.  The
+pencil (M, B) is solved through the lower Cholesky factors M = Lm Lm^T and
+B = Lb Lb^T: its eigenvalues are those of X X^T with X = Lb^-1 Lm.
+`pencil_eigvals` takes the factors its caller has already checked, so B
+is factored once.
 
 A symmetric Toeplitz matrix is also handled through its lags alone, in O(n)
 memory: the Levinson-Durbin recursion gives its log-determinant and its
 predictor, the Gohberg-Semencul formula turns the predictor into the
 diagonal sums of the inverse, and its weak and strong norms come from a sum
-over lags and from Lanczos on an FFT matrix-vector product.
+over lags and from a short Lanczos loop (no ARPACK) on an FFT
+matrix-vector product.
 """
 
 from __future__ import annotations
@@ -17,8 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse.linalg
+# numpy loads its fft and random modules on first use; importing them with
+# the package keeps that cost out of the first computation.
+import numpy.fft
+import numpy.random
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .exceptions import (
     InvalidDimensionError,
@@ -32,6 +40,10 @@ from .exceptions import (
 # entry <= lambda_max, it rejects no matrix that lambda_min > PD_RTOL *
 # lambda_max accepts.
 PD_RTOL = 1e-12
+_EPS = float(np.finfo(float).eps)
+# `strong_norm_toeplitz` raises past this many Lanczos steps; shift-inverted,
+# it converges in under ten.
+_LANCZOS_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -61,12 +73,18 @@ def _check_square_finite(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _symmetric_toeplitz(col: np.ndarray) -> np.ndarray:
+    """The matrix with entry (i, j) = col[|i - j|]: row i of the result is
+    the window of (col[n-1], ..., col[1], col[0], ..., col[n-1]) at n-1-i."""
+    n = col.size
+    return sliding_window_view(np.concatenate((col[:0:-1], col)), n)[::-1].copy()
+
+
 def toeplitz_from_cov(cov, n: int) -> np.ndarray:
     """Toeplitz covariance matrix with entry (i, j) = K[|i - j|]."""
     if n < 1:
         raise InvalidDimensionError(f"n must be >= 1, got {n}")
-    col = cov.k(np.arange(n))
-    return scipy.linalg.toeplitz(col)
+    return _symmetric_toeplitz(cov.k(np.arange(n)))
 
 
 def banded_column(cov, n: int) -> np.ndarray:
@@ -81,7 +99,7 @@ def banded_column(cov, n: int) -> np.ndarray:
 
 def banded_from_cov(cov, n: int) -> np.ndarray:
     """Toeplitz matrix with lags at or beyond floor(n/2)+1 zeroed."""
-    return scipy.linalg.toeplitz(banded_column(cov, n))
+    return _symmetric_toeplitz(banded_column(cov, n))
 
 
 def circulant_column(cov, n: int) -> np.ndarray:
@@ -99,8 +117,9 @@ def circulant_column(cov, n: int) -> np.ndarray:
 
 def circulant_from_cov(cov, n: int) -> np.ndarray:
     """Symmetric circulant completion of the banded covariance matrix."""
-    # The column is palindromic, so the result is symmetric as well.
-    return scipy.linalg.circulant(circulant_column(cov, n))
+    # The column is palindromic, c[n - j] = c[j], so entry (i, j) of the
+    # circulant, c[(i - j) mod n], is c[|i - j|].
+    return _symmetric_toeplitz(circulant_column(cov, n))
 
 
 def _check_pencil(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -110,24 +129,37 @@ def _check_pencil(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return m, b
 
 
+def _pencil_matrix(factor_m: np.ndarray, factor_b: np.ndarray) -> np.ndarray:
+    """X X^T with X = Lb^-1 Lm, which is Lb^-1 M Lb^-T: its eigenvalues are
+    those of the pencil (M, B), and its eigenvectors U give the pencil's
+    B-orthonormal ones as Lb^-T U."""
+    factor_m, factor_b = _check_pencil(factor_m, factor_b)
+    x = np.linalg.solve(factor_b, factor_m)
+    return x @ x.T
+
+
 def eig_sym(m: np.ndarray, b: np.ndarray | None = None) -> EigenDecomposition:
     """Eigen-decomposition of a symmetric matrix, eigenvalues ascending.
 
-    With `b` (positive definite) it solves the pencil M v = lambda B v."""
+    With `b` it solves the pencil M v = lambda B v; M and B must both pass
+    `cholesky`, and the pencil is reduced through their factors."""
     try:
         if b is None:
             w, v = np.linalg.eigh(_check_square_finite(m))
         else:
-            w, v = scipy.linalg.eigh(*_check_pencil(m, b))
+            factor_b = cholesky(b, "B")
+            w, u = np.linalg.eigh(_pencil_matrix(cholesky(m, "M"), factor_b))
+            v = np.linalg.solve(factor_b.T, u)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
     return EigenDecomposition(eigenvalues=w, basis=v)
 
 
-def eigvals_sym(m: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Eigenvalues (ascending) of the symmetric-definite pencil (M, B)."""
+def pencil_eigvals(factor_m: np.ndarray, factor_b: np.ndarray) -> np.ndarray:
+    """Eigenvalues (ascending) of the symmetric-definite pencil (M, B), from
+    the lower Cholesky factors Lm and Lb of M = Lm Lm^T and B = Lb Lb^T."""
     try:
-        return scipy.linalg.eigh(*_check_pencil(m, b), eigvals_only=True)
+        return np.linalg.eigvalsh(_pencil_matrix(factor_m, factor_b))
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
 
@@ -272,15 +304,69 @@ def strong_norm_toeplitz(lags) -> float:
         full = spectra * np.fft.rfft(half, size)
         return np.fft.irfft(full[0] - full[1], size)[:n] / errors[-1]
 
-    op = scipy.sparse.linalg.LinearOperator((n, n), matvec=matvec, dtype=float)
-    # A fixed start keeps the output reproducible (ARPACK's default start is
-    # random); a random-valued one, unlike all ones, is not orthogonal to the
-    # skew-symmetric eigenvectors, one of which may be the top one.
-    start = np.random.default_rng(0).standard_normal(n)
-    try:
-        top = scipy.sparse.linalg.eigsh(
-            op, k=1, which="LA", tol=0, v0=start, return_eigenvectors=False
-        )
-    except scipy.sparse.linalg.ArpackError as exc:
-        raise NumericalFailureError(f"Lanczos failed: {exc}") from exc
-    return sigma - 1.0 / float(top[0])
+    # A fixed start keeps the output reproducible; a random-valued one,
+    # unlike all ones, is not orthogonal to the skew-symmetric eigenvectors,
+    # one of which may be the top one.
+    return sigma - 1.0 / _lanczos_top(matvec, np.random.default_rng(0).standard_normal(n))
+
+
+def _lanczos_top(matvec, start: np.ndarray) -> float:
+    """Largest eigenvalue of a symmetric positive-definite operator, by
+    Lanczos from `start` with full reorthogonalisation.
+
+    Stops once the top Ritz value stops growing, theta_k - theta_{k-1} <=
+    2 eps theta_k, or once the Krylov space is invariant; raises past
+    _LANCZOS_STEPS steps.
+    """
+    n = start.size
+    steps = min(_LANCZOS_STEPS, n)
+    basis = np.empty((steps, n))
+    basis[0] = start / np.linalg.norm(start)
+    diag, offdiag = [], []
+    theta = 0.0
+    for k in range(steps):
+        w = matvec(basis[k])
+        # Classical Gram-Schmidt against the whole basis, twice; the first
+        # pass's last coefficient is the new diagonal entry.
+        coef = basis[: k + 1] @ w
+        w -= coef @ basis[: k + 1]
+        w -= (basis[: k + 1] @ w) @ basis[: k + 1]
+        diag.append(float(coef[k]))
+        previous, theta = theta, _top_ritz_value(diag, offdiag)
+        norm = float(np.linalg.norm(w))
+        if theta - previous <= 2.0 * _EPS * theta or norm <= _EPS * theta or k + 1 == n:
+            return theta
+        if k + 1 < steps:
+            offdiag.append(norm)
+            basis[k + 1] = w / norm
+    raise NumericalFailureError(f"Lanczos did not converge in {steps} steps")
+
+
+def _top_ritz_value(diag: list[float], offdiag: list[float]) -> float:
+    """Largest eigenvalue of the symmetric tridiagonal matrix J with these
+    diagonal and off-diagonal entries.
+
+    Newton's method on det(x I - J) from the Gershgorin bound, above every
+    root, where the iterates fall monotonically to the largest one.  The
+    Newton step det / det' is 1 / sum(d_i' / d_i) over the pivots d_i of the
+    LDL^T factorization of x I - J, d_i = x - a_i - b_{i-1}^2 / d_{i-1}; the
+    iteration stops when a step no longer lowers x or a pivot is not
+    positive.
+    """
+    radius = np.concatenate(([0.0], offdiag, [0.0]))  # the b_i are norms, >= 0
+    x = float(np.max(np.asarray(diag) + radius[:-1] + radius[1:]))
+    while True:
+        pivot, slope, ratio = 1.0, 0.0, 0.0
+        for i, a in enumerate(diag):
+            coupling = offdiag[i - 1] ** 2 / pivot if i else 0.0
+            slope = 1.0 + coupling * slope / pivot
+            pivot = x - a - coupling
+            if not pivot > 0.0:
+                # Above the largest root every pivot is positive (Sylvester's
+                # law of inertia), so x is that root to rounding.
+                return x
+            ratio += slope / pivot
+        step = x - 1.0 / ratio
+        if not step < x:
+            return x
+        x = step

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import numpy.fft
 
 from . import numlin
 from .exceptions import (

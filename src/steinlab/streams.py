@@ -24,6 +24,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Iterator
 
 import numpy as np
+import numpy.random
 
 CHUNK_SIZE = 4096
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
-from scipy import special
 
 from . import gaussian, streams
 from .exceptions import DegeneratePairError
@@ -29,7 +29,7 @@ def qfunc_inv(p: float) -> float:
     """Inverse of Q on (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"qfunc_inv requires p in (0, 1), got {p}")
-    return float(math.sqrt(2.0) * special.erfcinv(2.0 * p))
+    return -NormalDist().inv_cdf(p)
 
 
 def good_delta_white_gaussian(n: int, eps: float) -> float:
@@ -211,7 +211,7 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
         raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
     llrs = np.concatenate(list(gaussian.llr_chunks(pair, count, seed, "p")))
     values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
-    cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
+    cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
     i = np.arange(1, count + 1)
     ks = float(np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count)))
     mean = float(np.mean(values))

@@ -4,16 +4,38 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 
 import pytest
 
 from steinlab import cli, detect, numlin, spectral, units
 
 
+# One small run of each study, as CI's console-script step runs them.
+SMALL_STUDIES = [
+    ["rate", "--n-list", "64,128", "--check"],
+    ["typical", "--n-list", "32,64", "--samples", "10000", "--check"],
+    ["detect", "--n-list", "32,64,96", "--samples", "10000", "--check"],
+    ["asymptotics", "--n-list", "64,128", "--check"],
+    ["sublinear", "--n-list", "4,16,64", "--check"],
+]
+
+
 def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_python(script):
+    """Run `script` in a fresh interpreter that imports the package from src/."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    return result
 
 
 def parse_csv(text):
@@ -102,6 +124,22 @@ class TestTypicalCommand:
             assert float(bits[col]) == pytest.approx(float(nats[col]) / units.LN2, rel=1e-10)
         ratio = float(nats["delta_min"]) / float(nats["B_n"])
         assert float(bits["delta_min"]) / float(bits["B_n"]) == pytest.approx(ratio, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "variant, key",
+        [("entropy", "cov_p"), ("rel_entropy", "cov_p"), ("rel_entropy", "cov_q")],
+        ids=["entropy-p", "rel_entropy-p", "rel_entropy-q"],
+    )
+    def test_spectrum_not_positive_exits_2(self, capsys, tmp_path, variant, key):
+        # As in `rate`: a configuration error before any n, not a factor
+        # that fails at n = 3 (exit 3).
+        cfg = tmp_path / "cfg.json"
+        spec = {"kind": "table", "values": [1.0, 0.999999999999]}
+        cfg.write_text(json.dumps({"variant": variant, key: spec}))
+        code, out, err = run_cli(capsys, "typical", "--config", str(cfg), "--n-list", "2,3")
+        assert code == 2
+        assert out == ""
+        assert "spectrum is not positive on the grid" in err
 
 
 class TestDetectCommand:
@@ -247,18 +285,34 @@ class TestAsymptoticsCommand:
 
 
 class TestPlumbing:
-    def test_import_loads_only_runtime_scipy(self):
-        # Each of these would add to every run's start-up time, and the
-        # package uses none of them: it needs numpy, scipy.linalg,
-        # scipy.sparse.linalg and scipy.special.
-        src = os.path.dirname(os.path.dirname(cli.__file__))
-        unwanted = ("mpmath", "scipy.stats", "scipy.integrate", "scipy.optimize")
-        script = f"import sys, steinlab.cli; print(*[m in sys.modules for m in {unwanted!r}])"
-        out = subprocess.run(
-            [sys.executable, "-c", script],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
-        ).stdout
-        assert dict(zip(unwanted, out.split())) == {m: "False" for m in unwanted}
+    def test_import_loads_no_scipy(self):
+        # Each would add to every run's start-up time, and the package needs
+        # numpy alone; scipy and mpmath are the tests' oracles.
+        script = (
+            "import sys, steinlab.cli; "
+            "print(*[m for m in sys.modules if m.startswith(('scipy', 'mpmath'))])"
+        )
+        assert run_python(script).stdout.split() == []
+
+    def test_studies_run_without_scipy(self):
+        # Every study, --check included, with scipy unimportable.
+        script = textwrap.dedent(
+            f"""
+            import contextlib, importlib.abc, io, json, sys
+
+            class NoScipy(importlib.abc.MetaPathFinder):
+                def find_spec(self, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        raise ImportError(f"no module named {{name!r}}")
+
+            sys.meta_path.insert(0, NoScipy())
+            from steinlab import cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [cli.main(argv) for argv in {SMALL_STUDIES!r}]
+            print(json.dumps(codes))
+            """
+        )
+        assert json.loads(run_python(script).stdout) == [0] * len(SMALL_STUDIES)
 
     def test_deterministic_output(self, capsys):
         args = ("typical", "--n-list", "32", "--samples", "2000", "--seed", "9")

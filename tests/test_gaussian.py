@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.stats import multivariate_normal
 
 from steinlab import cli, gaussian, numlin, spectral, streams
@@ -89,6 +90,13 @@ KAPPA_CASES = [
 ] + [
     pytest.param(random_pd(n, seed=n), random_pd(n, seed=n + 1), id=f"random-n={n}")
     for n in (3, 8, 40)
+] + [
+    pytest.param(
+        numlin.toeplitz_from_cov(GEO_HALF, n),
+        numlin.toeplitz_from_cov(spectral.CovarianceSequence.geometric(-0.3), n),
+        id=f"rho=0.5-vs-rho=-0.3-n={n}",
+    )
+    for n in (64, 256)
 ]
 
 
@@ -121,6 +129,14 @@ class TestWhiten:
         kappas = gaussian.whiten(cov_p, cov_q).kappas
         expected = numlin.eig_sym(cov_p, cov_q).eigenvalues[::-1]
         np.testing.assert_allclose(kappas, expected, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("cov_p, cov_q", KAPPA_CASES)
+    def test_kappas_match_scipy(self, cov_p, cov_q):
+        # The reduction through both Cholesky factors against LAPACK's
+        # sygvd, which factors q itself; rel 1e-12 on every kappa.
+        kappas = gaussian.whiten(cov_p, cov_q).kappas
+        expected = scipy.linalg.eigh(cov_p, cov_q, eigvals_only=True)[::-1]
+        np.testing.assert_allclose(kappas, expected, rtol=1e-12, atol=0.0)
 
     def test_kappas_descending(self):
         pair = gaussian.whiten(random_pd(8, seed=12), random_pd(8, seed=13))
@@ -187,11 +203,11 @@ def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
 
         return wrapper
 
-    for name in ("eigvals_sym", "cholesky"):
+    for name in ("pencil_eigvals", "cholesky"):
         monkeypatch.setattr(numlin, name, counted(name))
     ns = [32, 64, 96]
     small = ["--n-list", ",".join(map(str, ns)), "--samples", "10000", "--check"]
-    pair = {"eigvals_sym": len(ns), "cholesky": 2 * len(ns)}
+    pair = {"pencil_eigvals": len(ns), "cholesky": 2 * len(ns)}
     for command, config, expected in [
         ("detect", {}, pair),
         ("typical", {"variant": "rel_entropy"}, pair),

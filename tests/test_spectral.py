@@ -366,7 +366,7 @@ class TestAsymEquivReport:
 
     def test_no_dense_eigensolve(self, monkeypatch):
         calls = []
-        for name in ("eigvals_sym", "eig_sym", "strong_norm"):
+        for name in ("pencil_eigvals", "eig_sym", "strong_norm"):
             solve = getattr(numlin, name)
 
             def counted(*args, _solve=solve, _name=name, **kwargs):

@@ -243,12 +243,22 @@ class TestLagNorms:
         )
 
     def test_lanczos_failure_is_a_numerical_failure(self, monkeypatch):
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        monkeypatch.setattr(numlin, "_LANCZOS_STEPS", 1)
         with pytest.raises(NumericalFailureError):
             numlin.strong_norm_toeplitz(lags("rho=0.5", 16))
+
+    @pytest.mark.parametrize("name", list(COVS))
+    @pytest.mark.parametrize("n", [16, 512, 2048])
+    def test_strong_norm_matches_eigsh(self, name, n):
+        # ARPACK in shift-invert mode about the same circulant bound, on the
+        # dense matrix; rel 1e-13.
+        values = lags(name, n)
+        sigma = np.fft.rfft(np.concatenate((values, [0.0], values[:0:-1]))).real.max()
+        (expected,) = scipy.sparse.linalg.eigsh(
+            scipy.linalg.toeplitz(values), k=1, sigma=sigma, which="LM", tol=0,
+            return_eigenvectors=False,
+        )
+        assert numlin.strong_norm_toeplitz(values) == pytest.approx(expected, rel=1e-13)
 
 
 def test_exact_studies_form_no_dense_matrix(capsys, monkeypatch, tmp_path):
@@ -259,7 +269,7 @@ def test_exact_studies_form_no_dense_matrix(capsys, monkeypatch, tmp_path):
         (numlin, "toeplitz_from_cov"),
         (numlin, "banded_from_cov"),
         (numlin, "circulant_from_cov"),
-        (numlin, "eigvals_sym"),
+        (numlin, "pencil_eigvals"),
         (numlin, "eig_sym"),
         (scipy.linalg, "eigh"),
         (scipy.linalg, "toeplitz"),

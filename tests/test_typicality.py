@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 from scipy.stats import norm
 
 from steinlab import gaussian, numlin, typicality
@@ -12,6 +13,13 @@ class TestQfunc:
     def test_inverse_matches_scipy_isf(self):
         for p in (1e-6, 0.025, 0.5, 0.9):
             assert typicality.qfunc_inv(p) == pytest.approx(norm.isf(p), rel=1e-10)
+
+    def test_inverse_within_1e14_of_scipy(self):
+        # `detect` starts Newton at the normal quantile -qfunc_inv(tau).
+        lower, upper = np.logspace(-300, -2, 60), 1.0 - np.logspace(-15, -2, 27)
+        for p in np.concatenate((lower, np.linspace(0.01, 0.99, 99), upper)):
+            assert typicality.qfunc_inv(p) == pytest.approx(norm.isf(p), rel=1e-14, abs=0.0)
+            assert -typicality.qfunc_inv(p) == pytest.approx(special.ndtri(p), rel=1e-14, abs=0.0)
 
     def test_inverse_domain(self):
         for p in (0.0, 1.0, -0.1):
@@ -115,6 +123,18 @@ class TestCltCheck:
         assert result.passed
         assert abs(result.mean) < 0.05
         assert abs(result.variance - 1.0) < 0.1
+
+    def test_cdf_matches_scipy_erfc(self, pair_rho_half_n64):
+        # The same draws against Phi from `scipy.special.erfc`: the two Phi
+        # agree to 2 ulp of 1, so the distance does to 1e-15 absolute.
+        pair, count, seed = pair_rho_half_n64, 10_000, 7
+        result = typicality.clt_psi_check(pair, count, seed)
+        llrs = np.concatenate(list(gaussian.llr_chunks(pair, count, seed, "p")))
+        values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
+        cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
+        i = np.arange(1, count + 1)
+        ks = np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count))
+        assert result.ks_distance == pytest.approx(ks, rel=0.0, abs=1e-15)
 
     def test_degenerate_pair_rejected(self):
         pair = gaussian.diagonal_pair([1.0, 1.0, 1.0])
