@@ -188,6 +188,23 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
     return summary, rows
 
 
+def _typical_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tuple:
+    """(n, B_n, delta_min, set) at dimension n: the entropy set of p when
+    `cov_q` is None, else the relative-entropy set of (p, q)."""
+    if cov_q is None:
+        delta_min = typicality.good_delta_white_gaussian(n, eps)
+        spec = typicality.TypicalSetSpec.entropy(
+            gaussian.model_toeplitz(cov_p, n), factor * delta_min
+        )
+        return n, math.sqrt(n), delta_min, spec
+    pair = gaussian.whiten(
+        numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
+    )
+    threshold = typicality.good_delta_correlated(pair, eps)
+    spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * threshold.delta)
+    return n, threshold.b_n, threshold.delta, spec
+
+
 def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     eps = config["eps"]
     factor = config["delta_factor"]
@@ -198,23 +215,15 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     # A spectrum that is not positive is a configuration error here as in
     # `rate`, before any n can fail the factorization instead.
     cov_p.spectrum()
+    cov_q = None
     if variant == "rel_entropy":
         cov_q = covariance_from_spec(config["cov_q"])
         cov_q.spectrum()
+    # Every set first, then every draw (see `streams`); a set keeps only
+    # its statistic's coefficient vector and scalars, not the matrices.
+    sets = [_typical_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
     rows = []
-    for i, n in enumerate(config["ns"]):
-        lam_p = numlin.toeplitz_from_cov(cov_p, n)
-        if variant == "entropy":
-            delta_min = typicality.good_delta_white_gaussian(n, eps)
-            b_n = math.sqrt(n)
-            spec = typicality.TypicalSetSpec.entropy(
-                gaussian.model_from_cov(lam_p), factor * delta_min
-            )
-        else:
-            pair = gaussian.whiten(lam_p, numlin.toeplitz_from_cov(cov_q, n))
-            threshold = typicality.good_delta_correlated(pair, eps)
-            delta_min, b_n = threshold.delta, threshold.b_n
-            spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * delta_min)
+    for i, (n, b_n, delta_min, spec) in enumerate(sets):
         mc = typicality.mc_typical_prob(spec, samples, streams.derive_seed(seed, i))
         rows.append(
             {

@@ -12,7 +12,7 @@ LLR law are invariant under the whitening bijection, so under p the LLR is
 offset + sum_j c_j z_j^2 with c = (kappas - 1)/2 and z standard normal.
 Its law is known exactly, so the threshold for a type-I error of tau is
 the root of an inverted characteristic function (`np_threshold_exact`),
-with no draws; every sampled LLR value comes from `gaussian.llr_chunks`.
+with no draws; every sampled LLR value comes from `gaussian.form_chunks`.
 The inversion (`quadratic_form_cdf`) is one adaptive G10/K21
 Gauss-Kronrod quadrature whose nodes are evaluated in batches, panel by
 panel, until its summed error estimate is at most 1e-12.
@@ -526,6 +526,26 @@ class GcslResult:
     slope_rel_err: float
 
 
+def _exact_terms(
+    cov_p: spectral.CovarianceSequence,
+    cov_q: spectral.CovarianceSequence,
+    n: int,
+    tau: float,
+) -> tuple:
+    """What the draws and the row of one n read: (n, kl, gamma, window,
+    exact threshold detector, LLR form under p).  The n x n matrices they
+    come from are dropped on return."""
+    pair = gaussian.whiten(
+        numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
+    )
+    _require_pair(pair)
+    # The window's delta and gamma are the same minimal good threshold.
+    gamma = typicality.good_delta_correlated(pair, tau).delta
+    window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
+    det_np = np_threshold_exact(pair, tau)
+    return n, pair.kl, gamma, window, det_np, gaussian.llr_form(pair, "p")
+
+
 def gcsl_experiment(
     cov_p: spectral.CovarianceSequence,
     cov_q: spectral.CovarianceSequence,
@@ -536,12 +556,16 @@ def gcsl_experiment(
 ) -> GcslResult:
     """Run the full exponent study for a pair of covariance sequences.
 
-    For each n: exact KL, the minimal good threshold gamma (from B_n, at
-    eps=tau), the analytic exponent window with delta = gamma, the exact
-    level-tau threshold (`np_threshold_exact`, no draws), and Monte Carlo
-    -ln(beta) for both the threshold detector and the typical-set detector.
-    Each n draws one set of evaluation samples, from its own derived seed,
-    and both detectors are scored on it.
+    It runs in two phases.  The exact phase takes, for each n, the exact
+    KL, the minimal good threshold gamma (from B_n, at eps=tau), the
+    analytic exponent window with delta = gamma and the exact level-tau
+    threshold (`np_threshold_exact`, no draws); of each n it keeps the LLR
+    form and those scalars, not the matrices.  Only then does the draw
+    phase estimate -ln(beta) by Monte Carlo for both the threshold
+    detector and the typical-set detector: each n draws one set of
+    evaluation samples, from its own derived seed, in the order of ns, and
+    both detectors are scored on it.  All dense linear algebra thus ends
+    before the first draw (see `streams`).
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
@@ -554,21 +578,14 @@ def gcsl_experiment(
     if rate == 0.0:
         raise DegeneratePairError("the two covariance sequences coincide")
 
+    exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
     rows = []
-    for i, n in enumerate(ns):
-        lam_p = numlin.toeplitz_from_cov(cov_p, n)
-        lam_q = numlin.toeplitz_from_cov(cov_q, n)
-        pair = gaussian.whiten(lam_p, lam_q)
-        _require_pair(pair)
-        # The window's delta and gamma are the same minimal good threshold.
-        gamma = typicality.good_delta_correlated(pair, tau).delta
-        window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
-
-        det_np = np_threshold_exact(pair, tau)
+    for i, (n, kl, gamma, window, det_np, (coef, offset)) in enumerate(exact):
         det_ts = DetectorSpec.typical_set(gamma)
-        llrs = sample_llr(pair, count, streams.derive_seed(seed, i, 1))
-        est_np = _error_estimates(det_np, llrs, pair.kl)
-        est_ts = _error_estimates(det_ts, llrs, pair.kl)
+        chunks = gaussian.form_chunks(coef, offset, count, streams.derive_seed(seed, i, 1))
+        llrs = np.concatenate(list(chunks))
+        est_np = _error_estimates(det_np, llrs, kl)
+        est_ts = _error_estimates(det_ts, llrs, kl)
 
         margin = 3.0 * est_np.stderr_beta_log
         in_window = (
@@ -577,7 +594,7 @@ def gcsl_experiment(
         rows.append(
             GcslRow(
                 n=n,
-                kl=pair.kl,
+                kl=kl,
                 gamma=gamma,
                 exp_lower=window.exp_lower,
                 exp_upper=window.exp_upper,

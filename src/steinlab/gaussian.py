@@ -1,18 +1,20 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
 A `GaussianModel` holds the dimension, log-determinant and differential
-entropy of its covariance, from one checked Cholesky factor.  `whiten`
+entropy of its covariance, from one checked Cholesky factor of a dense
+covariance (`model_from_cov`) or from the Levinson recursion of a
+stationary one (`model_toeplitz`: O(n^2) time, no LAPACK call).  `whiten`
 checks both covariances by their factors Lp and Lq and reduces the pair
 through them to the equivalent diagonal-vs-identity test, with diagonal
 entries the kappas: the pencil's eigenvalues, from one values-only solve
 of X X^T with X = Lq^-1 Lp, so q is factored once; there the
 log-likelihood ratio is an affine weighted sum of chi-square variables,
 whose weights `llr_form` gives and which `llr_chunks` samples for all the
-detection code, through `streams.quadratic_chunks`: no density is
-evaluated and no draw is kept as a vector.  The whitening map itself,
-U^T Lq^-1 for the eigenvectors U of X X^T, is solved for only when it is
-read.  `kl_toeplitz` gives the same relative entropy for two stationary
-covariances straight from their lags.
+detection code, through `form_chunks` and `streams.quadratic_chunks`: no
+density is evaluated and no draw is kept as a vector.  The whitening map
+itself, U^T Lq^-1 for the eigenvectors U of X X^T, is solved for only
+when it is read.  `kl_toeplitz` gives the same relative entropy for two
+stationary covariances straight from their lags.
 """
 
 from __future__ import annotations
@@ -36,14 +38,29 @@ class GaussianModel:
     log_det: float
     entropy: float
 
+    @classmethod
+    def from_log_det(cls, n: int, log_det: float) -> "GaussianModel":
+        """The model of dimension n whose covariance has this log-determinant:
+        its entropy is 0.5 (n (ln 2 pi + 1) + log det)."""
+        return cls(n=n, log_det=log_det, entropy=0.5 * (n * (LOG_2PI + 1.0) + log_det))
+
 
 def model_from_cov(cov: np.ndarray) -> GaussianModel:
     """Build a model from a symmetric positive-definite covariance."""
     factor = numlin.cholesky(numlin.symmetrize(cov), "covariance")
-    n = factor.shape[0]
     log_det = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    entropy = 0.5 * (n * (LOG_2PI + 1.0) + log_det)
-    return GaussianModel(n=n, log_det=log_det, entropy=entropy)
+    return GaussianModel.from_log_det(factor.shape[0], log_det)
+
+
+def model_toeplitz(cov, n: int) -> GaussianModel:
+    """`model_from_cov` of the n x n Toeplitz matrix of a covariance
+    sequence, from its lags: log det T = sum(log E_k) over the prediction
+    errors of `numlin.levinson`, which apply the same positive-definiteness
+    rule as the Cholesky pivots."""
+    if n < 1:
+        raise InvalidDimensionError(f"n must be >= 1, got {n}")
+    _, errors = numlin.levinson(cov.k(np.arange(n)))
+    return GaussianModel.from_log_det(n, float(np.sum(np.log(errors))))
 
 
 def _kl_from_kappas(kappas: np.ndarray) -> float:
@@ -146,6 +163,11 @@ def llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
 
 def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
     """Yield the LLR values of `count` whitened draws from p or q, by chunk."""
-    coef, offset = llr_form(pair, under)
+    return form_chunks(*llr_form(pair, under), count, seed)
+
+
+def form_chunks(coef: np.ndarray, offset: float, count: int, seed: int):
+    """Yield, by chunk, offset + sum_j coef[j] z_j^2 for `count` draws
+    z ~ N(0, I): the values of `streams.quadratic_chunks`, shifted."""
     for quad in streams.quadratic_chunks(seed, count, coef):
         yield quad + offset

@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import gaussian, streams
+from . import gaussian
 from .exceptions import DegeneratePairError
 
 EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
@@ -114,15 +114,13 @@ def mc_typical_prob(
     """Fraction of `count` samples from p that land in the typical set,
     with its binomial standard error.
 
-    Each draw's statistic is spec.offset plus its weighted sum of squares
-    from `streams.quadratic_chunks`: for a relative-entropy set, the same
-    values `gaussian.llr_chunks` yields.
+    Each draw's statistic comes from `gaussian.form_chunks`: for a
+    relative-entropy set, the same values `gaussian.llr_chunks` yields.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
     hits = 0
-    for quad in streams.quadratic_chunks(seed, count, spec.coef):
-        stat = quad + spec.offset
+    for stat in gaussian.form_chunks(spec.coef, spec.offset, count, seed):
         hits += int(np.count_nonzero(np.abs(stat - spec.center) <= spec.delta))
     estimate = hits / count
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)

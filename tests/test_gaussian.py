@@ -42,6 +42,23 @@ class TestModel:
         with pytest.raises(NotPositiveDefiniteError):
             gaussian.model_from_cov(NEAR_SINGULAR)
 
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.95])
+    @pytest.mark.parametrize("n", [1, 17, 256])
+    def test_toeplitz_matches_dense(self, rho, n):
+        cov = spectral.CovarianceSequence.geometric(rho)
+        dense = gaussian.model_from_cov(numlin.toeplitz_from_cov(cov, n))
+        model = gaussian.model_toeplitz(cov, n)
+        assert model.n == n
+        assert model.log_det == pytest.approx(dense.log_det, rel=1e-12, abs=1e-12)
+        assert model.entropy == pytest.approx(dense.entropy, rel=1e-13)
+
+    def test_toeplitz_near_singular_rejected(self):
+        # The 2x2 Toeplitz matrix of K = (1, 1 - 1e-13) has last pivot about
+        # 2e-13, below the PD rule, as for its Cholesky factor.
+        lags = spectral.CovarianceSequence.from_table([1.0, 1.0 - 1e-13])
+        with pytest.raises(NotPositiveDefiniteError):
+            gaussian.model_toeplitz(lags, 2)
+
 
 class TestKl:
     def test_equal_covariances(self):
@@ -185,8 +202,9 @@ class TestLlr:
 def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
     # detect and typical need the pencil eigenvalues and log-determinants
     # only: per n, one values-only pencil solve and two checked Cholesky
-    # factors for a pair, one factor for an entropy model, and no
-    # eigenvector solve.
+    # factors for a pair, and no eigenvector solve.  An entropy model takes
+    # its log-determinant from the Levinson recursion, so it factors
+    # nothing.
     def refuse(*args, **kwargs):
         raise AssertionError("eigenvector solve")
 
@@ -211,7 +229,7 @@ def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
     for command, config, expected in [
         ("detect", {}, pair),
         ("typical", {"variant": "rel_entropy"}, pair),
-        ("typical", {"variant": "entropy"}, {"cholesky": len(ns)}),
+        ("typical", {"variant": "entropy"}, {}),
     ]:
         cfg = tmp_path / "config.json"
         cfg.write_text(json.dumps(config))
@@ -219,3 +237,50 @@ def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
         assert cli.main([command, "--config", str(cfg), *small]) == 0, capsys.readouterr().err
         assert calls == expected, (command, config)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "command, config, factors",
+    [
+        pytest.param("detect", {}, {"cholesky", "pencil_eigvals"}, id="detect"),
+        pytest.param(
+            "typical",
+            {"variant": "rel_entropy"},
+            {"cholesky", "pencil_eigvals"},
+            id="typical-rel_entropy",
+        ),
+        pytest.param("typical", {"variant": "entropy"}, {"levinson"}, id="typical-entropy"),
+    ],
+)
+def test_studies_factor_everything_before_drawing(
+    command, config, factors, capsys, monkeypatch, tmp_path
+):
+    # A LAPACK call leaves OpenBLAS threads running that slow the draws
+    # after it (see `streams`), so a study ends every factorization before
+    # its first draw, then draws once per n.
+    events = []
+
+    def logged(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for module, name in [
+        (numlin, "cholesky"),
+        (numlin, "pencil_eigvals"),
+        (numlin, "levinson"),
+        (streams, "quadratic_chunks"),
+    ]:
+        monkeypatch.setattr(module, name, logged(module, name))
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(config))
+    argv = [command, "--config", str(cfg), "--n-list", "32,64,96", "--samples", "10000"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    capsys.readouterr()
+    first_draw = events.index("quadratic_chunks")
+    assert events[first_draw:] == ["quadratic_chunks"] * 3
+    assert set(events[:first_draw]) == factors
