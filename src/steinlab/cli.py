@@ -434,8 +434,11 @@ def main(argv: list[str] | None = None) -> int:
         summary, rows = RUNNERS[args.command](config)
         text = render_csv(args.command, config, summary, rows)
         if config.get("out"):
-            with open(config["out"], "w") as handle:
-                handle.write(text)
+            try:
+                with open(config["out"], "w") as handle:
+                    handle.write(text)
+            except OSError as exc:
+                raise ConfigError(f"cannot write {config['out']}: {exc}") from exc
         else:
             sys.stdout.write(text)
         if args.check:

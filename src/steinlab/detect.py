@@ -12,7 +12,7 @@ LLR law are invariant under the whitening bijection, so under p the LLR is
 offset + sum_j c_j z_j^2 with c = (kappas - 1)/2 and z standard normal.
 Its law is known exactly, so the threshold for a type-I error of tau is
 the root of an inverted characteristic function (`np_threshold_exact`),
-with no draws; every sampled LLR value comes from `gaussian.form_chunks`.
+with no draws; every sampled LLR value comes from `streams.quadratic_draws`.
 The inversion (`quadratic_form_cdf`) is one adaptive G10/K21
 Gauss-Kronrod quadrature whose nodes are evaluated in batches, panel by
 panel, until its summed error estimate is at most 1e-12.
@@ -153,7 +153,7 @@ def sample_llr(
     pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
 ) -> np.ndarray:
     """LLR values of `count` draws from p or q, in whitened coordinates."""
-    return np.concatenate(list(gaussian.llr_chunks(pair, count, seed, under)))
+    return streams.quadratic_draws(seed, count, *gaussian.llr_form(pair, under))
 
 
 def np_calibrate(
@@ -582,8 +582,7 @@ def gcsl_experiment(
     rows = []
     for i, (n, kl, gamma, window, det_np, (coef, offset)) in enumerate(exact):
         det_ts = DetectorSpec.typical_set(gamma)
-        chunks = gaussian.form_chunks(coef, offset, count, streams.derive_seed(seed, i, 1))
-        llrs = np.concatenate(list(chunks))
+        llrs = streams.quadratic_draws(streams.derive_seed(seed, i, 1), count, coef, offset)
         est_np = _error_estimates(det_np, llrs, kl)
         est_ts = _error_estimates(det_ts, llrs, kl)
 

@@ -9,11 +9,10 @@ through them to the equivalent diagonal-vs-identity test, with diagonal
 entries the kappas: the pencil's eigenvalues, from one values-only solve
 of X X^T with X = Lq^-1 Lp, so q is factored once; there the
 log-likelihood ratio is an affine weighted sum of chi-square variables,
-whose weights `llr_form` gives and which `llr_chunks` samples for all the
-detection code, through `form_chunks` and `streams.quadratic_chunks`: no
-density is evaluated and no draw is kept as a vector.  The whitening map
-itself, U^T Lq^-1 for the eigenvectors U of X X^T, is solved for only
-when it is read.  `kl_toeplitz` gives the same relative entropy for two
+whose weights `llr_form` gives and from which `streams.quadratic_draws`
+samples it for all the detection code: no density is evaluated and no
+draw is kept as a vector.  The whitening map itself, U^T Lq^-1 for the
+eigenvectors U of X X^T, is solved for only when it is read.  `kl_toeplitz` gives the same relative entropy for two
 stationary covariances straight from their lags.
 """
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numlin, streams
+from . import numlin
 from .exceptions import InvalidDimensionError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -159,15 +158,3 @@ def llr_form(pair: HypothesisPair, under: str) -> tuple[np.ndarray, float]:
     if under == "q":
         coef = coef / pair.kappas
     return coef, -0.5 * float(np.sum(np.log(pair.kappas)))
-
-
-def llr_chunks(pair: HypothesisPair, count: int, seed: int, under: str):
-    """Yield the LLR values of `count` whitened draws from p or q, by chunk."""
-    return form_chunks(*llr_form(pair, under), count, seed)
-
-
-def form_chunks(coef: np.ndarray, offset: float, count: int, seed: int):
-    """Yield, by chunk, offset + sum_j coef[j] z_j^2 for `count` draws
-    z ~ N(0, I): the values of `streams.quadratic_chunks`, shifted."""
-    for quad in streams.quadratic_chunks(seed, count, coef):
-        yield quad + offset

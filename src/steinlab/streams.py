@@ -5,16 +5,17 @@ independent generator per chunk (stream id = chunk index).  The output for a
 given (seed, count) is therefore byte-identical regardless of how chunks are
 scheduled across workers.
 
-`quadratic_chunks` is the one Monte Carlo kernel: it reduces each chunk's
+`quadratic_draws` is the one Monte Carlo kernel: it reduces each chunk's
 draws to the weighted sums of squares every statistic needs, in cache-sized
-row blocks, on every usable core.  It matches the plain reduction of
+row blocks, on every usable core, each worker writing its chunk's slice of
+one output array.  It matches the plain reduction of
 `standard_normal_chunks` bit for bit as long as BLAS sums each row of a
 matrix-vector product in the same order whatever the rows around it and
 its own thread count; that was verified on x86-64 with OpenBLAS 0.3.31 at
 1-4 BLAS threads and 1-3 workers, not in general.  `standard_normal_chunks`
 yields the raw draws.  No library routine calls it: it is the reference
-definition of the draws, against which tests check `quadratic_chunks` and
-the LLR samplers.
+definition of the draws, against which tests check `quadratic_draws` and
+the LLR sampler.
 
 A study finishes all of its LAPACK work (factors, eigensolves) before its
 first draw.  After a LAPACK call, OpenBLAS's own threads keep spinning for
@@ -83,13 +84,14 @@ def _worker_count() -> int:
         return os.cpu_count() or 1
 
 
-def _quadratic_chunk(seed: int, index: int, size: int, coef: np.ndarray) -> np.ndarray:
-    # One chunk's draws, a block of rows at a time, in one cache-sized buffer.
+def _quadratic_chunk(seed: int, index: int, coef: np.ndarray, out: np.ndarray) -> None:
+    # One chunk's draws, a block of rows at a time, in one cache-sized buffer,
+    # reduced into `out`, the chunk's slice of the output.
     dim = coef.size
+    size = out.size
     rows = max(_ROW_ALIGN, _BLOCK_DOUBLES // dim // _ROW_ALIGN * _ROW_ALIGN)
     buf = np.empty((rows + 1, dim))
     rng = chunk_rng(seed, index)
-    out = np.empty(size)
     start = 0
     while start < size:
         # No one-row tail: numpy reduces a lone row by a dot product, which
@@ -100,17 +102,25 @@ def _quadratic_chunk(seed: int, index: int, size: int, coef: np.ndarray) -> np.n
         np.square(block, out=block)
         np.matmul(block, coef, out=out[start:stop])
         start = stop
-    return out
 
 
-def quadratic_chunks(seed: int, count: int, coef: np.ndarray) -> Iterator[np.ndarray]:
-    """Yield, by chunk, sum_j coef[j] z_ij^2 over the rows z_i of
+def quadratic_draws(seed: int, count: int, coef: np.ndarray, offset: float) -> np.ndarray:
+    """offset + sum_j coef[j] z_ij^2 over the rows z_i of
     `standard_normal_chunks(seed, count, coef.size)`, bit for bit.
 
-    Chunks are computed on every usable core and yielded in chunk order.
+    Chunks are computed on every usable core, each into its own slice of
+    the returned array.  Every worker's exception is raised here, and the
+    workers have ended when this returns.
     """
     coef = np.ascontiguousarray(coef, dtype=float)
+    out = np.empty(count)
+
+    def fill(chunk: tuple[int, int]) -> None:
+        index, size = chunk
+        part = out[index * CHUNK_SIZE : index * CHUNK_SIZE + size]
+        _quadratic_chunk(seed, index, coef, part)
+        part += offset
+
     with ThreadPoolExecutor(_worker_count()) as pool:
-        yield from pool.map(
-            lambda chunk: _quadratic_chunk(seed, *chunk, coef), chunk_sizes(count)
-        )
+        list(pool.map(fill, chunk_sizes(count)))
+    return out

@@ -4,7 +4,7 @@ Covers both flavors of typical set (entropy-centered and relative-entropy-
 centered) as the statistic each tests, the inverse normal tail they
 calibrate against, the minimal good thresholds for the white and the
 correlated Gaussian cases, Monte Carlo set-probability estimation on the
-draws of `streams.quadratic_chunks`, the volume / q-probability bound
+draws of `streams.quadratic_draws`, the volume / q-probability bound
 formulas, and a CLT check of the log-likelihood-ratio fluctuation.
 Everything is in nats.
 """
@@ -17,7 +17,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from . import gaussian
+from . import gaussian, streams
 from .exceptions import DegeneratePairError
 
 EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
@@ -114,15 +114,13 @@ def mc_typical_prob(
     """Fraction of `count` samples from p that land in the typical set,
     with its binomial standard error.
 
-    Each draw's statistic comes from `gaussian.form_chunks`: for a
-    relative-entropy set, the same values `gaussian.llr_chunks` yields.
+    Each draw's statistic comes from `streams.quadratic_draws`: for a
+    relative-entropy set, the same values `detect.sample_llr` gives.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    hits = 0
-    for stat in gaussian.form_chunks(spec.coef, spec.offset, count, seed):
-        hits += int(np.count_nonzero(np.abs(stat - spec.center) <= spec.delta))
-    estimate = hits / count
+    stats = streams.quadratic_draws(seed, count, spec.coef, spec.offset)
+    estimate = int(np.count_nonzero(np.abs(stats - spec.center) <= spec.delta)) / count
     stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
     return MonteCarloProbability(estimate=estimate, stderr=stderr)
 
@@ -207,7 +205,7 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
         raise ValueError(f"count must be >= 10000, got {count}")
     if pair.b_n == 0.0:
         raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    llrs = np.concatenate(list(gaussian.llr_chunks(pair, count, seed, "p")))
+    llrs = streams.quadratic_draws(seed, count, *gaussian.llr_form(pair, "p"))
     values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
     cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
     i = np.arange(1, count + 1)

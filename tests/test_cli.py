@@ -185,7 +185,7 @@ class TestDetectCommand:
 
 
 # Output of the three runs below, recorded before every Monte Carlo statistic
-# moved onto the blocked, threaded kernel `streams.quadratic_chunks`, which
+# moved onto the blocked, threaded kernel `streams.quadratic_draws`, which
 # must reproduce it bit for bit.  `detect` has since gained eight columns
 # after `in_window`; the recorded seven are compared as printed.  Its
 # `np_beta_log` and summary were re-recorded when the threshold detector
@@ -326,6 +326,14 @@ class TestPlumbing:
         assert code == 0
         assert out == ""
         assert path.read_text().startswith("# command=sublinear")
+
+    @pytest.mark.parametrize("name", ["", "missing/result.csv"], ids=["directory", "no-parent"])
+    def test_unwritable_out_exits_2(self, capsys, tmp_path, name):
+        out_path = str(tmp_path / name) if name else str(tmp_path)
+        code, out, err = run_cli(capsys, "sublinear", "--n-list", "8", "--out", out_path)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {out_path}")
 
     def test_config_file_with_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

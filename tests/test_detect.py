@@ -305,13 +305,13 @@ class TestExactThreshold:
 
     def test_experiment_draws_only_evaluation_samples(self, monkeypatch):
         calls = []
-        kernel = streams.quadratic_chunks
+        kernel = streams.quadratic_draws
 
-        def counted(seed, count, coef):
+        def counted(seed, count, coef, offset):
             calls.append((seed, count, coef.size))
-            return kernel(seed, count, coef)
+            return kernel(seed, count, coef, offset)
 
-        monkeypatch.setattr(streams, "quadratic_chunks", counted)
+        monkeypatch.setattr(streams, "quadratic_draws", counted)
         ns = [16, 32, 48]
         result = detect.gcsl_experiment(
             spectral.CovarianceSequence.geometric(0.5),
@@ -537,7 +537,7 @@ class TestGcslExperiment:
         def refuse(*args, **kwargs):
             raise AssertionError("sampled before checking ns")
 
-        monkeypatch.setattr(streams, "quadratic_chunks", refuse)
+        monkeypatch.setattr(streams, "quadratic_draws", refuse)
         cov_p = spectral.CovarianceSequence.geometric(0.5)
         white = spectral.CovarianceSequence.white()
         with pytest.raises(ValueError, match="at least 3"):

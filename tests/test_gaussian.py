@@ -6,7 +6,7 @@ import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
-from steinlab import cli, gaussian, numlin, spectral, streams
+from steinlab import cli, detect, gaussian, numlin, spectral, streams
 from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
 
 from conftest import random_pd
@@ -188,7 +188,7 @@ class TestLlr:
         kappas = np.linspace(2.5, 0.5, 6)
         pair = gaussian.diagonal_pair(kappas)
         zs = np.concatenate(list(streams.standard_normal_chunks(4, 5000, 6)))
-        sampled = np.concatenate(list(gaussian.llr_chunks(pair, 5000, 4, "q")))
+        sampled = detect.sample_llr(pair, 5000, 4, "q")
         log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(zs)
         log_q = multivariate_normal(cov=np.eye(6)).logpdf(zs)
         assert np.allclose(sampled, log_p - log_q, atol=1e-10)
@@ -196,7 +196,7 @@ class TestLlr:
     def test_chunks_reject_unknown_law(self):
         pair = gaussian.diagonal_pair([2.0, 0.5])
         with pytest.raises(ValueError):
-            next(gaussian.llr_chunks(pair, 10, 0, "r"))
+            gaussian.llr_form(pair, "r")
 
 
 def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):
@@ -273,7 +273,7 @@ def test_studies_factor_everything_before_drawing(
         (numlin, "cholesky"),
         (numlin, "pencil_eigvals"),
         (numlin, "levinson"),
-        (streams, "quadratic_chunks"),
+        (streams, "quadratic_draws"),
     ]:
         monkeypatch.setattr(module, name, logged(module, name))
     cfg = tmp_path / "config.json"
@@ -281,6 +281,6 @@ def test_studies_factor_everything_before_drawing(
     argv = [command, "--config", str(cfg), "--n-list", "32,64,96", "--samples", "10000"]
     assert cli.main(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
-    first_draw = events.index("quadratic_chunks")
-    assert events[first_draw:] == ["quadratic_chunks"] * 3
+    first_draw = events.index("quadratic_draws")
+    assert events[first_draw:] == ["quadratic_draws"] * 3
     assert set(events[:first_draw]) == factors

@@ -62,16 +62,27 @@ def test_derived_seeds_are_distinct_ints():
     assert len(set(seeds)) == len(seeds)
 
 
+def _reference(seed, count, coef):
+    # The plain reduction of the raw draws, chunk by chunk.
+    chunks = streams.standard_normal_chunks(seed, count, coef.size)
+    return np.concatenate([(z * z) @ coef for z in chunks])
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 @pytest.mark.parametrize("count", [1, 4095, 2 * streams.CHUNK_SIZE + 7])
 @pytest.mark.parametrize("dim", [1, 3, 7, 64, 100, 384, 1000])
 def test_quadratic_chunks_match_the_normal_stream(monkeypatch, dim, count, workers):
     monkeypatch.setattr(streams, "_worker_count", lambda: workers)
     coef = np.random.default_rng(dim).standard_normal(dim)
-    expected = [(z * z) @ coef for z in streams.standard_normal_chunks(11, count, dim)]
-    got = list(streams.quadratic_chunks(11, count, coef))
-    assert len(got) == len(expected)
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+    got = streams.quadratic_draws(11, count, coef, 0.0)
+    assert np.array_equal(got, _reference(11, count, coef))
+
+
+def test_quadratic_draws_add_the_offset():
+    coef = np.random.default_rng(5).standard_normal(5)
+    count = streams.CHUNK_SIZE + 9
+    got = streams.quadratic_draws(4, count, coef, -2.75)
+    assert np.array_equal(got, _reference(4, count, coef) + -2.75)
 
 
 @pytest.mark.parametrize("dim", [384, 1000])
@@ -80,9 +91,8 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
     # would reduce by a dot product instead of the matrix-vector product.
     coef = np.random.default_rng(dim).standard_normal(dim)
     for count in (65, 129, streams.CHUNK_SIZE + 65):
-        expected = [(z * z) @ coef for z in streams.standard_normal_chunks(2, count, dim)]
-        got = list(streams.quadratic_chunks(2, count, coef))
-        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+        got = streams.quadratic_draws(2, count, coef, 0.0)
+        assert np.array_equal(got, _reference(2, count, coef))
 
 
 _ONE_BLAS_THREAD_SCRIPT = """
@@ -92,9 +102,9 @@ for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
     expected = [(z * z) @ coef for z in streams.standard_normal_chunks(11, count, dim)]
-    got = list(streams.quadratic_chunks(11, count, coef))
-    assert all(np.array_equal(a, b) for a, b in zip(got, expected))
-    print(np.concatenate(got).tobytes().hex())
+    got = streams.quadratic_draws(11, count, coef, 0.0)
+    assert np.array_equal(got, np.concatenate(expected))
+    print(got.tobytes().hex())
 """
 
 
@@ -110,15 +120,48 @@ def test_quadratic_chunks_match_under_one_blas_thread():
     here = []
     for dim in (3, 384, 1000):
         coef = np.random.default_rng(dim).standard_normal(dim)
-        got = streams.quadratic_chunks(11, 2 * streams.CHUNK_SIZE + 7, coef)
-        here.append(np.concatenate(list(got)).tobytes().hex())
+        got = streams.quadratic_draws(11, 2 * streams.CHUNK_SIZE + 7, coef, 0.0)
+        here.append(got.tobytes().hex())
     # The default thread count gives the same bytes as one thread.
     assert single == here
 
 
-def test_closing_quadratic_chunks_leaves_no_threads():
+def test_worker_failure_is_raised_and_leaves_no_threads(monkeypatch):
+    chunk_rng = streams.chunk_rng
+
+    def failing(seed, index):
+        if index == 1:
+            raise RuntimeError("chunk 1 failed")
+        return chunk_rng(seed, index)
+
+    monkeypatch.setattr(streams, "chunk_rng", failing)
     threads = threading.active_count()
-    chunks = streams.quadratic_chunks(3, 64 * streams.CHUNK_SIZE, np.ones(64))
-    assert next(chunks).shape == (streams.CHUNK_SIZE,)
-    chunks.close()
+    with pytest.raises(RuntimeError, match="chunk 1 failed"):
+        streams.quadratic_draws(3, 8 * streams.CHUNK_SIZE, np.ones(64), 0.0)
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("dim", [3, 384])
+def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
+    # More workers than cores and a short switch interval, so that writes to
+    # neighbouring slices of the one output array interleave.  The pool starts
+    # at most one thread per chunk: six here, whatever the core count.
+    monkeypatch.setattr(streams, "_worker_count", lambda: 2 * (os.cpu_count() or 1) + 1)
+    coef = np.random.default_rng(dim).standard_normal(dim)
+    count = 5 * streams.CHUNK_SIZE + 7
+    got = []
+
+    def call():
+        got.append(streams.quadratic_draws(8, count, coef, 0.0))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=call)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(got) == 1
+    assert np.array_equal(got[0], _reference(8, count, coef))

@@ -5,7 +5,7 @@ import pytest
 from scipy import special
 from scipy.stats import norm
 
-from steinlab import gaussian, numlin, typicality
+from steinlab import detect, gaussian, numlin, typicality
 from steinlab.exceptions import DegeneratePairError
 
 
@@ -129,7 +129,7 @@ class TestCltCheck:
         # agree to 2 ulp of 1, so the distance does to 1e-15 absolute.
         pair, count, seed = pair_rho_half_n64, 10_000, 7
         result = typicality.clt_psi_check(pair, count, seed)
-        llrs = np.concatenate(list(gaussian.llr_chunks(pair, count, seed, "p")))
+        llrs = detect.sample_llr(pair, count, seed, "p")
         values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
         cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
         i = np.arange(1, count + 1)
