@@ -24,6 +24,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 from typing import Any
 
@@ -164,6 +165,8 @@ def _validate(config: dict) -> None:
         )
     if config.get("delta_factor", 1.0) <= 0.0:
         raise ConfigError(f"field 'delta_factor': must be > 0, got {config['delta_factor']}")
+    if config.get("out") is not None and not isinstance(config["out"], str):
+        raise ConfigError(f"field 'out': must be a path, got {config['out']!r}")
 
 
 def run_rate(config: dict) -> tuple[list[str], list[dict]]:
@@ -173,8 +176,7 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
     if rate == 0.0:
         raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
     rows = []
-    for n in config["ns"]:
-        kl = gaussian.kl_toeplitz(cov_p, cov_q, n)
+    for n, kl in zip(config["ns"], gaussian.kl_toeplitz(cov_p, cov_q, config["ns"])):
         rows.append(
             {
                 "n": n,
@@ -188,15 +190,17 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
     return summary, rows
 
 
-def _typical_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tuple:
-    """(n, B_n, delta_min, set) at dimension n: the entropy set of p when
-    `cov_q` is None, else the relative-entropy set of (p, q)."""
-    if cov_q is None:
-        delta_min = typicality.good_delta_white_gaussian(n, eps)
-        spec = typicality.TypicalSetSpec.entropy(
-            gaussian.model_toeplitz(cov_p, n), factor * delta_min
-        )
-        return n, math.sqrt(n), delta_min, spec
+def _entropy_set(model: gaussian.GaussianModel, eps: float, factor: float) -> tuple:
+    """(n, B_n, delta_min, set) for the entropy set of p at dimension model.n."""
+    n = model.n
+    delta_min = typicality.good_delta_white_gaussian(n, eps)
+    spec = typicality.TypicalSetSpec.entropy(model, factor * delta_min)
+    return n, math.sqrt(n), delta_min, spec
+
+
+def _relative_entropy_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tuple:
+    """(n, B_n, delta_min, set) for the relative-entropy set of (p, q) at
+    dimension n."""
     pair = gaussian.whiten(
         numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
     )
@@ -221,7 +225,11 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
         cov_q.spectrum()
     # Every set first, then every draw (see `streams`); a set keeps only
     # its statistic's coefficient vector and scalars, not the matrices.
-    sets = [_typical_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
+    if cov_q is None:
+        models = gaussian.model_toeplitz(cov_p, config["ns"])
+        sets = [_entropy_set(model, eps, factor) for model in models]
+    else:
+        sets = [_relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
     rows = []
     for i, (n, b_n, delta_min, spec) in enumerate(sets):
         mc = typicality.mc_typical_prob(spec, samples, streams.derive_seed(seed, i))
@@ -427,10 +435,27 @@ def merge_config(args: argparse.Namespace) -> dict:
     return config
 
 
+def _check_writable(path: str) -> None:
+    """Reject an output path that the write would fail on, before the study
+    runs: a directory, or a file whose directory is missing or read-only."""
+    directory = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        reason = "it is a directory"
+    elif not os.path.isdir(directory):
+        reason = f"no directory {directory}"
+    elif not os.access(path if os.path.exists(path) else directory, os.W_OK):
+        reason = "permission denied"
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {reason}")
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = merge_config(args)
+        if config.get("out"):
+            _check_writable(config["out"])
         summary, rows = RUNNERS[args.command](config)
         text = render_csv(args.command, config, summary, rows)
         if config.get("out"):

@@ -12,8 +12,11 @@ log-likelihood ratio is an affine weighted sum of chi-square variables,
 whose weights `llr_form` gives and from which `streams.quadratic_draws`
 samples it for all the detection code: no density is evaluated and no
 draw is kept as a vector.  The whitening map itself, U^T Lq^-1 for the
-eigenvectors U of X X^T, is solved for only when it is read.  `kl_toeplitz` gives the same relative entropy for two
-stationary covariances straight from their lags.
+eigenvectors U of X X^T, is solved for only when it is read.
+`kl_toeplitz` gives the same relative entropy for two stationary
+covariances straight from their lags.  Both Toeplitz functions take an
+ascending list of n and run one recursion per covariance, at the largest
+n: every smaller n reads its errors and predictor off that run.
 """
 
 from __future__ import annotations
@@ -51,15 +54,22 @@ def model_from_cov(cov: np.ndarray) -> GaussianModel:
     return GaussianModel.from_log_det(factor.shape[0], log_det)
 
 
-def model_toeplitz(cov, n: int) -> GaussianModel:
+def _leading_lags(cov, ns) -> np.ndarray:
+    """The lags K[0..N-1] of the last (largest) n of `ns`, every n checked."""
+    for n in ns:
+        if n < 1:
+            raise InvalidDimensionError(f"n must be >= 1, got {n}")
+    return cov.k(np.arange(ns[-1]))
+
+
+def model_toeplitz(cov, ns) -> list[GaussianModel]:
     """`model_from_cov` of the n x n Toeplitz matrix of a covariance
-    sequence, from its lags: log det T = sum(log E_k) over the prediction
-    errors of `numlin.levinson`, which apply the same positive-definiteness
-    rule as the Cholesky pivots."""
-    if n < 1:
-        raise InvalidDimensionError(f"n must be >= 1, got {n}")
-    _, errors = numlin.levinson(cov.k(np.arange(n)))
-    return GaussianModel.from_log_det(n, float(np.sum(np.log(errors))))
+    sequence, for each n of the ascending `ns`, from its lags: log det T_n =
+    sum(log E_k) over the first n prediction errors of one
+    `numlin.levinson` run at the largest n, which apply the same
+    positive-definiteness rule as the Cholesky pivots."""
+    _, errors = numlin.levinson(_leading_lags(cov, ns), ns)
+    return [GaussianModel.from_log_det(n, float(np.sum(np.log(errors[:n])))) for n in ns]
 
 
 def _kl_from_kappas(kappas: np.ndarray) -> float:
@@ -77,25 +87,29 @@ def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     return whiten(cov_p, cov_q).kl
 
 
-def kl_toeplitz(cov_p, cov_q, n: int) -> float:
+def kl_toeplitz(cov_p, cov_q, ns) -> list[float]:
     """`kl_gaussian` of the n x n Toeplitz matrices of two covariance
-    sequences, in O(n^2) time and O(n) memory.
+    sequences, for each n of the ascending `ns`, in O(N^2) time and O(N)
+    memory at the largest n, N.
 
     0.5 (tr(Tq^-1 Tp) - log det Tp + log det Tq - n), with both log
     determinants from `numlin.levinson` and the trace as
     sum_d w_d K_p[d] s_d over the diagonal sums s_d of Tq^-1 (w_0 = 1,
-    w_d = 2 for d > 0), from `numlin.inverse_diagonal_sums`.
+    w_d = 2 for d > 0), from `numlin.inverse_diagonal_sums`.  One recursion
+    of each sequence at N gives every n its errors and q's predictor.
     """
-    if n < 1:
-        raise InvalidDimensionError(f"n must be >= 1, got {n}")
-    lags_p = cov_p.k(np.arange(n))
-    _, errors_p = numlin.levinson(lags_p)
-    predictor_q, errors_q = numlin.levinson(cov_q.k(np.arange(n)))
-    sums = numlin.inverse_diagonal_sums(predictor_q, errors_q[-1])
-    weights = np.full(n, 2.0)
+    lags_p = _leading_lags(cov_p, ns)
+    _, errors_p = numlin.levinson(lags_p, ns)
+    predictors_q, errors_q = numlin.levinson(_leading_lags(cov_q, ns), ns)
+    weights = np.full(lags_p.size, 2.0)
     weights[0] = 1.0
-    trace = np.dot(weights * lags_p, sums)
-    return float(0.5 * (trace - np.sum(np.log(errors_p)) + np.sum(np.log(errors_q)) - n))
+    kls = []
+    for n, predictor_q in zip(ns, predictors_q):
+        sums = numlin.inverse_diagonal_sums(predictor_q, errors_q[n - 1])
+        trace = np.dot(weights[:n] * lags_p[:n], sums)
+        log_det_p, log_det_q = np.sum(np.log(errors_p[:n])), np.sum(np.log(errors_q[:n]))
+        kls.append(float(0.5 * (trace - log_det_p + log_det_q - n)))
+    return kls
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,9 @@ memory: the Levinson-Durbin recursion gives its log-determinant and its
 predictor, the Gohberg-Semencul formula turns the predictor into the
 diagonal sums of the inverse, and its weak and strong norms come from a sum
 over lags and from a short Lanczos loop (no ARPACK) on an FFT
-matrix-vector product.
+matrix-vector product.  The leading n x n block of the matrix of N lags is
+the matrix of the first n, so one recursion at the largest n serves a
+whole list of n: `levinson`'s `orders` hands back each one's predictor.
 """
 
 from __future__ import annotations
@@ -164,9 +166,8 @@ def pencil_eigvals(factor_m: np.ndarray, factor_b: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
 
 
-def _check_pivots(pivots: np.ndarray, diagonal: float, what: str) -> None:
+def _check_pivots(least: float, diagonal: float, what: str) -> None:
     """Raise unless the least pivot exceeds PD_RTOL * the largest diagonal entry."""
-    least = pivots.min()
     if not least > PD_RTOL * diagonal:
         raise NotPositiveDefiniteError(
             f"{what} is not positive definite: least pivot {least:.3e}, "
@@ -182,7 +183,7 @@ def cholesky(m: np.ndarray, what: str) -> np.ndarray:
         factor = np.linalg.cholesky(m)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {exc}") from exc
-    _check_pivots(np.diagonal(factor) ** 2, m.diagonal().max(), what)
+    _check_pivots((np.diagonal(factor) ** 2).min(), m.diagonal().max(), what)
     return factor
 
 
@@ -198,7 +199,7 @@ def strong_norm(m: np.ndarray) -> float:
     return float(np.linalg.norm(_check_square_finite(m), 2))
 
 
-def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
+def levinson(lags, orders=None) -> tuple[np.ndarray | list[np.ndarray], np.ndarray]:
     """Levinson-Durbin recursion for the symmetric Toeplitz matrix T of `lags`.
 
     Returns the monic order-(n-1) predictor a (T a = E_{n-1} e_1, so
@@ -206,6 +207,14 @@ def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
     log det T = sum(log E_k).  O(n^2) time, O(n) memory.  T is positive
     definite iff every reflection coefficient has modulus below 1; the E_k
     are T's Cholesky pivots, so they must also pass the PD_RTOL rule.
+
+    The leading m x m block of T is T_m, the matrix of lags[:m], so the
+    recursion passes through T_m's predictor and errors bit for bit.  With
+    `orders`, ascending leading orders m <= n, one run serves them all: it
+    returns the list of T_m's predictors, taken as the loop reaches each m,
+    and the errors up to the largest m, of which T_m's are the first m.
+    Each T_m is checked as it is reached, so a failure names what a run on
+    T_m alone would.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -213,25 +222,36 @@ def levinson(lags) -> tuple[np.ndarray, np.ndarray]:
     if not np.all(np.isfinite(lags)):
         raise NumericalFailureError("lags have non-finite entries")
     n = lags.size
+    wanted = [n] if orders is None else list(orders)
+    if not wanted or any(not 1 <= m <= n for m in wanted) or wanted != sorted(set(wanted)):
+        raise InvalidDimensionError(f"orders must ascend within 1..{n}, got {orders}")
     # E_0 = K[0] is the first pivot; check it before the recursion divides by it.
-    _check_pivots(lags[:1], lags[0], "Toeplitz matrix")
+    _check_pivots(lags[0], lags[0], "Toeplitz matrix")
     reversed_lags = lags[::-1].copy()
     a = np.zeros(n)
     a[0] = 1.0
-    errors = np.empty(n)
-    errors[0] = lags[0]
-    step = np.empty(n)  # reused, so the loop allocates no arrays
-    for k in range(1, n):
-        refl = -np.dot(a[:k], reversed_lags[n - 1 - k : n - 1]) / errors[k - 1]
+    error = float(lags[0])
+    errors = [error]
+    step = np.empty(n)  # reused, so a step allocates no arrays
+    predictors = []
+    for k in range(1, n + 1):
+        # a[:k] and errors are T_k's predictor and errors here.
+        if k == wanted[len(predictors)]:
+            _check_pivots(min(errors), lags[0], "Toeplitz matrix")
+            predictors.append(a[:k].copy())
+            if len(predictors) == len(wanted):
+                break
+        refl = -float(a[:k].dot(reversed_lags[n - 1 - k : n - 1])) / error
         if not abs(refl) < 1.0:
             raise NotPositiveDefiniteError(
                 f"Toeplitz matrix is not positive definite: reflection coefficient "
                 f"{refl:.3e} at order {k}"
             )
-        a[1 : k + 1] += np.multiply(a[k - 1 :: -1], refl, out=step[:k])
-        errors[k] = errors[k - 1] * ((1.0 - refl) * (1.0 + refl))
-    _check_pivots(errors, lags[0], "Toeplitz matrix")
-    return a, errors
+        head = a[1 : k + 1]
+        np.add(head, np.multiply(a[k - 1 :: -1], refl, out=step[:k]), out=head)
+        error *= (1.0 - refl) * (1.0 + refl)
+        errors.append(error)
+    return (predictors[0] if orders is None else predictors), np.array(errors)
 
 
 def _semencul_columns(a: np.ndarray) -> np.ndarray:

@@ -306,14 +306,17 @@ class EquivalenceRow:
 def asym_equiv_report(
     cov: CovarianceSequence, n_list: Sequence[int]
 ) -> list[EquivalenceRow]:
-    """One row per n, from the lags alone: no n x n matrix is formed.
+    """One row per n of the ascending `n_list`, from the lags alone: no
+    n x n matrix is formed.
 
     T, B and C are symmetric Toeplitz, so each weak-norm difference is
     `numlin.weak_norm_toeplitz` of a lag difference.  One `numlin.levinson`
-    of T per n gives the Szego averages: eigavg_x = K[0] (the trace over n),
-    eigavg_log = log det T / n and eigavg_inv = tr(T^-1) / n, the zeroth
-    diagonal sum from `numlin.inverse_diagonal_sums`.  T's strong norm comes
-    from `numlin.strong_norm_toeplitz`; C's from its FFT eigenvalues.
+    of T at the largest n gives every n its Szego averages: eigavg_x = K[0]
+    (the trace over n), eigavg_log = log det T / n from the first n errors,
+    and eigavg_inv = tr(T^-1) / n, the zeroth diagonal sum from
+    `numlin.inverse_diagonal_sums` of the order-n predictor.  T's strong
+    norm comes from `numlin.strong_norm_toeplitz`; C's from its FFT
+    eigenvalues.
     """
     spectrum = cov.spectrum()
     targets = {
@@ -322,19 +325,20 @@ def asym_equiv_report(
         "spectral_inv": spectral_integral(lambda s: 1.0 / s, spectrum),
     }
     bound = cov.abs_sum
+    # B's and C's columns reject an n below 3 before the recursion runs.
+    columns = [(numlin.banded_column(cov, n), numlin.circulant_column(cov, n)) for n in n_list]
+    lags = cov.k(np.arange(n_list[-1]))
+    predictors, errors = numlin.levinson(lags, n_list)
     rows = []
-    for n in n_list:
-        toep = cov.k(np.arange(n))
-        band = numlin.banded_column(cov, n)
-        circ = numlin.circulant_column(cov, n)
-        predictor, errors = numlin.levinson(toep)
-        inverse_trace = numlin.inverse_diagonal_sums(predictor, errors[-1])[0]
+    for n, (band, circ), predictor in zip(n_list, columns, predictors):
+        toep = lags[:n]
+        inverse_trace = numlin.inverse_diagonal_sums(predictor, errors[n - 1])[0]
         rows.append(
             EquivalenceRow(
                 n=n,
                 weak_diff_toeplitz_circulant=numlin.weak_norm_toeplitz(toep - circ),
                 eigavg_x=float(toep[0]),
-                eigavg_log=float(np.sum(np.log(errors))) / n,
+                eigavg_log=float(np.sum(np.log(errors[:n]))) / n,
                 eigavg_inv=float(inverse_trace) / n,
                 **targets,
                 weak_diff_toeplitz_banded=numlin.weak_norm_toeplitz(toep - band),

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from steinlab import cli, detect, numlin, spectral, units
+from steinlab import cli, detect, numlin, spectral, streams, typicality, units
 
 
 # One small run of each study, as CI's console-script step runs them.
@@ -284,6 +284,57 @@ class TestAsymptoticsCommand:
         assert "abs_sum_bound" in err
 
 
+def data_rows(out):
+    """The data lines of a CSV, without its '#' lines and header."""
+    return [line for line in out.splitlines() if not line.startswith("#")][1:]
+
+
+class TestSweepsMatchSingleRuns:
+    """A sweep reads every n off one recursion at its largest n; each row
+    must be the bytes a run at that n alone prints."""
+
+    @pytest.mark.parametrize("command", ["rate", "asymptotics"])
+    def test_rows(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n-list", "3,50,700")
+        assert code == 0, err
+        singles = []
+        for n in ("3", "50", "700"):
+            code, single, err = run_cli(capsys, command, "--n-list", n)
+            assert code == 0, err
+            singles += data_rows(single)
+        assert data_rows(out) == singles
+
+    def test_entropy_sets(self, capsys, monkeypatch, tmp_path):
+        # Each n draws from the sub-stream of its place in the list, so only
+        # the exact columns and the sets' own numbers can match.
+        sets = []
+        estimate = typicality.mc_typical_prob
+
+        def recorded(spec, samples, seed):
+            sets.append((spec.delta, spec.center, spec.offset))
+            return estimate(spec, samples, seed)
+
+        monkeypatch.setattr(typicality, "mc_typical_prob", recorded)
+        cfg = tmp_path / "entropy.json"
+        cfg.write_text(json.dumps({"variant": "entropy"}))
+        argv = ["typical", "--config", str(cfg), "--samples", "1000"]
+
+        def exact_columns(out):
+            return [line.split(",")[:3] for line in data_rows(out)]
+
+        code, out, err = run_cli(capsys, *argv, "--n-list", "16,64,100")
+        assert code == 0, err
+        rows, sweep = exact_columns(out), sets.copy()
+        sets.clear()
+        singles = []
+        for n in ("16", "64", "100"):
+            code, single, err = run_cli(capsys, *argv, "--n-list", n)
+            assert code == 0, err
+            singles += exact_columns(single)
+        assert rows == singles
+        assert sweep == sets
+
+
 class TestPlumbing:
     def test_import_loads_no_scipy(self):
         # Each would add to every run's start-up time, and the package needs
@@ -335,6 +386,16 @@ class TestPlumbing:
         assert out == ""
         assert err.startswith(f"config error: cannot write {out_path}")
 
+    def test_unwritable_out_found_before_the_study(self, capsys, monkeypatch, tmp_path):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("the study ran before --out was checked")
+
+        monkeypatch.setattr(streams, "quadratic_draws", no_draws)
+        code, out, err = run_cli(capsys, "detect", "--out", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"config error: cannot write {tmp_path}")
+
     def test_config_file_with_override(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"ns": [4, 8], "unit": "bits"}))
@@ -375,11 +436,12 @@ class TestPlumbing:
             ("typical", "delta_factor", 0),
             ("typical", "delta_factor", -1),
             ("detect", "tau", "0.2"),
+            ("detect", "out", 5),
         ],
         ids=[
             "seed-fraction", "seed-bool", "seed-negative", "samples-fraction",
             "samples-string", "eps-string", "delta_factor-string", "delta_factor-inf",
-            "delta_factor-zero", "delta_factor-negative", "tau-string",
+            "delta_factor-zero", "delta_factor-negative", "tau-string", "out-number",
         ],
     )
     def test_bad_scalar_exits_2(self, capsys, tmp_path, command, field, value):

@@ -47,7 +47,7 @@ class TestModel:
     def test_toeplitz_matches_dense(self, rho, n):
         cov = spectral.CovarianceSequence.geometric(rho)
         dense = gaussian.model_from_cov(numlin.toeplitz_from_cov(cov, n))
-        model = gaussian.model_toeplitz(cov, n)
+        (model,) = gaussian.model_toeplitz(cov, [n])
         assert model.n == n
         assert model.log_det == pytest.approx(dense.log_det, rel=1e-12, abs=1e-12)
         assert model.entropy == pytest.approx(dense.entropy, rel=1e-13)
@@ -57,7 +57,7 @@ class TestModel:
         # 2e-13, below the PD rule, as for its Cholesky factor.
         lags = spectral.CovarianceSequence.from_table([1.0, 1.0 - 1e-13])
         with pytest.raises(NotPositiveDefiniteError):
-            gaussian.model_toeplitz(lags, 2)
+            gaussian.model_toeplitz(lags, [2])
 
 
 class TestKl:

@@ -98,13 +98,15 @@ def test_kl_toeplitz_matches_kl_gaussian(name, q, n):
     expected = gaussian.kl_gaussian(
         numlin.toeplitz_from_cov(p, n), numlin.toeplitz_from_cov(q, n)
     )
-    assert gaussian.kl_toeplitz(p, q, n) == pytest.approx(expected, rel=1e-12)
+    (kl,) = gaussian.kl_toeplitz(p, q, [n])
+    assert kl == pytest.approx(expected, rel=1e-12)
 
 
 def test_kl_toeplitz_matches_kl_gaussian_long_memory():
     p = COVS["rho=0.99"]
     expected = gaussian.kl_gaussian(numlin.toeplitz_from_cov(p, 2048), np.eye(2048))
-    assert gaussian.kl_toeplitz(p, WHITE, 2048) == pytest.approx(expected, rel=1e-12)
+    (kl,) = gaussian.kl_toeplitz(p, WHITE, [2048])
+    assert kl == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize(
@@ -145,7 +147,7 @@ def test_large_n_in_linear_memory():
     p, n = COVS["rho=0.99"], 16384
     tracemalloc.start()
     try:
-        kl = gaussian.kl_toeplitz(p, WHITE, n)
+        (kl,) = gaussian.kl_toeplitz(p, WHITE, [n])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -185,6 +187,124 @@ class TestLevinson:
         w = np.linalg.eigvalsh(scipy.linalg.toeplitz(values))
         assert w[0] > numlin.PD_RTOL * w[-1]
         numlin.levinson(values)
+
+
+def reference_levinson(lags):
+    """The recursion step as first written, on an error array and numpy
+    scalars: the reference for the leaner step."""
+    lags = np.asarray(lags, dtype=float)
+    n = lags.size
+    reversed_lags = lags[::-1].copy()
+    a = np.zeros(n)
+    a[0] = 1.0
+    errors = np.empty(n)
+    errors[0] = lags[0]
+    step = np.empty(n)
+    for k in range(1, n):
+        refl = -np.dot(a[:k], reversed_lags[n - 1 - k : n - 1]) / errors[k - 1]
+        assert abs(refl) < 1.0
+        a[1 : k + 1] += np.multiply(a[k - 1 :: -1], refl, out=step[:k])
+        errors[k] = errors[k - 1] * ((1.0 - refl) * (1.0 + refl))
+    return a, errors
+
+
+SHARED = {**COVS, "q=rho=-0.3": spectral.CovarianceSequence.geometric(-0.3)}
+ORDERS = [1, 2, 17, 511, 512]
+# T_4 of these lags is positive definite, T_5 is not.
+PD_TO_ORDER_4 = np.array([1.0, 0.55, -0.1] + [0.0] * 61)
+
+
+class TestSharedRecursion:
+    """One run at the largest n serves every leading order bit for bit."""
+
+    @pytest.mark.parametrize("name", list(SHARED))
+    def test_each_order_matches_its_own_run(self, name):
+        values = SHARED[name].k(np.arange(512))
+        predictors, errors = numlin.levinson(values, ORDERS)
+        assert errors.size == 512
+        for m, predictor in zip(ORDERS, predictors):
+            alone, alone_errors = numlin.levinson(values[:m])
+            assert np.array_equal(predictor, alone), m
+            assert np.array_equal(errors[:m], alone_errors), m
+
+    @pytest.mark.parametrize(
+        "name, n", [(name, 512) for name in SHARED] + [("rho=0.99", 2048)]
+    )
+    def test_step_matches_the_reference(self, name, n):
+        values = SHARED[name].k(np.arange(n))
+        a, errors = numlin.levinson(values)
+        expected_a, expected_errors = reference_levinson(values)
+        assert np.array_equal(a, expected_a)
+        assert np.array_equal(errors, expected_errors)
+
+    def test_run_stops_at_the_largest_order(self):
+        predictors, errors = numlin.levinson(lags("rho=0.5", 64), [3, 9])
+        assert [p.size for p in predictors] == [3, 9]
+        assert errors.size == 9
+
+    @pytest.mark.parametrize("orders", [[], [0, 4], [4, 2], [4, 4], [65]])
+    def test_bad_orders_rejected(self, orders):
+        with pytest.raises(InvalidDimensionError):
+            numlin.levinson(lags("rho=0.5", 64), orders)
+
+    def test_failure_names_the_order_a_lone_run_names(self):
+        numlin.levinson(PD_TO_ORDER_4[:4])
+        with pytest.raises(NotPositiveDefiniteError, match="at order 4") as alone:
+            numlin.levinson(PD_TO_ORDER_4[:5])
+        with pytest.raises(NotPositiveDefiniteError) as shared:
+            numlin.levinson(PD_TO_ORDER_4, [4, 64])
+        assert str(shared.value) == str(alone.value)
+
+    def test_pivot_rule_applies_at_each_order(self):
+        # T_2 fails the PD_RTOL rule (its last pivot is about 2e-13); past
+        # it the recursion would fail the reflection test instead.
+        values = np.array([1.0, 1.0 - 1e-13, 0.0, 0.0])
+        with pytest.raises(NotPositiveDefiniteError, match="least pivot") as alone:
+            numlin.levinson(values[:2])
+        with pytest.raises(NotPositiveDefiniteError) as shared:
+            numlin.levinson(values, [2, 4])
+        assert str(shared.value) == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "argv", [["rate"], ["asymptotics"], ["typical", "--samples", "1000"]],
+        ids=["rate", "asymptotics", "typical-entropy"],
+    )
+    def test_study_on_a_table_pd_to_order_4_exits_3(self, argv, capsys, tmp_path):
+        # Lags 1 and 4097 cancel on the spectrum grid, so the spectrum checks
+        # pass there and only the recursion finds T_5 indefinite.
+        values = [1.0, 0.55, -0.1] + [0.0] * 4094 + [-0.55]
+        config = {"cov_p": {"kind": "table", "values": values}}
+        if argv[0] == "typical":
+            config["variant"] = "entropy"
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main([*argv, "--config", str(cfg), "--n-list", "4"]) == 0
+        assert cli.main([*argv, "--config", str(cfg), "--n-list", "4,64"]) == 3
+        assert "at order 4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_list", ["64", "64,128,256"])
+@pytest.mark.parametrize(
+    "argv", [["rate"], ["asymptotics"], ["typical", "--samples", "1000"]],
+    ids=["rate", "asymptotics", "typical-entropy"],
+)
+def test_one_recursion_per_lag_sequence(argv, n_list, capsys, monkeypatch, tmp_path):
+    calls = []
+    levinson = numlin.levinson
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return levinson(*args, **kwargs)
+
+    monkeypatch.setattr(numlin, "levinson", counted)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({"variant": "entropy"} if argv[0] == "typical" else {}))
+    assert cli.main([*argv, "--config", str(cfg), "--n-list", n_list]) == 0
+    capsys.readouterr()
+    count = len(n_list.split(","))
+    # rate: one per covariance; asymptotics: one for T, plus the strong
+    # norm's own shifted recursion at each n.
+    assert len(calls) == {"rate": 2, "asymptotics": 1 + count, "typical": 1}[argv[0]]
 
 
 class TestPdRule:
