@@ -42,6 +42,11 @@ from .exceptions import (
 LN2 = units.LN2
 
 
+# `typical` draws its coverage samples from the sub-stream of this key of
+# its seed.
+COVERAGE_STREAM = 0
+
+
 class ConfigError(Exception):
     pass
 
@@ -230,9 +235,12 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
         sets = [_entropy_set(model, eps, factor) for model in models]
     else:
         sets = [_relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
+    ns, b_ns, delta_mins, specs = zip(*sets)
+    estimates = typicality.mc_typical_probs(
+        specs, samples, streams.derive_seed(seed, COVERAGE_STREAM)
+    )
     rows = []
-    for i, (n, b_n, delta_min, spec) in enumerate(sets):
-        mc = typicality.mc_typical_prob(spec, samples, streams.derive_seed(seed, i))
+    for n, b_n, delta_min, mc in zip(ns, b_ns, delta_mins, estimates):
         rows.append(
             {
                 "n": n,

@@ -32,6 +32,9 @@ from .exceptions import DegeneratePairError, NumericalFailureError, VacuousBound
 
 NEG_INF = float("-inf")
 _EPS = float(np.finfo(float).eps)
+# `gcsl_experiment` draws its evaluation samples from the sub-stream of
+# this key of its seed.
+EVALUATION_STREAM = 1
 
 # `quadratic_form_cdf` integrates along a ray this far from the real axis,
 # over initial panels that end at these multiples of the local scale.
@@ -153,7 +156,7 @@ def sample_llr(
     pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
 ) -> np.ndarray:
     """LLR values of `count` draws from p or q, in whitened coordinates."""
-    return streams.quadratic_draws(seed, count, *gaussian.llr_form(pair, under))
+    return streams.quadratic_values(seed, count, *gaussian.llr_form(pair, under))
 
 
 def np_calibrate(
@@ -389,18 +392,42 @@ def estimate_beta_is(
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    return _error_estimates(det, sample_llr(pair, count, seed), pair.kl)
+    sums = streams.quadratic_draws(
+        seed,
+        count,
+        [gaussian.llr_form(pair, "p")],
+        lambda llrs: _chunk_sums([det], [pair.kl], llrs),
+    )
+    return _error_estimates(count, np.array(sums)[:, :, 0])
 
 
-def _error_estimates(det: DetectorSpec, llrs: np.ndarray, kl: float) -> ErrorEstimates:
-    """Reduce LLR values drawn under p to the detector's alpha and IS beta."""
-    count = llrs.size
-    accepted = det.accepts_p(llrs, kl)
-    alpha = int(np.count_nonzero(~accepted)) / count
-    stderr_alpha = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / count)
+def _chunk_sums(
+    dets: Sequence[DetectorSpec], kls: Sequence[float], llrs: np.ndarray
+) -> np.ndarray:
+    """One chunk's reduction for the detector dets[i] on the LLR values in
+    row i of `llrs`, drawn under p, whose KL is kls[i]: rows (accepted
+    count, log sum e^{-LLR}, log sum e^{-2 LLR}) over its accepted draws,
+    each with a column per detector.  Each log-sum is shifted by the
+    largest accepted -LLR before exponentiating, and is -inf where no draw
+    is accepted.  A column depends on its own row alone.
+    """
+    accepted = np.array([det.accepts_p(row, kl) for det, row, kl in zip(dets, llrs, kls)])
     log_weights = np.where(accepted, -llrs, NEG_INF)
+    top = np.max(log_weights, axis=1)
+    top[top == NEG_INF] = 0.0
+    weights = np.exp(log_weights - top[:, None])
+    sums = np.array([np.sum(weights, axis=1), np.sum(np.square(weights, out=weights), axis=1)])
+    logs = np.log(sums, out=np.full_like(sums, NEG_INF), where=sums > 0.0)
+    return np.array([np.count_nonzero(accepted, axis=1), top + logs[0], 2.0 * top + logs[1]])
 
-    if not np.any(accepted):
+
+def _error_estimates(count: int, sums: np.ndarray) -> ErrorEstimates:
+    """Combine one detector's `_chunk_sums` columns, one row per chunk of
+    the `count` draws, into its alpha and IS beta."""
+    accepted = int(np.sum(sums[:, 0]))
+    alpha = (count - accepted) / count
+    stderr_alpha = math.sqrt(max(alpha * (1.0 - alpha), 0.0) / count)
+    if accepted == 0:
         return ErrorEstimates(
             alpha_hat=alpha,
             beta_hat=0.0,
@@ -411,8 +438,8 @@ def _error_estimates(det: DetectorSpec, llrs: np.ndarray, kl: float) -> ErrorEst
             underflow=True,
         )
 
-    log_sum = _logsumexp(log_weights)
-    log_sum_sq = _logsumexp(2.0 * log_weights)
+    log_sum = _logsumexp(sums[:, 1])
+    log_sum_sq = _logsumexp(sums[:, 2])
     log_beta = log_sum - math.log(count)
     # Relative spread of the weights: Var(w)/(N mean(w)^2) in log domain.
     log_second = log_sum_sq - math.log(count)
@@ -432,7 +459,8 @@ def _logsumexp(a: np.ndarray) -> float:
     """log sum exp(a) of a 1-d array with a finite maximum, bit for bit as
     `scipy.special.logsumexp` forms it: the m entries equal to the maximum
     are counted, the rest summed as s = sum exp(a - max) / m (when s != 0),
-    and the result is log1p(s) + log m + max.
+    and the result is log1p(s) + log m + max.  It combines the chunks'
+    log-sums of `_chunk_sums`.
     """
     top = np.max(a, keepdims=True)
     at_top = a == top
@@ -560,12 +588,18 @@ def gcsl_experiment(
     KL, the minimal good threshold gamma (from B_n, at eps=tau), the
     analytic exponent window with delta = gamma and the exact level-tau
     threshold (`np_threshold_exact`, no draws); of each n it keeps the LLR
-    form and those scalars, not the matrices.  Only then does the draw
-    phase estimate -ln(beta) by Monte Carlo for both the threshold
-    detector and the typical-set detector: each n draws one set of
-    evaluation samples, from its own derived seed, in the order of ns, and
-    both detectors are scored on it.  All dense linear algebra thus ends
-    before the first draw (see `streams`).
+    form and those scalars, not the matrices.  All dense linear algebra
+    thus ends before the first draw (see `streams`).
+
+    Only then does the draw phase estimate -ln(beta) by Monte Carlo for
+    both the threshold detector and the typical-set detector, in one
+    `streams.quadratic_draws` call seeded by (seed, `EVALUATION_STREAM`):
+    every n reads the leading n coordinates of the same `count` evaluation
+    samples, drawn at the largest n, and both of its detectors are scored
+    on them.  A row is thus the same whatever the other n in `ns`, and
+    equals `estimate_beta_is` at that n and seed.  Each chunk is reduced
+    in its worker to each detector's `_chunk_sums`, so the pass holds a
+    few numbers per chunk rather than a value per sample and n.
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
@@ -579,12 +613,20 @@ def gcsl_experiment(
         raise DegeneratePairError("the two covariance sequences coincide")
 
     exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
+    _, kls, gammas, _, np_dets, forms = zip(*exact)
+    ts_dets = [DetectorSpec.typical_set(gamma) for gamma in gammas]
+    sums = streams.quadratic_draws(
+        streams.derive_seed(seed, EVALUATION_STREAM),
+        count,
+        forms,
+        lambda llrs: np.array([_chunk_sums(dets, kls, llrs) for dets in (np_dets, ts_dets)]),
+    )
+    # Axes: chunk, detector (threshold, typical set), sum, n.
+    sums = np.array(sums)
     rows = []
-    for i, (n, kl, gamma, window, det_np, (coef, offset)) in enumerate(exact):
-        det_ts = DetectorSpec.typical_set(gamma)
-        llrs = streams.quadratic_draws(streams.derive_seed(seed, i, 1), count, coef, offset)
-        est_np = _error_estimates(det_np, llrs, kl)
-        est_ts = _error_estimates(det_ts, llrs, kl)
+    for i, (n, kl, gamma, window, det_np, _) in enumerate(exact):
+        est_np = _error_estimates(count, sums[:, 0, :, i])
+        est_ts = _error_estimates(count, sums[:, 1, :, i])
 
         margin = 3.0 * est_np.stderr_beta_log
         in_window = (

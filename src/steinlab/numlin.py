@@ -214,7 +214,8 @@ def levinson(lags, orders=None) -> tuple[np.ndarray | list[np.ndarray], np.ndarr
     returns the list of T_m's predictors, taken as the loop reaches each m,
     and the errors up to the largest m, of which T_m's are the first m.
     Each T_m is checked as it is reached, so a failure names what a run on
-    T_m alone would.
+    T_m alone would.  A white T (K[m] = 0 for m >= 1) skips the loop, whose
+    result there is known.
     """
     lags = np.asarray(lags, dtype=float)
     if lags.ndim != 1 or lags.size == 0:
@@ -227,9 +228,14 @@ def levinson(lags, orders=None) -> tuple[np.ndarray | list[np.ndarray], np.ndarr
         raise InvalidDimensionError(f"orders must ascend within 1..{n}, got {orders}")
     # E_0 = K[0] is the first pivot; check it before the recursion divides by it.
     _check_pivots(lags[0], lags[0], "Toeplitz matrix")
-    reversed_lags = lags[::-1].copy()
     a = np.zeros(n)
     a[0] = 1.0
+    if not np.any(lags[1:]):
+        # T = K[0] I: every reflection coefficient would be -0.0, leaving
+        # each predictor e_1 and each error K[0], bit for bit.
+        predictors = [a[:m].copy() for m in wanted]
+        return (predictors[0] if orders is None else predictors), np.full(wanted[-1], lags[0])
+    reversed_lags = lags[::-1].copy()
     error = float(lags[0])
     errors = [error]
     step = np.empty(n)  # reused, so a step allocates no arrays

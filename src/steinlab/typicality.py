@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
+from typing import Sequence
 
 import numpy as np
 
@@ -112,17 +113,36 @@ def mc_typical_prob(
     spec: TypicalSetSpec, count: int, seed: int
 ) -> MonteCarloProbability:
     """Fraction of `count` samples from p that land in the typical set,
-    with its binomial standard error.
+    with its binomial standard error: `mc_typical_probs` of one set."""
+    return mc_typical_probs([spec], count, seed)[0]
 
-    Each draw's statistic comes from `streams.quadratic_draws`: for a
-    relative-entropy set, the same values `detect.sample_llr` gives.
+
+def mc_typical_probs(
+    specs: Sequence[TypicalSetSpec], count: int, seed: int
+) -> list[MonteCarloProbability]:
+    """`mc_typical_prob` of each set, from one `streams.quadratic_draws`
+    call: every set reads the leading coordinates of the same `count`
+    samples, so its estimate does not depend on the other sets.  Each
+    chunk is reduced in its worker to the count inside each set.  For a
+    relative-entropy set the statistic is the value `detect.sample_llr`
+    gives.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    stats = streams.quadratic_draws(seed, count, spec.coef, spec.offset)
-    estimate = int(np.count_nonzero(np.abs(stats - spec.center) <= spec.delta)) / count
-    stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
-    return MonteCarloProbability(estimate=estimate, stderr=stderr)
+    centers = np.array([[spec.center] for spec in specs])
+    deltas = np.array([[spec.delta] for spec in specs])
+    inside = streams.quadratic_draws(
+        seed,
+        count,
+        [(spec.coef, spec.offset) for spec in specs],
+        lambda stats: np.count_nonzero(np.abs(stats - centers) <= deltas, axis=1),
+    )
+    results = []
+    for hits in np.sum(inside, axis=0):
+        estimate = int(hits) / count
+        stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
+        results.append(MonteCarloProbability(estimate=estimate, stderr=stderr))
+    return results
 
 
 def exp_or_inf(log_value: float) -> float:
@@ -205,7 +225,7 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
         raise ValueError(f"count must be >= 10000, got {count}")
     if pair.b_n == 0.0:
         raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    llrs = streams.quadratic_draws(seed, count, *gaussian.llr_form(pair, "p"))
+    llrs = streams.quadratic_values(seed, count, *gaussian.llr_form(pair, "p"))
     values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
     cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
     i = np.arange(1, count + 1)

@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from steinlab import cli, detect, numlin, spectral, streams, typicality, units
+from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality, units
 
 
 # One small run of each study, as CI's console-script step runs them.
@@ -184,39 +184,39 @@ class TestDetectCommand:
                 assert bits[col] == cli._format_value(getattr(r, col) / units.LN2)
 
 
-# Output of the three runs below, recorded before every Monte Carlo statistic
-# moved onto the blocked, threaded kernel `streams.quadratic_draws`, which
-# must reproduce it bit for bit.  `detect` has since gained eight columns
-# after `in_window`; the recorded seven are compared as printed.  Its
-# `np_beta_log` and summary were re-recorded when the threshold detector
-# became exact (`detect.np_threshold_exact`); the other columns and the
-# evaluation draws were unchanged.  The `entropy` run's config_hash was
-# re-recorded when that variant stopped taking `cov_q`, which it never
-# read; its rows did not move.
+# Output of the three runs below.  `detect` prints eight columns after
+# `in_window`; the first seven are compared as printed.  The Monte Carlo
+# columns (`np_beta_log`, `ts_beta_log`, `p_hat`, `stderr`) and the
+# `detect` summary's slope were last re-recorded when every n of a sweep
+# came to read the leading coordinates of one coordinate-major stream,
+# drawn once at the largest n; the exact columns did not move.  Earlier,
+# `detect`'s `np_beta_log` and summary moved when its threshold became
+# exact (`detect.np_threshold_exact`), and the `entropy` run's config_hash
+# when that variant stopped taking `cov_q`.
 GOLDEN_DETECT = """\
 # command=detect config_hash=8e3aa35ecf40 seed=9 unit=nats
-# summary: slope=0.120840419276 C_s=0.143841036226 rel_err=0.159903025963
+# summary: slope=0.12189330319 C_s=0.143841036226 rel_err=0.152583251707
 n,D,lower,upper,np_beta_log,ts_beta_log,in_window
-32,4.459072123,0.361668525143,9.06730134463,3.98136051301,2.81194676515,true
-64,9.06198528223,3.20473535825,15.43006083,7.81570985795,6.09798119433,true
-96,13.6648984415,6.46586815257,21.3747543541,11.7151473467,9.63235280664,true
+32,4.459072123,0.361668525143,9.06730134463,3.97899005437,2.8121010917,true
+64,9.06198528223,3.20473535825,15.43006083,7.80929784273,6.09665186681,true
+96,13.6648984415,6.46586815257,21.3747543541,11.7801614585,9.61716448076,true
 """
 GOLDEN_TYPICAL = {
     "rel_entropy": """\
 # command=typical config_hash=543815e0ae62 seed=9 unit=nats
 # summary: variant=rel_entropy eps=0.05 delta_factor=1.1
 n,B_n,delta_min,p_hat,stderr,pass
-16,3.12694383992,4.33364342627,0.9574,0.00201953559018,true
-64,6.46357314322,8.95789073815,0.9649,0.00184032578638,true
-100,8.1103500404,11.2401651378,0.9688,0.00173857872988,true
+16,3.12694383992,4.33364342627,0.9628,0.00189251578593,true
+64,6.46357314322,8.95789073815,0.9658,0.00181742565185,true
+100,8.1103500404,11.2401651378,0.965,0.00183779759495,true
 """,
     "entropy": """\
 # command=typical config_hash=4bada8fb4a03 seed=9 unit=nats
 # summary: variant=entropy eps=0.05 delta_factor=1.1
 n,B_n,delta_min,p_hat,stderr,pass
-16,4,5.5436152974,0.9677,0.00176795673024,true
-64,8,11.0872305948,0.9707,0.0016864610876,true
-100,10,13.8590382435,0.9672,0.00178112773265,true
+16,4,5.5436152974,0.9676,0.00177059989834,true
+64,8,11.0872305948,0.973,0.00162083311911,true
+100,10,13.8590382435,0.9703,0.00169758387127,true
 """,
 }
 DETECT_ADDED = [
@@ -290,8 +290,8 @@ def data_rows(out):
 
 
 class TestSweepsMatchSingleRuns:
-    """A sweep reads every n off one recursion at its largest n; each row
-    must be the bytes a run at that n alone prints."""
+    """A sweep reads every n off one recursion, or one stream of draws, at
+    its largest n; each row must be the bytes a run at that n alone prints."""
 
     @pytest.mark.parametrize("command", ["rate", "asymptotics"])
     def test_rows(self, capsys, command):
@@ -305,34 +305,96 @@ class TestSweepsMatchSingleRuns:
         assert data_rows(out) == singles
 
     def test_entropy_sets(self, capsys, monkeypatch, tmp_path):
-        # Each n draws from the sub-stream of its place in the list, so only
-        # the exact columns and the sets' own numbers can match.
+        # Every n of `typical` reads the leading coordinates of one stream
+        # drawn at the largest n, so its sets and whole rows, Monte Carlo
+        # columns included, are those of the run at that n alone.
         sets = []
-        estimate = typicality.mc_typical_prob
+        estimate = typicality.mc_typical_probs
 
-        def recorded(spec, samples, seed):
-            sets.append((spec.delta, spec.center, spec.offset))
-            return estimate(spec, samples, seed)
+        def recorded(specs, samples, seed):
+            sets.extend((spec.delta, spec.center, spec.offset) for spec in specs)
+            return estimate(specs, samples, seed)
 
-        monkeypatch.setattr(typicality, "mc_typical_prob", recorded)
+        monkeypatch.setattr(typicality, "mc_typical_probs", recorded)
         cfg = tmp_path / "entropy.json"
         cfg.write_text(json.dumps({"variant": "entropy"}))
         argv = ["typical", "--config", str(cfg), "--samples", "1000"]
-
-        def exact_columns(out):
-            return [line.split(",")[:3] for line in data_rows(out)]
-
         code, out, err = run_cli(capsys, *argv, "--n-list", "16,64,100")
         assert code == 0, err
-        rows, sweep = exact_columns(out), sets.copy()
+        rows, sweep = data_rows(out), sets.copy()
         sets.clear()
         singles = []
         for n in ("16", "64", "100"):
             code, single, err = run_cli(capsys, *argv, "--n-list", n)
             assert code == 0, err
-            singles += exact_columns(single)
+            singles += data_rows(single)
         assert rows == singles
         assert sweep == sets
+
+    @pytest.mark.parametrize("variant", ["rel_entropy", "entropy"])
+    def test_typical_rows(self, capsys, tmp_path, variant):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": variant}))
+        argv = ["typical", "--config", str(cfg), "--samples", "10000"]
+        code, out, err = run_cli(capsys, *argv, "--n-list", "16,64,100")
+        assert code == 0, err
+        singles = []
+        for n in ("16", "64", "100"):
+            code, single, err = run_cli(capsys, *argv, "--n-list", n)
+            assert code == 0, err
+            singles += data_rows(single)
+        assert data_rows(out) == singles
+
+    def test_detect_row_whatever_the_other_ns(self, capsys):
+        # `detect` needs three n for its fit, so its rows are compared across
+        # two sweeps that share only n = 64.
+        rows = []
+        for ns in ("32,64,96", "16,64,200"):
+            code, out, err = run_cli(capsys, "detect", "--n-list", ns, "--samples", "10000")
+            assert code == 0, err
+            rows.append([row for row in data_rows(out) if row.startswith("64,")])
+        assert len(rows[0]) == 1
+        assert rows[0] == rows[1]
+
+
+class TestMonteCarloWithinTolerance:
+    """The sweep's common stream must leave every estimate unbiased: at a
+    fixed seed and the default 100k samples, each Monte Carlo column lies
+    within 4 standard errors of its exact value."""
+
+    SEED = 17
+
+    @pytest.mark.parametrize("variant", ["rel_entropy", "entropy"])
+    def test_typical_p_hat_is_the_exact_coverage(self, variant):
+        config = dict(cli.DEFAULTS["typical"], seed=self.SEED, variant=variant)
+        cov_p = cli.covariance_from_spec(config["cov_p"])
+        eps, factor = config["eps"], config["delta_factor"]
+        if variant == "entropy":
+            del config["cov_q"]
+            models = gaussian.model_toeplitz(cov_p, config["ns"])
+            sets = [cli._entropy_set(model, eps, factor) for model in models]
+        else:
+            cov_q = cli.covariance_from_spec(config["cov_q"])
+            sets = [
+                cli._relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]
+            ]
+        _, rows = cli.run_typical(config)
+        for row, (n, _, _, spec) in zip(rows, sets):
+            # P(|offset + Q - center| <= delta), Q = sum coef z^2.
+            edge = spec.center - spec.offset
+            upper, _ = detect.quadratic_form_cdf(spec.coef, edge + spec.delta)
+            lower, _ = detect.quadratic_form_cdf(spec.coef, edge - spec.delta)
+            assert row["n"] == n
+            assert abs(row["p_hat"] - (upper - lower)) <= 4.0 * row["stderr"], row
+
+    def test_detect_np_alpha_is_tau(self):
+        config = dict(cli.DEFAULTS["detect"], seed=self.SEED)
+        tau, count = config["tau"], config["samples"]
+        _, rows = cli.run_detect(config)
+        stderr = math.sqrt(tau * (1.0 - tau) / count)
+        assert len(rows) == len(config["ns"])
+        for row in rows:
+            assert abs(row["np_alpha"] - tau) <= 4.0 * stderr, row
 
 
 class TestPlumbing:

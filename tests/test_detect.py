@@ -55,7 +55,7 @@ class TestSampleLlr:
         # shortcut must reproduce the density-ratio values samplewise
         kappas = np.linspace(2.5, 0.5, 16)
         pair = gaussian.diagonal_pair(kappas)
-        zs = np.concatenate(list(streams.standard_normal_chunks(3, 4096, 16)))
+        zs = np.concatenate(list(streams.standard_normal_chunks(3, 4096, 16)), axis=1).T
         xs = np.sqrt(kappas) * zs
         log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(xs)
         log_q = multivariate_normal(cov=np.eye(16)).logpdf(xs)
@@ -304,12 +304,14 @@ class TestExactThreshold:
             assert abs(sampled.threshold - exact) < 3.0 * stderr, n
 
     def test_experiment_draws_only_evaluation_samples(self, monkeypatch):
+        # One kernel call draws every n's evaluation samples, and nothing
+        # else is drawn: the thresholds are exact.
         calls = []
         kernel = streams.quadratic_draws
 
-        def counted(seed, count, coef, offset):
-            calls.append((seed, count, coef.size))
-            return kernel(seed, count, coef, offset)
+        def counted(seed, count, forms, reduce):
+            calls.append((seed, count, [coef.size for coef, _ in forms]))
+            return kernel(seed, count, forms, reduce)
 
         monkeypatch.setattr(streams, "quadratic_draws", counted)
         ns = [16, 32, 48]
@@ -321,8 +323,7 @@ class TestExactThreshold:
             10_000,
             3,
         )
-        assert len(calls) == len(ns)
-        assert calls == [(streams.derive_seed(3, i, 1), 10_000, n) for i, n in enumerate(ns)]
+        assert calls == [(streams.derive_seed(3, detect.EVALUATION_STREAM), 10_000, ns)]
         assert [r.np_threshold for r in result.rows] == [
             detect.np_threshold_exact(toeplitz_form(n)[0], 0.2).threshold for n in ns
         ]
@@ -505,10 +506,12 @@ class TestGcslExperiment:
         assert result.r2 > 0.98
 
     def test_one_pass_matches_separate_estimates(self, result):
+        # Each n reads the leading coordinates of the one evaluation stream,
+        # so its row is that of its own pair scored alone on the same seed.
         cov_p = spectral.CovarianceSequence.geometric(0.5)
-        for i, row in enumerate(result.rows):
+        seed_eval = streams.derive_seed(GCSL_SEED, detect.EVALUATION_STREAM)
+        for row in result.rows:
             pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, row.n), np.eye(row.n))
-            seed_eval = streams.derive_seed(GCSL_SEED, i, 1)
             est_np = detect.estimate_beta_is(
                 detect.DetectorSpec.np_threshold(row.np_threshold), pair, 20_000, seed_eval
             )

@@ -187,7 +187,7 @@ class TestLlr:
         # the originals up to sign, so q-draws are the raw normals.
         kappas = np.linspace(2.5, 0.5, 6)
         pair = gaussian.diagonal_pair(kappas)
-        zs = np.concatenate(list(streams.standard_normal_chunks(4, 5000, 6)))
+        zs = np.concatenate(list(streams.standard_normal_chunks(4, 5000, 6)), axis=1).T
         sampled = detect.sample_llr(pair, 5000, 4, "q")
         log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(zs)
         log_q = multivariate_normal(cov=np.eye(6)).logpdf(zs)
@@ -257,7 +257,7 @@ def test_studies_factor_everything_before_drawing(
 ):
     # A LAPACK call leaves OpenBLAS threads running that slow the draws
     # after it (see `streams`), so a study ends every factorization before
-    # its first draw, then draws once per n.
+    # it draws, then draws every n's samples in one kernel call.
     events = []
 
     def logged(module, name):
@@ -282,5 +282,5 @@ def test_studies_factor_everything_before_drawing(
     assert cli.main(argv) == 0, capsys.readouterr().err
     capsys.readouterr()
     first_draw = events.index("quadratic_draws")
-    assert events[first_draw:] == ["quadratic_draws"] * 3
+    assert events[first_draw:] == ["quadratic_draws"]
     assert set(events[:first_draw]) == factors

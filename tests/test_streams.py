@@ -19,23 +19,39 @@ def test_chunk_sizes_cover_count():
     ]
 
 
+def _samples(seed, count, dim):
+    # The draws as (count, dim): one row per sample.
+    return np.concatenate(list(streams.standard_normal_chunks(seed, count, dim)), axis=1).T
+
+
 def test_same_seed_reproduces():
-    a = np.concatenate(list(streams.standard_normal_chunks(3, 5000, 2)))
-    b = np.concatenate(list(streams.standard_normal_chunks(3, 5000, 2)))
-    assert np.array_equal(a, b)
+    assert np.array_equal(_samples(3, 5000, 2), _samples(3, 5000, 2))
 
 
 def test_different_seeds_differ():
-    a = np.concatenate(list(streams.standard_normal_chunks(3, 1000, 1)))
-    b = np.concatenate(list(streams.standard_normal_chunks(4, 1000, 1)))
-    assert not np.array_equal(a, b)
+    assert not np.array_equal(_samples(3, 1000, 1), _samples(4, 1000, 1))
 
 
 def test_prefix_stable_under_larger_count():
-    # per-chunk seeding: the first chunk does not depend on the total count
-    short = np.concatenate(list(streams.standard_normal_chunks(7, 100, 3)))
-    long = np.concatenate(list(streams.standard_normal_chunks(7, 9000, 3)))
+    # per-chunk seeding, and a partial chunk is the head of a full one: the
+    # first samples do not depend on the total count
+    short = _samples(7, 100, 3)
+    long = _samples(7, 9000, 3)
     assert np.array_equal(long[:100], short)
+
+
+def test_leading_coordinates_stable_under_larger_dim():
+    # chunks are coordinate-major, so a sample's first n coordinates do not
+    # depend on the stream's dimension
+    for count in (1, 100, 2 * streams.CHUNK_SIZE + 7):
+        assert np.array_equal(_samples(7, count, 9)[:, :4], _samples(7, count, 4))
+
+
+def test_chunks_are_coordinate_major():
+    block = next(streams.standard_normal_chunks(5, 10, 3))
+    full = streams.chunk_rng(5, 0).standard_normal((3, streams.CHUNK_SIZE))
+    assert block.shape == (3, 10) and block.flags.c_contiguous
+    assert np.array_equal(block, full[:, :10])
 
 
 def test_chunk_rng_independent_of_iteration_order():
@@ -65,34 +81,61 @@ def test_derived_seeds_are_distinct_ints():
 def _reference(seed, count, coef):
     # The plain reduction of the raw draws, chunk by chunk.
     chunks = streams.standard_normal_chunks(seed, count, coef.size)
-    return np.concatenate([(z * z) @ coef for z in chunks])
+    return np.concatenate([coef @ (z * z) for z in chunks])
+
+
+def _rows(seed, count, coefs):
+    # Every form's values from one kernel call, one row per form.
+    chunks = streams.quadratic_draws(seed, count, [(c, 0.0) for c in coefs], lambda v: v)
+    return np.concatenate(chunks, axis=1)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("count", [1, 4095, 2 * streams.CHUNK_SIZE + 7])
+@pytest.mark.parametrize("count", [1, 4095, 8199])
 @pytest.mark.parametrize("dim", [1, 3, 7, 64, 100, 384, 1000])
 def test_quadratic_chunks_match_the_normal_stream(monkeypatch, dim, count, workers):
+    # Each form reads the leading coordinates of the one stream drawn at the
+    # largest dimension, and gets the bits of a stream of its own dimension.
     monkeypatch.setattr(streams, "_worker_count", lambda: workers)
     coef = np.random.default_rng(dim).standard_normal(dim)
-    got = streams.quadratic_draws(11, count, coef, 0.0)
-    assert np.array_equal(got, _reference(11, count, coef))
+    coefs = [coef[:m] for m in sorted({1, (dim + 1) // 2, dim})]
+    got = _rows(11, count, coefs)
+    assert got.shape == (len(coefs), count)
+    for row, c in zip(got, coefs):
+        assert np.array_equal(row, _reference(11, count, c))
 
 
 def test_quadratic_draws_add_the_offset():
     coef = np.random.default_rng(5).standard_normal(5)
     count = streams.CHUNK_SIZE + 9
-    got = streams.quadratic_draws(4, count, coef, -2.75)
+    got = streams.quadratic_values(4, count, coef, -2.75)
     assert np.array_equal(got, _reference(4, count, coef) + -2.75)
+    forms = [(coef[:2], 1.5), (coef, -2.75)]
+    rows = np.concatenate(streams.quadratic_draws(4, count, forms, lambda v: v), axis=1)
+    assert np.array_equal(rows[0], _reference(4, count, coef[:2]) + 1.5)
+    assert np.array_equal(rows[1], got)
+
+
+def test_quadratic_draws_reduce_each_chunk_in_order():
+    coef = np.random.default_rng(6).standard_normal(4)
+    count = 3 * streams.CHUNK_SIZE + 5
+    got = streams.quadratic_draws(9, count, [(coef, 0.0)], lambda v: (v.shape, float(v.sum())))
+    values = streams.quadratic_values(9, count, coef, 0.0)
+    parts = np.split(values, range(streams.CHUNK_SIZE, count, streams.CHUNK_SIZE))
+    expected = [((1, part.size), float(part.sum())) for part in parts]
+    assert got == expected
 
 
 @pytest.mark.parametrize("dim", [384, 1000])
 def test_quadratic_chunks_leave_no_one_row_tail(dim):
-    # 64-row blocks: a chunk of 65 or 129 rows ends in a lone row, which numpy
-    # would reduce by a dot product instead of the matrix-vector product.
+    # A chunk of one sample is one column, which numpy reduces by a dot
+    # product rather than a matrix-vector product; its bits must still be
+    # the reference's, in a stream drawn at this dimension or a larger one.
     coef = np.random.default_rng(dim).standard_normal(dim)
-    for count in (65, 129, streams.CHUNK_SIZE + 65):
-        got = streams.quadratic_draws(2, count, coef, 0.0)
-        assert np.array_equal(got, _reference(2, count, coef))
+    for count in (1, streams.CHUNK_SIZE + 1, 2 * streams.CHUNK_SIZE + 1):
+        expected = _reference(2, count, coef)
+        assert np.array_equal(streams.quadratic_values(2, count, coef, 0.0), expected)
+        assert np.array_equal(_rows(2, count, [coef, np.ones(dim + 5)])[0], expected)
 
 
 _ONE_BLAS_THREAD_SCRIPT = """
@@ -101,8 +144,8 @@ from steinlab import streams
 for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
-    expected = [(z * z) @ coef for z in streams.standard_normal_chunks(11, count, dim)]
-    got = streams.quadratic_draws(11, count, coef, 0.0)
+    expected = [coef @ (z * z) for z in streams.standard_normal_chunks(11, count, dim)]
+    got = streams.quadratic_values(11, count, coef, 0.0)
     assert np.array_equal(got, np.concatenate(expected))
     print(got.tobytes().hex())
 """
@@ -120,7 +163,7 @@ def test_quadratic_chunks_match_under_one_blas_thread():
     here = []
     for dim in (3, 384, 1000):
         coef = np.random.default_rng(dim).standard_normal(dim)
-        got = streams.quadratic_draws(11, 2 * streams.CHUNK_SIZE + 7, coef, 0.0)
+        got = streams.quadratic_values(11, 2 * streams.CHUNK_SIZE + 7, coef, 0.0)
         here.append(got.tobytes().hex())
     # The default thread count gives the same bytes as one thread.
     assert single == here
@@ -137,22 +180,22 @@ def test_worker_failure_is_raised_and_leaves_no_threads(monkeypatch):
     monkeypatch.setattr(streams, "chunk_rng", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
-        streams.quadratic_draws(3, 8 * streams.CHUNK_SIZE, np.ones(64), 0.0)
+        streams.quadratic_values(3, 8 * streams.CHUNK_SIZE, np.ones(64), 0.0)
     assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("dim", [3, 384])
 def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
-    # More workers than cores and a short switch interval, so that writes to
-    # neighbouring slices of the one output array interleave.  The pool starts
-    # at most one thread per chunk: six here, whatever the core count.
+    # More workers than cores and a short switch interval, so that the
+    # workers' draws, products and reductions interleave.  Every chunk's
+    # result must come back, in chunk order.
     monkeypatch.setattr(streams, "_worker_count", lambda: 2 * (os.cpu_count() or 1) + 1)
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 5 * streams.CHUNK_SIZE + 7
     got = []
 
     def call():
-        got.append(streams.quadratic_draws(8, count, coef, 0.0))
+        got.append(streams.quadratic_values(8, count, coef, 0.0))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

@@ -237,6 +237,27 @@ class TestSharedRecursion:
         assert np.array_equal(a, expected_a)
         assert np.array_equal(errors, expected_errors)
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 512, 2048])
+    @pytest.mark.parametrize("scale", [1.0, 0.3, 2.5e3])
+    def test_white_skips_the_loop_bit_for_bit(self, n, scale):
+        # K[m] = 0 for m >= 1: the loop's reflection coefficients are all
+        # -0.0, so skipping it must return its bytes, signed zeros included.
+        values = spectral.CovarianceSequence.white(scale).k(np.arange(n))
+        a, errors = numlin.levinson(values)
+        expected_a, expected_errors = reference_levinson(values)
+        assert a.tobytes() == expected_a.tobytes()
+        assert errors.tobytes() == expected_errors.tobytes()
+        # The shared run's orders against the loop: a nonzero last lag makes
+        # the recursion run, yet the orders below it see only zero lags.
+        orders = [m for m in (1, 2, 17, 511) if m < n] + [n]
+        predictors, errors = numlin.levinson(values, orders)
+        if n > 1:
+            looped = np.append(values, scale * 1e-3)
+            expected, expected_errors = numlin.levinson(looped, orders)
+            assert errors.tobytes() == expected_errors.tobytes()
+            for got, want in zip(predictors, expected):
+                assert got.tobytes() == want.tobytes()
+
     def test_run_stops_at_the_largest_order(self):
         predictors, errors = numlin.levinson(lags("rho=0.5", 64), [3, 9])
         assert [p.size for p in predictors] == [3, 9]
