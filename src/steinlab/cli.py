@@ -39,9 +39,6 @@ from .exceptions import (
     SteinlabError,
 )
 
-LN2 = units.LN2
-
-
 # `typical` draws its coverage samples from the sub-stream of this key of
 # its seed.
 COVERAGE_STREAM = 0
@@ -177,7 +174,7 @@ def _validate(config: dict) -> None:
 def run_rate(config: dict) -> tuple[list[str], list[dict]]:
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"])
-    rate = spectral.stein_rate(cov_p.spectrum(), cov_q.spectrum())
+    rate = spectral.stein_rate(cov_p, cov_q)
     if rate == 0.0:
         raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
     rows = []
@@ -385,7 +382,7 @@ def render_csv(command: str, config: dict, summary: list[str], rows: list[dict])
             for col in columns:
                 value = row[col]
                 if to_bits and col in nat_cols:
-                    value = float(value) / LN2
+                    value = units.nats_to_bits(float(value))
                 cells.append(_format_value(value))
             lines.append(",".join(cells))
     return "\n".join(lines) + "\n"

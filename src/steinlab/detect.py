@@ -567,7 +567,7 @@ def _exact_terms(
         numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
     )
     _require_pair(pair)
-    # The window's delta and gamma are the same minimal good threshold.
+    # The window's delta and gamma are the same CLT good threshold.
     gamma = typicality.good_delta_correlated(pair, tau).delta
     window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
     det_np = np_threshold_exact(pair, tau)
@@ -585,7 +585,7 @@ def gcsl_experiment(
     """Run the full exponent study for a pair of covariance sequences.
 
     It runs in two phases.  The exact phase takes, for each n, the exact
-    KL, the minimal good threshold gamma (from B_n, at eps=tau), the
+    KL, the CLT good threshold gamma (from B_n, at eps=tau), the
     analytic exponent window with delta = gamma and the exact level-tau
     threshold (`np_threshold_exact`, no draws); of each n it keeps the LLR
     form and those scalars, not the matrices.  All dense linear algebra
@@ -608,7 +608,7 @@ def gcsl_experiment(
         raise ValueError("ns must be strictly ascending")
     if len(ns) < 3:
         raise ValueError(f"need at least 3 ns for the exponent fit, got {len(ns)}")
-    rate = spectral.stein_rate(cov_p.spectrum(), cov_q.spectrum())
+    rate = spectral.stein_rate(cov_p, cov_q)
     if rate == 0.0:
         raise DegeneratePairError("the two covariance sequences coincide")
 

@@ -6,13 +6,13 @@ circulant eigenvalues, spectral integrals, the Stein rate, the CLT scale
 limit, and the asymptotic-equivalence diagnostics (norms and Szego averages)
 for the three covariance matrix constructions.
 
-A spectrum is its samples on one 4097-point Simpson grid (`GRID`), computed
-by a single real FFT per covariance; every spectral integral runs on those
-samples.  The composite Simpson weights of GRID are formed once, at
-import, as `scipy.integrate.simpson(y, x=GRID)` forms them, so each
-integral is three products and one sum with scipy's bits.
-`spectrum_partial` is the truncated cosine sum S^[n] at arbitrary
-frequencies, the one off-grid evaluation.
+A spectrum is sampled at f = k/P by one real FFT of the lags folded modulo
+P (`CovarianceSequence.spectrum`).  Every spectral integrand is a smooth
+periodic function of f, so every spectral integral is the trapezoid rule,
+the plain mean of the samples, which converges geometrically in P: it
+doubles P from `POINTS_MIN` until two successive means agree, and fails
+past `POINTS_MAX`.  `spectrum_partial` is the truncated cosine sum S^[n]
+at arbitrary frequencies, the one off-grid evaluation.
 
 All logarithms are natural; bit-valued presentation is a reporting
 conversion handled by `units`.
@@ -33,37 +33,15 @@ from .exceptions import (
     NumericalFailureError,
 )
 
-# Composite-Simpson grid f = k / 4096 on [0, 1]: the odd count makes Simpson
-# exact on the whole interval, and the uniform spacing lets one real FFT of
-# the lag sequence give the spectrum at every grid point.
-GRID_SIZE = 4097
-GRID = np.linspace(0.0, 1.0, GRID_SIZE)
-
-
-def _simpson_weights(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Composite Simpson over the pairs of steps (h0, h1) of an odd-length
-    # grid, weights as `scipy.integrate.simpson(y, x=x)` forms them: the
-    # pair [x_2k, x_2k+2] contributes
-    # (h0 + h1)/6 * (y_2k w0 + y_2k+1 w1 + y_2k+2 w2).
-    steps = np.diff(x)
-    h0, h1 = steps[0::2], steps[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    return hsum / 6.0, 2.0 - 1.0 / ratio, hsum * (hsum / (h0 * h1)), 2.0 - ratio
-
-
-_SIMPSON_SCALE, _SIMPSON_W0, _SIMPSON_W1, _SIMPSON_W2 = _simpson_weights(GRID)
-
-
-def _simpson(y: np.ndarray) -> float:
-    """Composite Simpson integral over GRID of its samples y, bit for bit
-    `scipy.integrate.simpson(y, x=GRID)`."""
-    pairs = y[0:-2:2] * _SIMPSON_W0 + y[1::2] * _SIMPSON_W1 + y[2::2] * _SIMPSON_W2
-    return float(np.sum(_SIMPSON_SCALE * pairs))
-
-
 # Lags with |K[m]| below this fraction of K[0] are dropped.
 TAIL_CUTOFF = 1e-14
+
+# The trapezoid grids: P = POINTS_MIN, 2 POINTS_MIN, ... up to POINTS_MAX.
+POINTS_MIN = 4096
+POINTS_MAX = 2**22
+# Two successive means that differ by at most this times the mean of
+# |integrand| end the doubling.
+PERIODIC_RTOL = 1e-13
 
 
 def _is_real(value) -> bool:
@@ -79,7 +57,8 @@ class CovarianceSequence:
 
     `values[m]` holds K[m] for m >= 0 up to the truncation lag; lags beyond
     it are treated as zero (geometric tails are truncated where they fall
-    below double-precision relevance).  Equality is identity, as for `Spectrum`.
+    below double-precision relevance).  Equality is identity: two sequences
+    with the same lags are still two objects.
     """
 
     values: np.ndarray
@@ -140,61 +119,28 @@ class CovarianceSequence:
         """Two-sided absolute sum: sum over all integer lags of |K[m]|."""
         return float(np.abs(self.values[0]) + 2.0 * np.sum(np.abs(self.values[1:])))
 
-    def spectrum(self) -> "Spectrum":
-        return Spectrum.from_covariance(self)
+    def spectrum(self, points: int = POINTS_MIN) -> np.ndarray:
+        """Samples S(k/points), k = 0 .. points/2, of the spectrum (the DTFT
+        of the lags), by one real FFT.
 
-
-@dataclass(frozen=True, eq=False)
-class Spectrum:
-    """Power spectrum S(f) held as its samples on GRID.
-
-    Every spectral quantity of the library is a Simpson integral over GRID,
-    so the samples are all of the spectrum it uses.  They must be finite and
-    positive; `lower` and `upper` are their extremes.
-    """
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape != GRID.shape:
-            raise ValueError(
-                f"spectrum needs {GRID_SIZE} grid samples, got shape {values.shape}"
-            )
-        if not np.all(np.isfinite(values)):
+        At f = k/P the phase of lag m depends only on m mod P, so the real
+        part of the DFT of the lag sequence folded modulo P is the samples,
+        exactly and for any number of lags.  S(1 - f) = S(f), so the half
+        period holds every distinct sample.  They must be finite and
+        positive.
+        """
+        # K[0] among the weights keeps them non-empty, so the fold is float.
+        weights = 2.0 * self.values
+        weights[0] = self.values[0]
+        lags = np.arange(self.values.size)
+        folded = np.bincount(lags % points, weights=weights, minlength=points)
+        half = np.fft.rfft(folded).real
+        if not np.all(np.isfinite(half)):
             raise ValueError("spectrum samples must be finite")
-        lower = values.min()
+        lower = half.min()
         if lower <= 0.0:
             raise ValueError(f"spectrum is not positive on the grid (min {lower:.3e})")
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_covariance(cls, cov: CovarianceSequence) -> "Spectrum":
-        """The spectrum (DTFT of the lag sequence) on GRID, by one real FFT.
-
-        At f = k/P with P = GRID_SIZE - 1 the phase of lag m depends only on
-        m mod P, so the real part of the DFT of the lag sequence folded
-        modulo P is the grid samples, exactly and for any number of lags.
-        """
-        period = GRID_SIZE - 1
-        lags = np.arange(1, cov.values.size)
-        folded = np.bincount(lags % period, weights=2.0 * cov.values[1:], minlength=period)
-        folded[0] += cov.values[0]
-        half = np.fft.rfft(folded).real  # f = 0 .. 1/2; S(1 - f) = S(f)
-        return cls(np.concatenate([half, half[-2::-1]]))
-
-    @classmethod
-    def constant(cls, level: float) -> "Spectrum":
-        """Flat spectrum S(f) = level."""
-        return cls(np.full(GRID_SIZE, float(level)))
-
-    @property
-    def lower(self) -> float:
-        return float(self.values.min())
-
-    @property
-    def upper(self) -> float:
-        return float(self.values.max())
+        return half
 
 
 def spectrum_partial(cov: CovarianceSequence, n: int, f) -> np.ndarray | float:
@@ -233,14 +179,48 @@ def circulant_eigs(cov: CovarianceSequence, n: int) -> np.ndarray:
     return np.fft.fft(numlin.circulant_column(cov, n)).real
 
 
-def spectral_integral(
-    func: Callable[[np.ndarray], np.ndarray], spectrum: Spectrum
+def _half_period_mean(half: np.ndarray) -> float:
+    """Mean over one period of samples given at k = 0 .. P/2 of an even
+    function: samples 1 .. P/2 - 1 each stand for two."""
+    points = 2 * (half.size - 1)
+    return float(half[0] + half[-1] + 2.0 * np.sum(half[1:-1])) / points
+
+
+def _periodic_mean(
+    integrand: Callable[..., np.ndarray], covs: Sequence[CovarianceSequence]
 ) -> float:
-    """Integral over [0, 1] of func(S(f)) by composite Simpson."""
-    integrand = np.asarray(func(spectrum.values), dtype=float)
-    if not np.all(np.isfinite(integrand)):
-        raise NumericalFailureError("integrand is non-finite on the grid")
-    return _simpson(integrand)
+    """Integral over [0, 1] of integrand(S_1, S_2, ...), the spectra of
+    `covs` sampled on one grid, by the periodic trapezoid rule.
+
+    The grid at P is every other point of the grid at 2P, and on a smooth
+    periodic integrand the error falls geometrically in P, so the gap
+    between the means at P and 2P estimates the error at P; the mean at 2P
+    is returned.  Scaling the tolerance by the mean of |integrand| lets an
+    integrand that is zero everywhere stop at the second grid.
+    """
+    previous = None
+    points = POINTS_MIN
+    while points <= POINTS_MAX:
+        values = np.asarray(integrand(*(cov.spectrum(points) for cov in covs)), dtype=float)
+        if not np.all(np.isfinite(values)):
+            raise NumericalFailureError("integrand is non-finite on the grid")
+        mean = _half_period_mean(values)
+        if previous is not None and abs(mean - previous) <= PERIODIC_RTOL * _half_period_mean(
+            np.abs(values)
+        ):
+            return mean
+        previous = mean
+        points *= 2
+    raise NumericalFailureError(
+        f"spectral integral not converged on {POINTS_MAX} grid points"
+    )
+
+
+def spectral_integral(
+    func: Callable[[np.ndarray], np.ndarray], cov: CovarianceSequence
+) -> float:
+    """Integral over [0, 1] of func(S(f)), S the spectrum of `cov`."""
+    return _periodic_mean(func, (cov,))
 
 
 # Dynamic-range guard for spectral ratios.
@@ -248,8 +228,8 @@ RATIO_MIN = 1e-12
 RATIO_MAX = 1e12
 
 
-def _spectral_ratio(spectrum_p: Spectrum, spectrum_q: Spectrum) -> np.ndarray:
-    ratio = spectrum_p.values / spectrum_q.values
+def _spectral_ratio(spectrum_p: np.ndarray, spectrum_q: np.ndarray) -> np.ndarray:
+    ratio = spectrum_p / spectrum_q
     if np.any(ratio < RATIO_MIN) or np.any(ratio > RATIO_MAX):
         raise IllConditionedSpectraError(
             "spectral ratio leaves the supported range "
@@ -258,22 +238,28 @@ def _spectral_ratio(spectrum_p: Spectrum, spectrum_q: Spectrum) -> np.ndarray:
     return ratio
 
 
-def stein_rate(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
+def _stein_integrand(spectrum_p: np.ndarray, spectrum_q: np.ndarray) -> np.ndarray:
+    ratio = _spectral_ratio(spectrum_p, spectrum_q)
+    return ratio - np.log(ratio) - 1.0
+
+
+def _bn_integrand(spectrum_p: np.ndarray, spectrum_q: np.ndarray) -> np.ndarray:
+    return (_spectral_ratio(spectrum_p, spectrum_q) - 1.0) ** 2
+
+
+def stein_rate(cov_p: CovarianceSequence, cov_q: CovarianceSequence) -> float:
     """Linear growth rate of the relative entropy, in nats per sample.
 
     One half the integral of (r - log r - 1) with r the spectral ratio;
     an Itakura-Saito-type divergence, zero iff the spectra agree on the
     grid.
     """
-    ratio = _spectral_ratio(spectrum_p, spectrum_q)
-    integrand = ratio - np.log(ratio) - 1.0
-    return 0.5 * _simpson(integrand)
+    return 0.5 * _periodic_mean(_stein_integrand, (cov_p, cov_q))
 
 
-def bn_limit(spectrum_p: Spectrum, spectrum_q: Spectrum) -> float:
+def bn_limit(cov_p: CovarianceSequence, cov_q: CovarianceSequence) -> float:
     """Limit of B_n / sqrt(n): sqrt of the integral of (r - 1)^2."""
-    ratio = _spectral_ratio(spectrum_p, spectrum_q)
-    return float(np.sqrt(_simpson((ratio - 1.0) ** 2)))
+    return float(np.sqrt(_periodic_mean(_bn_integrand, (cov_p, cov_q))))
 
 
 def eig_functional_avg(func: Callable, eigs) -> float:
@@ -318,11 +304,10 @@ def asym_equiv_report(
     norm comes from `numlin.strong_norm_toeplitz`; C's from its FFT
     eigenvalues.
     """
-    spectrum = cov.spectrum()
     targets = {
-        "spectral_x": spectral_integral(lambda s: s, spectrum),
-        "spectral_log": spectral_integral(np.log, spectrum),
-        "spectral_inv": spectral_integral(lambda s: 1.0 / s, spectrum),
+        "spectral_x": spectral_integral(lambda s: s, cov),
+        "spectral_log": spectral_integral(np.log, cov),
+        "spectral_inv": spectral_integral(lambda s: 1.0 / s, cov),
     }
     bound = cov.abs_sum
     # B's and C's columns reject an n below 3 before the recursion runs.

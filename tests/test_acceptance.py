@@ -47,11 +47,10 @@ def test_criterion_02_kl_rate_convergence():
 
 
 def test_criterion_03_eigenvalue_functional_limits():
-    spectrum = GEO_HALF.spectrum()
     eigs = numlin.eig_sym(numlin.toeplitz_from_cov(GEO_HALF, 512)).eigenvalues
     devs = []
     for func in (lambda x: x, np.log, lambda x: 1.0 / x):
-        target = spectral.spectral_integral(func, spectrum)
+        target = spectral.spectral_integral(func, GEO_HALF)
         devs.append(abs(spectral.eig_functional_avg(func, eigs) - target))
     ok = max(devs) <= 0.01
     report(3, f"Toeplitz eigenvalue averages near spectral integrals (max dev {max(devs):.4f})", ok)

@@ -103,6 +103,16 @@ class TestRateCommand:
         assert code == 2
         assert "config error" in err
 
+    def test_spectral_integral_not_converged_exits_3(self, capsys, monkeypatch, tmp_path):
+        # rho = 0.999 needs 65536 grid points.
+        monkeypatch.setattr(spectral, "POINTS_MAX", 8192)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cov_p": {"kind": "geometric", "rho": 0.999}}))
+        code, out, err = run_cli(capsys, "rate", "--config", str(cfg), "--n-list", "8")
+        assert code == 3
+        assert out == ""
+        assert "not converged on 8192 grid points" in err
+
 
 class TestTypicalCommand:
     def test_coverage_row(self, capsys):

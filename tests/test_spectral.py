@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
-from scipy.integrate import quad, simpson
+from scipy.integrate import quad
 
 from steinlab import numlin, spectral
 from steinlab.exceptions import IllConditionedSpectraError, NumericalFailureError
 
 WHITE = spectral.CovarianceSequence.white()
 GEO = spectral.CovarianceSequence.geometric(0.5)
+
+
+def half_grid(points=4096):
+    # The frequencies of `CovarianceSequence.spectrum(points)`.
+    return np.arange(points // 2 + 1) / points
 
 
 def geo_spectrum_exact(rho, f):
@@ -92,30 +97,34 @@ class TestSpectrum:
     @pytest.mark.parametrize("level", [0.0, -1.0, np.nan, np.inf])
     def test_constant_rejects_bad_level(self, level):
         with pytest.raises(ValueError):
-            spectral.Spectrum.constant(level)
-
-    def test_wrong_sample_count_rejected(self):
-        with pytest.raises(ValueError):
-            spectral.Spectrum(np.ones(spectral.GRID_SIZE - 1))
+            spectral.CovarianceSequence.white(level)
 
     def test_white_spectrum_flat(self):
         s = WHITE.spectrum()
-        assert np.all(s.values == 1.0)
-        assert s.lower == 1.0
-        assert s.upper == 1.0
+        assert s.shape == (2049,)
+        assert np.all(s == 1.0)
+
+    def test_white_spectrum_keeps_a_fractional_scale(self):
+        assert np.all(spectral.CovarianceSequence.white(2.5).spectrum() == 2.5)
 
     def test_geometric_matches_closed_form(self):
         s = GEO.spectrum()
-        assert np.allclose(s.values, geo_spectrum_exact(0.5, spectral.GRID), atol=1e-12)
+        assert np.allclose(s, geo_spectrum_exact(0.5, half_grid()), atol=1e-12)
 
     def test_bounds_from_grid(self):
         s = GEO.spectrum()
-        assert s.lower == pytest.approx(1.0 / 3.0, abs=1e-10)
-        assert s.upper == pytest.approx(3.0, abs=1e-10)
+        assert s.min() == pytest.approx(1.0 / 3.0, abs=1e-10)
+        assert s.max() == pytest.approx(3.0, abs=1e-10)
 
     def test_symmetry(self):
-        s = GEO.spectrum()
-        assert np.array_equal(s.values, s.values[::-1])
+        # The half period is all of the spectrum: S(1 - f) = S(f).
+        n = 2 * GEO.values.size + 1
+        mirrored = spectral.spectrum_partial(GEO, n, 1.0 - half_grid())
+        assert np.allclose(GEO.spectrum(), mirrored, rtol=1e-12, atol=0.0)
+
+    def test_grid_is_every_other_point_of_the_next(self):
+        coarse, fine = GEO.spectrum(4096), GEO.spectrum(8192)
+        assert np.allclose(fine[::2], coarse, rtol=1e-14, atol=0.0)
 
     @pytest.mark.parametrize(
         "cov",
@@ -129,15 +138,15 @@ class TestSpectrum:
     def test_fft_matches_cosine_sum(self, cov):
         # a window of 2 * len + 1 lags holds every lag of the sequence
         n = 2 * cov.values.size + 1
-        reference = spectral.spectrum_partial(cov, n, spectral.GRID)
-        assert np.allclose(cov.spectrum().values, reference, rtol=1e-12, atol=0.0)
+        reference = spectral.spectrum_partial(cov, n, half_grid())
+        assert np.allclose(cov.spectrum(), reference, rtol=1e-12, atol=0.0)
 
     def test_fft_folds_more_lags_than_grid_points(self):
         rho = 0.999
         cov = spectral.CovarianceSequence.geometric(rho)
-        assert cov.values.size > spectral.GRID_SIZE
-        exact = geo_spectrum_exact(rho, spectral.GRID)
-        assert np.allclose(cov.spectrum().values, exact, rtol=1e-9, atol=0.0)
+        assert cov.values.size > 4096
+        exact = geo_spectrum_exact(rho, half_grid())
+        assert np.allclose(cov.spectrum(), exact, rtol=1e-9, atol=0.0)
 
 
 class TestSpectrumPartial:
@@ -191,16 +200,16 @@ class TestCirculantEigs:
 
 class TestSpectralIntegral:
     def test_identity_white(self):
-        assert spectral.spectral_integral(lambda s: s, WHITE.spectrum()) == pytest.approx(1.0)
+        assert spectral.spectral_integral(lambda s: s, WHITE) == pytest.approx(1.0)
 
     def test_identity_geometric_gives_k0(self):
         # inverse-DTFT oracle: integral of S equals K[0] = 1
-        value = spectral.spectral_integral(lambda s: s, GEO.spectrum())
+        value = spectral.spectral_integral(lambda s: s, GEO)
         assert value == pytest.approx(1.0, abs=1e-10)
 
     def test_log_matches_szego_closed_form(self):
         # Szego: integral of ln S for geometric rho is ln(1 - rho^2)
-        value = spectral.spectral_integral(np.log, GEO.spectrum())
+        value = spectral.spectral_integral(np.log, GEO)
         assert value == pytest.approx(np.log(0.75), abs=1e-10)
         # independent quadrature oracle
         oracle, _ = quad(lambda f: np.log(geo_spectrum_exact(0.5, f)), 0.0, 1.0)
@@ -208,33 +217,15 @@ class TestSpectralIntegral:
 
     def test_nonfinite_integrand_rejected(self):
         with pytest.raises(NumericalFailureError), np.errstate(invalid="ignore"):
-            spectral.spectral_integral(lambda s: np.log(s - 1.0), GEO.spectrum())
-
-    # The module's Simpson rule must give scipy's bits, so every spectral
-    # column stays byte-identical.
-    @pytest.mark.parametrize("seed", range(4))
-    def test_simpson_is_scipy_bit_for_bit(self, seed):
-        rng = np.random.default_rng(seed)
-        y = rng.standard_normal(spectral.GRID_SIZE) * 10.0 ** rng.uniform(-8, 8)
-        assert spectral._simpson(y) == float(simpson(y, x=spectral.GRID))
-        sp = spectral.Spectrum(np.exp(rng.standard_normal(spectral.GRID_SIZE)))
-        assert spectral.spectral_integral(np.log, sp) == float(simpson(np.log(sp.values), x=spectral.GRID))
-
-    @pytest.mark.parametrize("rho", [0.5, 0.99])
-    def test_stein_rate_integrand_is_scipy_simpson_bit_for_bit(self, rho):
-        sp = spectral.CovarianceSequence.geometric(rho).spectrum()
-        ratio = sp.values / WHITE.spectrum().values
-        integrand = ratio - np.log(ratio) - 1.0
-        assert spectral._simpson(integrand) == float(simpson(integrand, x=spectral.GRID))
-        assert spectral.stein_rate(sp, WHITE.spectrum()) == float(0.5 * simpson(integrand, x=spectral.GRID))
+            spectral.spectral_integral(lambda s: np.log(s - 1.0), GEO)
 
 
 class TestSteinRate:
     def test_equal_spectra(self):
-        assert spectral.stein_rate(GEO.spectrum(), GEO.spectrum()) == pytest.approx(0.0, abs=1e-14)
+        assert spectral.stein_rate(GEO, GEO) == 0.0
 
     def test_geo_vs_white_closed_form(self):
-        value = spectral.stein_rate(GEO.spectrum(), WHITE.spectrum())
+        value = spectral.stein_rate(GEO, WHITE)
         assert value == pytest.approx(-0.5 * np.log(0.75), abs=1e-10)
         oracle, _ = quad(
             lambda f: 0.5
@@ -246,35 +237,79 @@ class TestSteinRate:
 
     def test_constant_vs_white(self):
         c = 2.5
-        value = spectral.stein_rate(spectral.Spectrum.constant(c), WHITE.spectrum())
+        value = spectral.stein_rate(spectral.CovarianceSequence.white(c), WHITE)
         assert value == pytest.approx(0.5 * (c - np.log(c) - 1.0), abs=1e-12)
 
     def test_scale_invariance(self):
-        sp, sq = GEO.spectrum(), WHITE.spectrum()
-        base = spectral.stein_rate(sp, sq)
+        base = spectral.stein_rate(GEO, WHITE)
         for c in (0.1, 7.0):
-            scaled_p = spectral.Spectrum(c * sp.values)
-            scaled_q = spectral.Spectrum.constant(c)
+            scaled_p = spectral.CovarianceSequence(c * GEO.values)
+            scaled_q = spectral.CovarianceSequence.white(c)
             assert spectral.stein_rate(scaled_p, scaled_q) == pytest.approx(base, abs=1e-12)
 
     def test_ill_conditioned_ratio_rejected(self):
         with pytest.raises(IllConditionedSpectraError):
-            spectral.stein_rate(spectral.Spectrum.constant(1e20), WHITE.spectrum())
+            spectral.stein_rate(spectral.CovarianceSequence.white(1e20), WHITE)
 
 
 class TestBnLimit:
     def test_equal_spectra(self):
-        assert spectral.bn_limit(GEO.spectrum(), GEO.spectrum()) == pytest.approx(0.0, abs=1e-14)
+        assert spectral.bn_limit(GEO, GEO) == 0.0
 
     def test_geo_vs_white(self):
         # Parseval oracle: integral of S_p^2 = sum rho^(2|m|) = 5/3
-        value = spectral.bn_limit(GEO.spectrum(), WHITE.spectrum())
+        value = spectral.bn_limit(GEO, WHITE)
         assert value == pytest.approx(np.sqrt(2.0 / 3.0), abs=1e-10)
 
     def test_constant_vs_white(self):
         c = 1.75
-        value = spectral.bn_limit(spectral.Spectrum.constant(c), WHITE.spectrum())
+        value = spectral.bn_limit(spectral.CovarianceSequence.white(c), WHITE)
         assert value == pytest.approx(abs(c - 1.0), abs=1e-12)
+
+
+class TestPeriodicTrapezoid:
+    @pytest.mark.parametrize("rho", [0.5, 0.99, 0.999, 0.9999])
+    def test_geo_vs_white_to_rounding(self, rho):
+        # Kolmogorov-Szego for AR(1): C_s = -ln(1 - rho^2) / 2.  Near the
+        # unit root the spectral peak needs grids far finer than the first.
+        exact = -0.5 * np.log1p(-rho * rho)
+        assert spectral.stein_rate(spectral.CovarianceSequence.geometric(rho), WHITE) == (
+            pytest.approx(exact, rel=1e-12)
+        )
+
+    def test_equal_covariances_stop_at_the_second_grid(self, monkeypatch):
+        monkeypatch.setattr(spectral, "POINTS_MAX", 2 * spectral.POINTS_MIN)
+        twin = spectral.CovarianceSequence(GEO.values.copy())
+        assert spectral.stein_rate(GEO, twin) == 0.0
+        assert spectral.bn_limit(GEO, twin) == 0.0
+
+    def test_not_converged_below_the_cap_fails(self, monkeypatch):
+        monkeypatch.setattr(spectral, "POINTS_MAX", 8192)
+        # rho = 0.5 converges on 8192 points, rho = 0.999 needs 65536.
+        spectral.stein_rate(GEO, WHITE)
+        with pytest.raises(NumericalFailureError, match="not converged"):
+            spectral.stein_rate(spectral.CovarianceSequence.geometric(0.999), WHITE)
+
+    def test_both_spectra_on_one_grid(self, monkeypatch):
+        grids = []
+        spectrum = spectral.CovarianceSequence.spectrum
+
+        def recorded(cov, points=4096):
+            grids.append(points)
+            return spectrum(cov, points)
+
+        monkeypatch.setattr(spectral.CovarianceSequence, "spectrum", recorded)
+        spectral.stein_rate(spectral.CovarianceSequence.geometric(0.999), GEO)
+        assert grids[0::2] == grids[1::2] == [4096 * 2**k for k in range(len(grids) // 2)]
+
+    def test_ratio_guard_on_every_grid(self):
+        # Lags 1 and 4097 fold together on 4096 points, where S_q is flat; on
+        # 8192 points S_q falls to 3e-7 next to f = 1/2, and the ratio of a
+        # flat S_p = 1e6 leaves the supported range.
+        q = spectral.CovarianceSequence.from_table([1.0, 0.25] + [0.0] * 4095 + [-0.25])
+        assert np.all(q.spectrum(4096) == 1.0)
+        with pytest.raises(IllConditionedSpectraError):
+            spectral.stein_rate(spectral.CovarianceSequence.white(1e6), q)
 
 
 class TestEigFunctionalAvg:
@@ -294,8 +329,7 @@ class TestSzegoConvergence:
         [(lambda x: x, "x"), (np.log, "log"), (lambda x: 1.0 / x, "inv")],
     )
     def test_toeplitz_eig_avg_converges(self, func, name):
-        spectrum = GEO.spectrum()
-        target = spectral.spectral_integral(func, spectrum)
+        target = spectral.spectral_integral(func, GEO)
         errs = {}
         for n in (64, 512):
             eigs = numlin.eig_sym(numlin.toeplitz_from_cov(GEO, n)).eigenvalues
@@ -303,8 +337,7 @@ class TestSzegoConvergence:
         assert errs[512] < errs[64]
 
     def test_circulant_eig_avg_converges(self):
-        spectrum = GEO.spectrum()
-        target = spectral.spectral_integral(np.log, spectrum)
+        target = spectral.spectral_integral(np.log, GEO)
         # trapezoid-of-periodic accuracy: machine precision well before n=512
         errs = {
             n: abs(
@@ -320,8 +353,8 @@ class TestSzegoConvergence:
         spectrum = GEO.spectrum()
         for n in (16, 64):
             eigs = numlin.eig_sym(numlin.toeplitz_from_cov(GEO, n)).eigenvalues
-            assert np.all(eigs >= spectrum.lower - 1e-10)
-            assert np.all(eigs <= spectrum.upper + 1e-10)
+            assert np.all(eigs >= spectrum.min() - 1e-10)
+            assert np.all(eigs <= spectrum.max() + 1e-10)
 
 
 class TestAsymEquivReport:

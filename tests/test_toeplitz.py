@@ -114,13 +114,7 @@ def test_kl_toeplitz_matches_kl_gaussian_long_memory():
     [
         "rho=0.5",
         "rho=0.99",
-        pytest.param(
-            "rho=0.999",
-            marks=pytest.mark.xfail(
-                strict=True,
-                reason="the 4097-point grid under-resolves the spectral peak: C_s is 0.9% low",
-            ),
-        ),
+        "rho=0.999",
         "rho=-0.95",
         "table",
     ],
@@ -132,14 +126,14 @@ def test_kolmogorov_szego(name):
     cov = COVS[name]
     _, errors = numlin.levinson(lags(name, 512))
     exact = 0.5 * (cov.k(0) - math.log(errors[-1]) - 1.0)
-    assert spectral.stein_rate(cov.spectrum(), WHITE.spectrum()) == pytest.approx(exact, rel=1e-8)
+    assert spectral.stein_rate(cov, WHITE) == pytest.approx(exact, rel=1e-8)
 
 
 def test_kolmogorov_szego_long_memory_value():
     _, errors = numlin.levinson(lags("rho=0.99", 512))
     assert 0.5 * (1.0 - math.log(errors[-1]) - 1.0) == pytest.approx(1.958517773626, abs=1e-12)
-    rate = spectral.stein_rate(COVS["rho=0.99"].spectrum(), WHITE.spectrum())
-    assert rate == pytest.approx(1.95851777324, abs=1e-11)
+    rate = spectral.stein_rate(COVS["rho=0.99"], WHITE)
+    assert rate == pytest.approx(1.958517773626, abs=1e-12)
 
 
 def test_large_n_in_linear_memory():
@@ -152,7 +146,7 @@ def test_large_n_in_linear_memory():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-    assert abs(kl / n - spectral.stein_rate(p.spectrum(), WHITE.spectrum())) < 2e-4
+    assert abs(kl / n - spectral.stein_rate(p, WHITE)) < 2e-4
 
 
 class TestLevinson:
@@ -291,9 +285,11 @@ class TestSharedRecursion:
         ids=["rate", "asymptotics", "typical-entropy"],
     )
     def test_study_on_a_table_pd_to_order_4_exits_3(self, argv, capsys, tmp_path):
-        # Lags 1 and 4097 cancel on the spectrum grid, so the spectrum checks
-        # pass there and only the recursion finds T_5 indefinite.
-        values = [1.0, 0.55, -0.1] + [0.0] * 4094 + [-0.55]
+        # Lags 1 and 8193 = 1 + 2 * 4096 cancel on the 4096- and 8192-point
+        # grids, the two the spectral integrals stop at here, so the
+        # spectrum checks pass there and only the recursion finds T_5
+        # indefinite.
+        values = [1.0, 0.55, -0.1] + [0.0] * 8190 + [-0.55]
         config = {"cov_p": {"kind": "table", "values": values}}
         if argv[0] == "typical":
             config["variant"] = "entropy"
@@ -302,6 +298,16 @@ class TestSharedRecursion:
         assert cli.main([*argv, "--config", str(cfg), "--n-list", "4"]) == 0
         assert cli.main([*argv, "--config", str(cfg), "--n-list", "4,64"]) == 3
         assert "at order 4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("study", ["rate", "asymptotics"])
+    def test_table_folded_on_the_first_grid_only_exits_2(self, study, capsys, tmp_path):
+        # Lags 1 and 4097 cancel on the 4096-point grid alone; the 8192-point
+        # grid the spectral integrals go on to finds the spectrum negative.
+        values = [1.0, 0.55, -0.1] + [0.0] * 4094 + [-0.55]
+        cfg = tmp_path / "table.json"
+        cfg.write_text(json.dumps({"cov_p": {"kind": "table", "values": values}}))
+        assert cli.main([study, "--config", str(cfg), "--n-list", "4"]) == 2
+        assert "spectrum is not positive on the grid" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n_list", ["64", "64,128,256"])
