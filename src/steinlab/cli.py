@@ -218,13 +218,12 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     seed = config["seed"]
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
-    # A spectrum that is not positive is a configuration error here as in
-    # `rate`, before any n can fail the factorization instead.
-    cov_p.spectrum()
-    cov_q = None
-    if variant == "rel_entropy":
-        cov_q = covariance_from_spec(config["cov_q"])
-        cov_q.spectrum()
+    cov_q = covariance_from_spec(config["cov_q"]) if variant == "rel_entropy" else None
+    # A spectrum not positive on the two grids every spectral integral visits
+    # is a config error here as in `rate`, before any n can fail to factor.
+    for cov in (cov_p,) if cov_q is None else (cov_p, cov_q):
+        for points in (spectral.POINTS_MIN, 2 * spectral.POINTS_MIN):
+            cov.spectrum(points)
     # Every set first, then every draw (see `streams`); a set keeps only
     # its statistic's coefficient vector and scalars, not the matrices.
     if cov_q is None:

@@ -11,8 +11,9 @@ P (`CovarianceSequence.spectrum`).  Every spectral integrand is a smooth
 periodic function of f, so every spectral integral is the trapezoid rule,
 the plain mean of the samples, which converges geometrically in P: it
 doubles P from `POINTS_MIN` until two successive means agree, and fails
-past `POINTS_MAX`.  `spectrum_partial` is the truncated cosine sum S^[n]
-at arbitrary frequencies, the one off-grid evaluation.
+past `POINTS_MAX`.  The rows of an integrand share one spectrum per
+covariance per grid.  `spectrum_partial` is the truncated cosine sum
+S^[n] at arbitrary frequencies, the one off-grid evaluation.
 
 All logarithms are natural; bit-valued presentation is a reporting
 conversion handled by `units`.
@@ -186,17 +187,18 @@ def _half_period_mean(half: np.ndarray) -> float:
     return float(half[0] + half[-1] + 2.0 * np.sum(half[1:-1])) / points
 
 
-def _periodic_mean(
-    integrand: Callable[..., np.ndarray], covs: Sequence[CovarianceSequence]
-) -> float:
+def _periodic_mean(integrand: Callable, covs: Sequence[CovarianceSequence]) -> float | list:
     """Integral over [0, 1] of integrand(S_1, S_2, ...), the spectra of
-    `covs` sampled on one grid, by the periodic trapezoid rule.
+    `covs` sampled on one grid, by the periodic trapezoid rule; an
+    integrand that returns several rows gets a list of their integrals,
+    all read off one spectrum per covariance per grid.
 
     The grid at P is every other point of the grid at 2P, and on a smooth
     periodic integrand the error falls geometrically in P, so the gap
-    between the means at P and 2P estimates the error at P; the mean at 2P
-    is returned.  Scaling the tolerance by the mean of |integrand| lets an
-    integrand that is zero everywhere stop at the second grid.
+    between the means at P and 2P estimates the error at P; the means at
+    the first 2P where every row's gap is small are returned.  Scaling the
+    tolerance by the mean of |integrand| lets an integrand that is zero
+    everywhere stop at the second grid.
     """
     previous = None
     points = POINTS_MIN
@@ -204,22 +206,23 @@ def _periodic_mean(
         values = np.asarray(integrand(*(cov.spectrum(points) for cov in covs)), dtype=float)
         if not np.all(np.isfinite(values)):
             raise NumericalFailureError("integrand is non-finite on the grid")
-        mean = _half_period_mean(values)
-        if previous is not None and abs(mean - previous) <= PERIODIC_RTOL * _half_period_mean(
-            np.abs(values)
+        rows = np.atleast_2d(values)
+        means = [_half_period_mean(row) for row in rows]
+        if previous is not None and all(
+            abs(mean - old) <= PERIODIC_RTOL * _half_period_mean(np.abs(row))
+            for mean, old, row in zip(means, previous, rows)
         ):
-            return mean
-        previous = mean
+            return means if values.ndim > 1 else means[0]
+        previous = means
         points *= 2
     raise NumericalFailureError(
         f"spectral integral not converged on {POINTS_MAX} grid points"
     )
 
 
-def spectral_integral(
-    func: Callable[[np.ndarray], np.ndarray], cov: CovarianceSequence
-) -> float:
-    """Integral over [0, 1] of func(S(f)), S the spectrum of `cov`."""
+def spectral_integral(func: Callable, cov: CovarianceSequence) -> float | list:
+    """Integral over [0, 1] of func(S(f)), S the spectrum of `cov`, or the
+    list of integrals of func's rows if it returns several (`_periodic_mean`)."""
     return _periodic_mean(func, (cov,))
 
 
@@ -300,15 +303,13 @@ def asym_equiv_report(
     of T at the largest n gives every n its Szego averages: eigavg_x = K[0]
     (the trace over n), eigavg_log = log det T / n from the first n errors,
     and eigavg_inv = tr(T^-1) / n, the zeroth diagonal sum from
-    `numlin.inverse_diagonal_sums` of the order-n predictor.  T's strong
+    `numlin.inverse_diagonal_sums` of the order-n predictor.  The three
+    spectral targets are one three-row `spectral_integral`.  T's strong
     norm comes from `numlin.strong_norm_toeplitz`; C's from its FFT
     eigenvalues.
     """
-    targets = {
-        "spectral_x": spectral_integral(lambda s: s, cov),
-        "spectral_log": spectral_integral(np.log, cov),
-        "spectral_inv": spectral_integral(lambda s: 1.0 / s, cov),
-    }
+    names = ("spectral_x", "spectral_log", "spectral_inv")
+    targets = dict(zip(names, spectral_integral(lambda s: (s, np.log(s), 1.0 / s), cov)))
     bound = cov.abs_sum
     # B's and C's columns reject an n below 3 before the recursion runs.
     columns = [(numlin.banded_column(cov, n), numlin.circulant_column(cov, n)) for n in n_list]

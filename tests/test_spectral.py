@@ -409,3 +409,37 @@ class TestAsymEquivReport:
             monkeypatch.setattr(numlin, name, counted)
         spectral.asym_equiv_report(GEO, [16, 32, 64])
         assert calls == []
+
+    @pytest.mark.parametrize("rho, calls", [(0.99, 2), (0.999, 6)])
+    def test_one_spectrum_per_grid(self, rho, calls, monkeypatch):
+        # The three targets share each grid's spectrum: three one-row
+        # integrals would make 6 and 14 calls.
+        grids = []
+        spectrum = spectral.CovarianceSequence.spectrum
+
+        def recorded(cov, points=4096):
+            grids.append(points)
+            return spectrum(cov, points)
+
+        monkeypatch.setattr(spectral.CovarianceSequence, "spectrum", recorded)
+        spectral.asym_equiv_report(spectral.CovarianceSequence.geometric(rho), [512, 1024, 2048])
+        assert grids == [4096 * 2**k for k in range(calls)]
+
+    @pytest.mark.parametrize(
+        "rho, rel", [(0.5, 0.0), (0.99, 0.0), (-0.95, 0.0), (0.9999, 0.0), (0.999, 1e-13)]
+    )
+    def test_targets_match_one_row_integrals(self, rho, rel):
+        # Bit for bit where the three rows converge on the same grid.  At
+        # rho = 0.999 alone they stop at 65536, 65536 and 32768 points; on
+        # 65536 the 1/S row's gap exceeds the tolerance by rounding, so
+        # together they stop at 131072 and the log and 1/S rows move.
+        cov = spectral.CovarianceSequence.geometric(rho)
+        row = spectral.asym_equiv_report(cov, [512, 1024, 2048])[-1]
+        targets = (row.spectral_x, row.spectral_log, row.spectral_inv)
+        for target, func in zip(targets, (lambda s: s, np.log, lambda s: 1.0 / s)):
+            alone = spectral.spectral_integral(func, cov)
+            assert abs(target - alone) <= rel * abs(alone)
+
+    def test_several_rows_return_a_list(self):
+        rows = spectral.spectral_integral(lambda s: (s, 2.0 * s), GEO)
+        assert rows == [spectral.spectral_integral(lambda s: s, GEO), 2.0 * rows[0]]

@@ -299,13 +299,26 @@ class TestSharedRecursion:
         assert cli.main([*argv, "--config", str(cfg), "--n-list", "4,64"]) == 3
         assert "at order 4" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("study", ["rate", "asymptotics"])
-    def test_table_folded_on_the_first_grid_only_exits_2(self, study, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "study, variant",
+        [
+            ("rate", None),
+            ("asymptotics", None),
+            ("typical", "entropy"),
+            ("typical", "rel_entropy"),
+        ],
+        ids=["rate", "asymptotics", "typical-entropy", "typical-rel_entropy"],
+    )
+    def test_table_folded_on_the_first_grid_only_exits_2(self, study, variant, capsys, tmp_path):
         # Lags 1 and 4097 cancel on the 4096-point grid alone; the 8192-point
-        # grid the spectral integrals go on to finds the spectrum negative.
+        # grid the spectral integrals go on to, and `typical` checks too,
+        # finds the spectrum negative.
         values = [1.0, 0.55, -0.1] + [0.0] * 4094 + [-0.55]
+        config = {"cov_p": {"kind": "table", "values": values}}
+        if variant is not None:
+            config["variant"] = variant
         cfg = tmp_path / "table.json"
-        cfg.write_text(json.dumps({"cov_p": {"kind": "table", "values": values}}))
+        cfg.write_text(json.dumps(config))
         assert cli.main([study, "--config", str(cfg), "--n-list", "4"]) == 2
         assert "spectrum is not positive on the grid" in capsys.readouterr().err
 
