@@ -219,11 +219,8 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"]) if variant == "rel_entropy" else None
-    # A spectrum not positive on the two grids every spectral integral visits
-    # is a config error here as in `rate`, before any n can fail to factor.
-    for cov in (cov_p,) if cov_q is None else (cov_p, cov_q):
-        for points in (spectral.POINTS_MIN, 2 * spectral.POINTS_MIN):
-            cov.spectrum(points)
+    # A config error here as in `rate`, before any n can fail to factor.
+    spectral.check_spectra((cov_p,) if cov_q is None else (cov_p, cov_q))
     # Every set first, then every draw (see `streams`); a set keeps only
     # its statistic's coefficient vector and scalars, not the matrices.
     if cov_q is None:

@@ -10,97 +10,26 @@ accumulation.
 Everything runs in whitened coordinates: both error probabilities and the
 LLR law are invariant under the whitening bijection, so under p the LLR is
 offset + sum_j c_j z_j^2 with c = (kappas - 1)/2 and z standard normal.
-Its law is known exactly, so the threshold for a type-I error of tau is
-the root of an inverted characteristic function (`np_threshold_exact`),
-with no draws; every sampled LLR value comes from `streams.quadratic_draws`.
-The inversion (`quadratic_form_cdf`) is one adaptive G10/K21
-Gauss-Kronrod quadrature whose nodes are evaluated in batches, panel by
-panel, until its summed error estimate is at most 1e-12.
+The threshold for a type-I error of tau is a root of that law
+(`np_threshold_exact`, from `qform`), with no draws; every sampled LLR
+value comes from `streams.quadratic_draws`.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, numlin, spectral, streams, typicality
-from .exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
+from . import gaussian, numlin, qform, spectral, streams, typicality
+from .exceptions import DegeneratePairError, VacuousBoundError
 
 NEG_INF = float("-inf")
-_EPS = float(np.finfo(float).eps)
 # `gcsl_experiment` draws its evaluation samples from the sub-stream of
 # this key of its seed.
 EVALUATION_STREAM = 1
-
-# `quadratic_form_cdf` integrates along a ray this far from the real axis,
-# over initial panels that end at these multiples of the local scale.
-_RAY_ANGLE = 7.0 * math.pi / 16.0
-_RAY_PANELS = (1.5, 3.0, 6.0, 12.0)
-# Absolute accuracy asked of each inversion; `np_threshold_exact` stops
-# once its type-I error is this close to tau.
-_CDF_TOL = 1e-12
-# An inversion whose error estimate exceeds this is a failure.
-_CDF_ERR_MAX = 1e-10
-# An inversion may bisect at most this many panels in all.
-_CDF_SPLITS = 10_000
-# Largest temporary of the inversion, in doubles: its nodes are evaluated
-# in blocks of about this many node-coefficient products.
-_BLOCK_DOUBLES = 1 << 20
-_NEWTON_STEPS = 50
-# Newton steps (or bisections) allowed for the inversion's saddlepoint.
-_SADDLE_STEPS = 200
-
-# The G10/K21 Gauss-Kronrod pair on [-1, 1] (Piessens et al., QUADPACK
-# 1983), the rule of `scipy.integrate.quad_vec(quadrature="gk21")`: the 11
-# Kronrod nodes x >= 0, descending, with their Kronrod and Gauss weights
-# (the Gauss nodes are the odd positions).  The rule is symmetric, so the
-# other 10 nodes mirror these.
-_GK_HALF_NODES = (
-    0.995657163025808080735527280689003,
-    0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508,
-    0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042,
-    0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694,
-    0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866,
-    0.148874338981631210884826001129720,
-    0.0,
-)
-_GK_HALF_KRONROD = (
-    0.011694638867371874278064396062192,
-    0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580,
-    0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366,
-    0.109387158802297641899210590325805,
-    0.123491976262065851077958109831074,
-    0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717,
-    0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_GK_HALF_GAUSS = (
-    0.0,
-    0.066671344308688137593568809893332,
-    0.0,
-    0.149451349150580593145776339657697,
-    0.0,
-    0.219086362515982043995534934228163,
-    0.0,
-    0.269266719309996355091226921569469,
-    0.0,
-    0.295524224714752870173892994651338,
-    0.0,
-)
-_GK_NODES = np.array(_GK_HALF_NODES + tuple(-x for x in _GK_HALF_NODES[-2::-1]))
-_GK_KRONROD = np.array(_GK_HALF_KRONROD + _GK_HALF_KRONROD[-2::-1])
-_GK_GAUSS = np.array(_GK_HALF_GAUSS + _GK_HALF_GAUSS[-2::-1])
 
 
 @dataclass(frozen=True)
@@ -178,204 +107,30 @@ def np_calibrate(
     return DetectorSpec.np_threshold(threshold)
 
 
-def quadratic_form_cdf(coef: np.ndarray, x: float) -> tuple[float, float]:
-    """P(Q <= x) and the density of Q at x, for Q = sum_j coef[j] z_j^2 with
-    z iid standard normal; the coefficients may have either sign, and at
-    least one must be nonzero.
-
-    Imhof's (1961) inversion of the moment generating function
-    M(s) = prod_j (1 - 2 c_j s)^(-1/2): for real a != 0 inside its strip,
-    (1/2 pi i) int M(s) e^{-sx} ds / s up the line Re s = a is P(Q > x)
-    when a > 0 and -P(Q <= x) when a < 0, and the same integral without
-    the 1/s is the density.  Imhof's real form (a -> 0) has an integrand
-    that oscillates and decays only like u^(-1 - n/2).  Here a is the
-    saddlepoint K'(a) = x of K(s) = log M(s) - s x, moved off the pole at
-    0 if need be, and the line is turned about it toward the side where
-    e^{-sx} decays.  M is singular on the real axis only, so the turn
-    changes neither integral, and along the ray the integrand falls off
-    like a Gaussian of width 1/sqrt K''(a) near a and exponentially
-    beyond.
-
-    Both integrals come from one adaptive G10/K21 Gauss-Kronrod
-    quadrature of the ray, mapped onto [0, 1) by t = 1 / (1 + r) as
-    `scipy.integrate.quad_vec` maps it.  Each round evaluates every node of
-    every new panel in one batch, in blocks of about `_BLOCK_DOUBLES`
-    doubles, and sums log M(s) along the coefficient axis.  It then
-    bisects the panels of largest error estimate, as few as leave at most
-    `_CDF_TOL` / 8 in the others, until the summed estimate is at most
-    `_CDF_TOL`.  A non-finite value, more than `_CDF_SPLITS` bisections,
-    or a final error estimate above `_CDF_ERR_MAX` raises
-    `NumericalFailureError`.
-    """
-    c = np.asarray(coef, dtype=float)
-    c = c[c != 0.0]
-    if c.size == 0:
-        raise ValueError("need at least one nonzero coefficient")
-    c_min, c_max = float(np.min(c)), float(np.max(c))
-    if c_min > 0.0 and x <= 0.0:
-        return 0.0, 0.0
-    if c_max < 0.0 and x >= 0.0:
-        return 1.0, 0.0
-    # K' is increasing; bracket its root by the strip's edges 1/(2 c) or,
-    # on a side with no edge, by -m/x, where K' - x already has the sign.
-    lo = 0.5 / c_min * (1.0 - 1e-9) if c_min < 0.0 else -c.size / x
-    hi = 0.5 / c_max * (1.0 - 1e-9) if c_max > 0.0 else -c.size / x
-    a, curvature = _saddlepoint(c, x, lo, hi)
-    scale = math.sqrt(curvature)  # sqrt K''(a)
-    # Off the pole at 0 by a quarter of the local scale, which stays inside
-    # the strip since K''(a) >= 1/(2 d^2) at distance d from an edge.
-    a = math.copysign(max(abs(a), 0.25 / scale), a)
-    # s = a + r w / scale: unit steps in r span the local scale 1/sqrt K''.
-    w = cmath.exp(1j * (_RAY_ANGLE if x >= 0.0 else math.pi - _RAY_ANGLE))
-    step = w / scale
-    scaled = -2.0 * c
-    rows = max(1, _BLOCK_DOUBLES // c.size)
-
-    def integrands(t):
-        # Both integrands at the points t of (0, 1), r = (1 - t) / t, each
-        # with the Jacobian 1/t^2 of that map.  They are O(1) along the
-        # ray: the density's carries a factor scale.
-        out = np.empty((2, t.size))
-        for start in range(0, t.size, rows):
-            tb = t[start : start + rows]
-            s = a + (1.0 - tb) / tb * step
-            # log M(s) in real arithmetic: 1 - 2 c_j s = u_j + i v_j, whose
-            # principal arguments sum to the branch of M continuous from a.
-            u = np.multiply.outer(s.real, scaled)
-            u += 1.0
-            v = np.multiply.outer(s.imag, scaled)
-            work = np.hypot(u, v)
-            log_abs = np.log(work, out=work).sum(axis=1)
-            arg = np.arctan2(v, u, out=work).sum(axis=1)
-            h = np.exp(-0.5 * (log_abs + 1j * arg) - s * x) * w
-            out[0, start : start + rows] = (h / (scale * s)).imag / tb / tb
-            out[1, start : start + rows] = h.imag / tb / tb
-        return out
-
-    # Conjugate symmetry folds the two halves of the path into Im int_0^inf.
-    # Panels are the columns of `bounds` (lo, hi) and of `est` (tail and
-    # density integrals, error estimate, its rounding floor).
-    edges = np.array([0.0, *sorted(1.0 / (1.0 + r) for r in _RAY_PANELS), 1.0])
-    bounds = np.array([edges[:-1], edges[1:]])
-    est = _gk21_panels(integrands, bounds)
-    splits = 0
-    while np.sum(est[2]) > _CDF_TOL:
-        # Bisect the panels of largest error, as few as leave at most 1/8 of
-        # the tolerance in the rest; the others are closed for this round.
-        # A panel at its rounding floor gains nothing from bisection.
-        order = np.argsort(-est[2])
-        order = order[est[2, order] > est[3, order]]
-        left = np.sum(est[2]) - np.cumsum(est[2, order])
-        order = order[: np.count_nonzero(left > _CDF_TOL / 8.0) + 1]
-        if order.size == 0:
-            break
-        splits += order.size
-        if splits > _CDF_SPLITS:
-            raise NumericalFailureError(
-                f"Imhof inversion at x={x!r} needs more than {_CDF_SPLITS} bisections"
-            )
-        split = np.zeros(bounds.shape[1], dtype=bool)
-        split[order] = True
-        lo, hi = bounds[:, split]
-        mid = 0.5 * (lo + hi)
-        halves = np.array([np.concatenate([lo, mid]), np.concatenate([mid, hi])])
-        bounds = np.concatenate([bounds[:, ~split], halves], axis=1)
-        est = np.concatenate([est[:, ~split], _gk21_panels(integrands, halves)], axis=1)
-    tail, density, err = np.sum(est[:3], axis=1)
-    tail /= math.pi
-    cdf = 1.0 - tail if a > 0.0 else -tail
-    density /= math.pi * scale
-    if not (math.isfinite(cdf) and math.isfinite(density) and err <= _CDF_ERR_MAX):
-        raise NumericalFailureError(
-            f"Imhof inversion at x={x!r} failed: cdf={cdf!r}, error estimate {err:.3g}"
-        )
-    return float(cdf), float(density)
-
-
-def _saddlepoint(c: np.ndarray, x: float, lo: float, hi: float) -> tuple[float, float]:
-    """The root a in (lo, hi) of K'(a) = sum_j c_j / (1 - 2 c_j a) = x, and
-    K''(a) = 2 sum_j (c_j / (1 - 2 c_j a))^2.
-
-    Newton's method from 0; a step that leaves the bracket, which shrinks
-    to the side of each iterate where K' - x changes sign, is replaced by
-    bisection.
-    """
-    a = 0.0
-    for _ in range(_SADDLE_STEPS):
-        ratio = c / (1.0 - 2.0 * c * a)
-        curvature = float(np.sum(2.0 * ratio**2))
-        gap = float(np.sum(ratio)) - x
-        if gap == 0.0:
-            return a, curvature
-        if gap < 0.0:
-            lo = a
-        else:
-            hi = a
-        nxt = a - gap / curvature
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - a) <= 4.0 * _EPS * abs(a):
-            return a, curvature
-        a = nxt
-    raise NumericalFailureError(
-        f"saddlepoint K'(a) = {x!r} not found in {_SADDLE_STEPS} steps"
-    )
-
-
-def _gk21_panels(f, bounds: np.ndarray) -> np.ndarray:
-    """G10/K21 on each panel [lo, hi] (the columns of `bounds`) of a
-    2-vector integrand f, which maps points (k,) to values (2, k).
-
-    Returns rows: the two K21 integrals, QUADPACK's error estimate in the
-    max norm over them, and its rounding floor, each formed as
-    `scipy.integrate.quad_vec` forms it; the estimate is at least the floor.
-    """
-    lo, hi = bounds
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * _GK_NODES
-    fv = f(nodes.ravel()).reshape(2, lo.size, _GK_NODES.size)
-    kronrod = fv @ _GK_KRONROD
-    spread = np.abs(fv - 0.5 * kronrod[..., None]) @ _GK_KRONROD
-    err = np.max(np.abs(kronrod - fv @ _GK_GAUSS), axis=0) * half
-    dabs = np.max(spread, axis=0) * half
-    damped = (err != 0.0) & (dabs != 0.0)
-    err[damped] = dabs[damped] * np.minimum(1.0, (200.0 * err[damped] / dabs[damped]) ** 1.5)
-    floor = 50.0 * _EPS * half * np.max(np.abs(fv) @ _GK_KRONROD, axis=0)
-    return np.vstack([kronrod * half, np.maximum(err, floor), floor])
-
-
 def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> DetectorSpec:
     """Threshold detector whose type-I error is tau, with no sampling.
 
     Under p the LLR is offset + Q (`gaussian.llr_form`), so the type-I
-    error at threshold t is alpha(t) = P(Q <= t - offset), from
-    `quadratic_form_cdf`.  Newton's method solves alpha(t) = tau from the
-    normal quantile kl + (b_n / sqrt 2) Phi^-1(tau); a step that leaves the
-    bracket found so far is replaced by bisection.  The returned threshold
-    has |alpha(t) - tau| <= 1e-12, up to the inversion's accuracy.
+    error at threshold t is alpha(t) = P(Q <= t - offset) (`qform`).
+    `qform.bracketed_newton` solves alpha(t) = tau from the normal quantile
+    kl + sd Phi^-1(tau), sd = b_n / sqrt 2, moving by sd while the bracket
+    is open.  It stops only at |alpha(t) - tau| <= 1e-12, up to the
+    inversion's accuracy, or raises `NumericalFailureError`.
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
     _require_pair(pair)
     coef, offset = gaussian.llr_form(pair, "p")
     sd = pair.b_n / math.sqrt(2.0)
-    t = pair.kl - sd * typicality.qfunc_inv(tau)
-    lo, hi = -math.inf, math.inf
-    for _ in range(_NEWTON_STEPS):
-        alpha, density = quadratic_form_cdf(coef, t - offset)
-        if abs(alpha - tau) <= _CDF_TOL:
-            return DetectorSpec.np_threshold(t)
-        if alpha < tau:
-            lo = t
-        else:
-            hi = t
-        nxt = t - (alpha - tau) / density if density > 0.0 else math.nan
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi) if math.isfinite(lo + hi) else t + math.copysign(sd, tau - alpha)
-        t = nxt
-    raise NumericalFailureError(
-        f"NP threshold at tau={tau} not found in {_NEWTON_STEPS} Newton steps"
-    )
+
+    def gap(t):
+        alpha, density = qform.quadratic_form_cdf(coef, t - offset)
+        return alpha - tau, density
+
+    start = pair.kl - sd * typicality.qfunc_inv(tau)
+    what = f"NP threshold at tau={tau}"
+    t, _ = qform.bracketed_newton(gap, start, -math.inf, math.inf, sd, what, tol=qform.CDF_TOL)
+    return DetectorSpec.np_threshold(t)
 
 
 def estimate_beta_is(

@@ -226,6 +226,12 @@ def spectral_integral(func: Callable, cov: CovarianceSequence) -> float | list:
     return _periodic_mean(func, (cov,))
 
 
+def check_spectra(covs: Sequence[CovarianceSequence]) -> None:
+    """Raise ValueError unless each spectrum is finite and positive on each
+    grid every spectral integral visits, the two where a zero one stops."""
+    _periodic_mean(lambda *spectra: np.zeros_like(spectra[0]), covs)
+
+
 # Dynamic-range guard for spectral ratios.
 RATIO_MIN = 1e-12
 RATIO_MAX = 1e12

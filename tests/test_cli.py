@@ -8,7 +8,7 @@ import textwrap
 
 import pytest
 
-from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality, units
+from steinlab import cli, detect, gaussian, numlin, qform, spectral, streams, typicality, units
 
 
 # One small run of each study, as CI's console-script step runs them.
@@ -392,8 +392,8 @@ class TestMonteCarloWithinTolerance:
         for row, (n, _, _, spec) in zip(rows, sets):
             # P(|offset + Q - center| <= delta), Q = sum coef z^2.
             edge = spec.center - spec.offset
-            upper, _ = detect.quadratic_form_cdf(spec.coef, edge + spec.delta)
-            lower, _ = detect.quadratic_form_cdf(spec.coef, edge - spec.delta)
+            upper, _ = qform.quadratic_form_cdf(spec.coef, edge + spec.delta)
+            lower, _ = qform.quadratic_form_cdf(spec.coef, edge - spec.delta)
             assert row["n"] == n
             assert abs(row["p_hat"] - (upper - lower)) <= 4.0 * row["stderr"], row
 

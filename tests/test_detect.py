@@ -7,7 +7,7 @@ import scipy.linalg
 import scipy.special
 from scipy.stats import multivariate_normal
 
-from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality
+from steinlab import cli, detect, gaussian, numlin, qform, spectral, streams, typicality
 from steinlab.exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
 
 
@@ -156,7 +156,14 @@ class TestLogsumexp:
 
 
 def imhof_reference(coef, x):
-    """P(sum c_j z_j^2 <= x) from Imhof's real integral, at 20 digits."""
+    """P(sum c_j z_j^2 <= x) from Imhof's real integral, at 20 digits.
+
+    Do not use it near x = 0 with one or two coefficients, where `quadosc`
+    misreads the slow oscillation: at coef [0.15], x = 1e-6 it returns
+    0.365, where P = erf(sqrt(x / 0.3)) = 0.00206 (`conditional_reference`
+    holds there).  Nor with three or more at a level-1e-9 threshold: its
+    piece count grows with U |x|, and it runs for minutes.
+    """
     mp = pytest.importorskip("mpmath")
     with mp.workdps(20):
         c = [mp.mpf(float(v)) for v in coef]
@@ -207,13 +214,13 @@ def conditional_reference(coef, x):
 def counted_panels(monkeypatch):
     """Record how many panels each G10/K21 batch of the inversion holds."""
     calls = []
-    kernel = detect._gk21_panels
+    kernel = qform._gk21_panels
 
     def counted(f, bounds):
         calls.append(bounds.shape[1])
         return kernel(f, bounds)
 
-    monkeypatch.setattr(detect, "_gk21_panels", counted)
+    monkeypatch.setattr(qform, "_gk21_panels", counted)
     return calls
 
 
@@ -248,7 +255,7 @@ class TestExactThreshold:
         ],
     )
     def test_cdf_matches_imhof_reference(self, coef, x):
-        cdf, _ = detect.quadratic_form_cdf(np.array(coef), x)
+        cdf, _ = qform.quadratic_form_cdf(np.array(coef), x)
         assert abs(cdf - imhof_reference(coef, x)) < 1e-10
 
     @pytest.mark.parametrize("n, z", [(32, -1.5), (256, None)])
@@ -261,7 +268,7 @@ class TestExactThreshold:
             x = detect.np_threshold_exact(pair, 0.2).threshold - offset
         else:
             x = float(np.sum(coef)) + z * pair.b_n / math.sqrt(2.0)
-        cdf, _ = detect.quadratic_form_cdf(coef, x)
+        cdf, _ = qform.quadratic_form_cdf(coef, x)
         reference = imhof_reference(coef, x)
         assert abs(cdf - reference) < 1e-10
         if z is None:
@@ -270,26 +277,36 @@ class TestExactThreshold:
     def test_density_is_the_derivative(self):
         _, coef, _ = toeplitz_form(32)
         h = 1e-4
-        lower, _ = detect.quadratic_form_cdf(coef, 1.0 - h)
-        upper, _ = detect.quadratic_form_cdf(coef, 1.0 + h)
-        _, density = detect.quadratic_form_cdf(coef, 1.0)
+        lower, _ = qform.quadratic_form_cdf(coef, 1.0 - h)
+        upper, _ = qform.quadratic_form_cdf(coef, 1.0 + h)
+        _, density = qform.quadratic_form_cdf(coef, 1.0)
         assert density == pytest.approx((upper - lower) / (2.0 * h), rel=1e-6)
 
     def test_support_edges(self):
-        assert detect.quadratic_form_cdf(np.array([0.5, 0.0, 2.0]), -1.0) == (0.0, 0.0)
-        assert detect.quadratic_form_cdf(np.array([-0.5, -2.0]), 0.0) == (1.0, 0.0)
+        assert qform.quadratic_form_cdf(np.array([0.5, 0.0, 2.0]), -1.0) == (0.0, 0.0)
+        assert qform.quadratic_form_cdf(np.array([-0.5, -2.0]), 0.0) == (1.0, 0.0)
         with pytest.raises(ValueError):
-            detect.quadratic_form_cdf(np.zeros(3), 1.0)
+            qform.quadratic_form_cdf(np.zeros(3), 1.0)
 
     # rho=0.9 at small tau needs the bisection bracket: there plain Newton
-    # steps from the normal quantile overshoot far into a tail.
+    # steps from the normal quantile overshoot far into a tail.  At level
+    # 1e-9 they take 60 (n=64) and 77 (n=256) inversions.
     @pytest.mark.parametrize(
-        "rho, n, tau", [(0.5, 96, 0.01), (0.5, 96, 0.2), (0.5, 96, 0.45), (0.9, 16, 0.05), (0.9, 64, 0.001)]
+        "rho, n, tau",
+        [
+            (0.5, 96, 0.01),
+            (0.5, 96, 0.2),
+            (0.5, 96, 0.45),
+            (0.9, 16, 0.05),
+            (0.9, 64, 0.001),
+            (0.9, 64, 1e-9),
+            (0.9, 256, 1e-9),
+        ],
     )
     def test_alpha_is_tau(self, rho, n, tau):
         pair, coef, offset = toeplitz_form(n, rho)
         det = detect.np_threshold_exact(pair, tau)
-        alpha, _ = detect.quadratic_form_cdf(coef, det.threshold - offset)
+        alpha, _ = qform.quadratic_form_cdf(coef, det.threshold - offset)
         assert abs(alpha - tau) <= 1e-12
 
     def test_within_three_quantile_stderr_of_np_calibrate(self):
@@ -299,7 +316,7 @@ class TestExactThreshold:
             pair, coef, offset = toeplitz_form(n)
             exact = detect.np_threshold_exact(pair, tau).threshold
             sampled = detect.np_calibrate(pair, tau, count, streams.derive_seed(7, i, 0))
-            _, density = detect.quadratic_form_cdf(coef, exact - offset)
+            _, density = qform.quadratic_form_cdf(coef, exact - offset)
             stderr = math.sqrt(tau * (1.0 - tau) / count) / density
             assert abs(sampled.threshold - exact) < 3.0 * stderr, n
 
@@ -329,7 +346,9 @@ class TestExactThreshold:
         ]
 
     def test_no_convergence_is_a_numerical_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(detect, "_NEWTON_STEPS", 1)
+        # One budget for every Newton solve: here the inversion's saddlepoint
+        # runs out first.
+        monkeypatch.setattr(qform, "_NEWTON_STEPS", 1)
         pair, _, _ = toeplitz_form(32)
         with pytest.raises(NumericalFailureError):
             detect.np_threshold_exact(pair, 0.2)
@@ -354,7 +373,7 @@ class TestExactThreshold:
     )
     def test_refined_cdf_matches_reference(self, monkeypatch, coef, x):
         calls = counted_panels(monkeypatch)
-        cdf, _ = detect.quadratic_form_cdf(np.array(coef), x)
+        cdf, _ = qform.quadratic_form_cdf(np.array(coef), x)
         assert len(calls) > 1
         assert abs(cdf - conditional_reference(coef, x)) < 1e-10
 
@@ -362,7 +381,7 @@ class TestExactThreshold:
         pair, coef, offset = toeplitz_form(2)
         x = detect.np_threshold_exact(pair, 1e-9).threshold - offset
         calls = counted_panels(monkeypatch)
-        cdf, _ = detect.quadratic_form_cdf(coef, x)
+        cdf, _ = qform.quadratic_form_cdf(coef, x)
         assert len(calls) > 1
         reference = conditional_reference(coef, x)
         assert abs(cdf - reference) < 1e-10
@@ -371,14 +390,14 @@ class TestExactThreshold:
 
     def test_blocks_do_not_change_the_result(self, monkeypatch):
         _, coef, _ = toeplitz_form(32)
-        whole = detect.quadratic_form_cdf(coef, 1.0)
-        monkeypatch.setattr(detect, "_BLOCK_DOUBLES", 1)  # one node per block
-        assert detect.quadratic_form_cdf(coef, 1.0) == whole
+        whole = qform.quadratic_form_cdf(coef, 1.0)
+        monkeypatch.setattr(qform, "_BLOCK_DOUBLES", 1)  # one node per block
+        assert qform.quadratic_form_cdf(coef, 1.0) == whole
 
     def test_refinement_cap_is_a_numerical_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(detect, "_CDF_SPLITS", 0)
+        monkeypatch.setattr(qform, "_CDF_SPLITS", 0)
         with pytest.raises(NumericalFailureError, match="bisections"):
-            detect.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
+            qform.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
         code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -396,7 +415,7 @@ class TestExactThreshold:
         c = np.array(coef)
         lo = 0.5 / c.min() * (1.0 - 1e-9) if c.min() < 0.0 else -c.size / x
         hi = 0.5 / c.max() * (1.0 - 1e-9) if c.max() > 0.0 else -c.size / x
-        a, curvature = detect._saddlepoint(c, x, lo, hi)
+        a, curvature = qform._saddlepoint(c, x, lo, hi)
         ratio = c / (1.0 - 2.0 * c * a)
         assert lo < a < hi
         # K'(a) - x is what a few ulps of a give, at slope K''(a).
@@ -404,9 +423,9 @@ class TestExactThreshold:
         assert curvature == pytest.approx(2.0 * np.sum(ratio**2), rel=1e-15)
 
     def test_saddlepoint_failure_exits_3(self, monkeypatch, capsys):
-        monkeypatch.setattr(detect, "_SADDLE_STEPS", 1)
+        monkeypatch.setattr(qform, "_NEWTON_STEPS", 1)
         with pytest.raises(NumericalFailureError, match="saddlepoint"):
-            detect.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
+            qform.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
         code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
@@ -423,11 +442,11 @@ class TestExactThreshold:
                 tracemalloc.stop()
 
         det, peak = threshold_and_peak()
-        alpha, _ = detect.quadratic_form_cdf(coef, det.threshold - offset)
+        alpha, _ = qform.quadratic_form_cdf(coef, det.threshold - offset)
         assert abs(alpha - 0.2) <= 1e-12
         assert peak < 64 * 2**20
         # The peak follows the block size: 2^16 doubles is 0.5 MB a temporary.
-        monkeypatch.setattr(detect, "_BLOCK_DOUBLES", 1 << 16)
+        monkeypatch.setattr(qform, "_BLOCK_DOUBLES", 1 << 16)
         small_det, small_peak = threshold_and_peak()
         assert small_det.threshold == det.threshold
         assert small_peak < 4 * 2**20

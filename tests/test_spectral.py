@@ -311,6 +311,23 @@ class TestPeriodicTrapezoid:
         with pytest.raises(IllConditionedSpectraError):
             spectral.stein_rate(spectral.CovarianceSequence.white(1e6), q)
 
+    def test_check_spectra_visits_the_first_two_grids(self, monkeypatch):
+        grids = []
+        spectrum = spectral.CovarianceSequence.spectrum
+
+        def recorded(cov, points=4096):
+            grids.append(points)
+            return spectrum(cov, points)
+
+        monkeypatch.setattr(spectral.CovarianceSequence, "spectrum", recorded)
+        spectral.check_spectra((GEO, WHITE))
+        assert grids == [4096, 4096, 8192, 8192]
+        # Lags 1 and 4097 cancel on 4096 points only: negative on 8192.
+        folded = spectral.CovarianceSequence.from_table([1.0, 0.55, -0.1] + [0.0] * 4094 + [-0.55])
+        with pytest.raises(ValueError, match="not positive on the grid"):
+            spectral.check_spectra((WHITE, folded))
+        assert grids[4:] == [4096, 4096, 8192, 8192]
+
 
 class TestEigFunctionalAvg:
     def test_identity(self):
