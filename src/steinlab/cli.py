@@ -259,31 +259,11 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
         config["samples"],
         config["seed"],
     )
-    rows = [
-        {
-            "n": r.n,
-            "D": r.kl,
-            "lower": r.exp_lower,
-            "upper": r.exp_upper,
-            "np_beta_log": r.np_beta_log,
-            "ts_beta_log": r.ts_beta_log,
-            "in_window": r.in_window,
-            "np_alpha": r.np_alpha,
-            "np_beta_stderr": r.np_beta_stderr,
-            "ts_alpha": r.ts_alpha,
-            "ts_beta_stderr": r.ts_beta_stderr,
-            "np_ess": r.np_ess,
-            "ts_ess": r.ts_ess,
-            "np_underflow": r.np_underflow,
-            "ts_underflow": r.ts_underflow,
-        }
-        for r in result.rows
-    ]
     summary = [
         f"# summary: slope={result.slope:.12g} C_s={result.stein_rate:.12g} "
         f"rel_err={result.slope_rel_err:.12g}"
     ]
-    return summary, rows
+    return summary, [dataclasses.asdict(row) for row in result.rows]
 
 
 def run_asymptotics(config: dict) -> tuple[list[str], list[dict]]:

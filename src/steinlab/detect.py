@@ -279,25 +279,26 @@ def exponent_fit(ns: Sequence[int], beta_logs: Sequence[float]) -> ExponentFit:
 
 @dataclass(frozen=True)
 class GcslRow:
-    """Per-dimension results of the full pipeline run."""
+    """One n of the full pipeline run: the columns `steinlab detect` prints,
+    in print order.  D is the exact KL, [lower, upper] the analytic window
+    on -ln(beta), and the np_/ts_ columns the threshold and typical-set
+    detectors' Monte Carlo estimates (`ErrorEstimates`)."""
 
     n: int
-    kl: float
-    gamma: float
-    exp_lower: float
-    exp_upper: float
-    np_threshold: float
-    np_alpha: float
+    D: float
+    lower: float
+    upper: float
     np_beta_log: float
+    ts_beta_log: float
+    in_window: bool
+    np_alpha: float
     np_beta_stderr: float
     ts_alpha: float
-    ts_beta_log: float
     ts_beta_stderr: float
     np_ess: float
     ts_ess: float
     np_underflow: bool
     ts_underflow: bool
-    in_window: bool
 
 
 @dataclass(frozen=True)
@@ -315,18 +316,19 @@ def _exact_terms(
     n: int,
     tau: float,
 ) -> tuple:
-    """What the draws and the row of one n read: (n, kl, gamma, window,
-    exact threshold detector, LLR form under p).  The n x n matrices they
-    come from are dropped on return."""
+    """What the draws and the row of one n read: (kl, window, exact
+    threshold detector, typical-set detector, LLR form under p).  The
+    n x n matrices they come from are dropped on return."""
     pair = gaussian.whiten(
         numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
     )
     _require_pair(pair)
-    # The window's delta and gamma are the same CLT good threshold.
+    # The window's delta and gamma and the typical set's gamma are the same
+    # CLT good threshold.
     gamma = typicality.good_delta_correlated(pair, tau).delta
     window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
     det_np = np_threshold_exact(pair, tau)
-    return n, pair.kl, gamma, window, det_np, gaussian.llr_form(pair, "p")
+    return pair.kl, window, det_np, DetectorSpec.typical_set(gamma), gaussian.llr_form(pair, "p")
 
 
 def gcsl_experiment(
@@ -342,9 +344,9 @@ def gcsl_experiment(
     It runs in two phases.  The exact phase takes, for each n, the exact
     KL, the CLT good threshold gamma (from B_n, at eps=tau), the
     analytic exponent window with delta = gamma and the exact level-tau
-    threshold (`np_threshold_exact`, no draws); of each n it keeps the LLR
-    form and those scalars, not the matrices.  All dense linear algebra
-    thus ends before the first draw (see `streams`).
+    threshold (`np_threshold_exact`, no draws); of each n it keeps the two
+    detectors, the LLR form and those scalars, not the matrices.  All
+    dense linear algebra thus ends before the first draw (see `streams`).
 
     Only then does the draw phase estimate -ln(beta) by Monte Carlo for
     both the threshold detector and the typical-set detector, in one
@@ -368,8 +370,7 @@ def gcsl_experiment(
         raise DegeneratePairError("the two covariance sequences coincide")
 
     exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
-    _, kls, gammas, _, np_dets, forms = zip(*exact)
-    ts_dets = [DetectorSpec.typical_set(gamma) for gamma in gammas]
+    kls, windows, np_dets, ts_dets, forms = zip(*exact)
     sums = streams.quadratic_draws(
         streams.derive_seed(seed, EVALUATION_STREAM),
         count,
@@ -379,33 +380,28 @@ def gcsl_experiment(
     # Axes: chunk, detector (threshold, typical set), sum, n.
     sums = np.array(sums)
     rows = []
-    for i, (n, kl, gamma, window, det_np, _) in enumerate(exact):
+    for i, (n, kl, window) in enumerate(zip(ns, kls, windows)):
         est_np = _error_estimates(count, sums[:, 0, :, i])
         est_ts = _error_estimates(count, sums[:, 1, :, i])
-
         margin = 3.0 * est_np.stderr_beta_log
-        in_window = (
-            window.exp_lower - margin <= est_np.beta_log <= window.exp_upper + margin
-        )
+        in_window = window.exp_lower - margin <= est_np.beta_log <= window.exp_upper + margin
         rows.append(
             GcslRow(
                 n=n,
-                kl=kl,
-                gamma=gamma,
-                exp_lower=window.exp_lower,
-                exp_upper=window.exp_upper,
-                np_threshold=det_np.threshold,
-                np_alpha=est_np.alpha_hat,
+                D=kl,
+                lower=window.exp_lower,
+                upper=window.exp_upper,
                 np_beta_log=est_np.beta_log,
+                ts_beta_log=est_ts.beta_log,
+                in_window=in_window,
+                np_alpha=est_np.alpha_hat,
                 np_beta_stderr=est_np.stderr_beta_log,
                 ts_alpha=est_ts.alpha_hat,
-                ts_beta_log=est_ts.beta_log,
                 ts_beta_stderr=est_ts.stderr_beta_log,
                 np_ess=est_np.ess,
                 ts_ess=est_ts.ess,
                 np_underflow=est_np.underflow,
                 ts_underflow=est_ts.underflow,
-                in_window=in_window,
             )
         )
 

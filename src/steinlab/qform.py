@@ -200,7 +200,9 @@ def bracketed_newton(
     while a side is open (infinite), a move of `step` toward it.  It stops
     at the first iterate where |f| <= tol or, if `rtol` is given, where the
     next step moves it by at most rtol |x|.  `NumericalFailureError`,
-    naming `what`, follows `_NEWTON_STEPS` iterates without a stop.
+    naming `what`, follows a next iterate equal to the current one (the
+    bracket has closed on it, and f would be evaluated there again) or
+    `_NEWTON_STEPS` iterates without a stop.
     """
     for _ in range(_NEWTON_STEPS):
         value, slope = f(x)
@@ -215,6 +217,8 @@ def bracketed_newton(
             nxt = 0.5 * (lo + hi) if math.isfinite(lo + hi) else x + math.copysign(step, -value)
         if rtol is not None and abs(nxt - x) <= rtol * abs(x):
             return x, slope
+        if nxt == x:
+            raise NumericalFailureError(f"{what} not found: the bracket closed at {x!r}")
         x = nxt
     raise NumericalFailureError(f"{what} not found in {_NEWTON_STEPS} steps")
 

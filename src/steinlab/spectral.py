@@ -311,8 +311,9 @@ def asym_equiv_report(
     and eigavg_inv = tr(T^-1) / n, the zeroth diagonal sum from
     `numlin.inverse_diagonal_sums` of the order-n predictor.  The three
     spectral targets are one three-row `spectral_integral`.  T's strong
-    norm comes from `numlin.strong_norm_toeplitz`; C's from its FFT
-    eigenvalues.
+    norm comes from `numlin.strong_norm_toeplitz`; C's from its
+    eigenvalues, the FFT of the column built above, as `circulant_eigs`
+    forms them.
     """
     names = ("spectral_x", "spectral_log", "spectral_inv")
     targets = dict(zip(names, spectral_integral(lambda s: (s, np.log(s), 1.0 / s), cov)))
@@ -336,7 +337,7 @@ def asym_equiv_report(
                 weak_diff_toeplitz_banded=numlin.weak_norm_toeplitz(toep - band),
                 weak_diff_banded_circulant=numlin.weak_norm_toeplitz(band - circ),
                 strong_toeplitz=numlin.strong_norm_toeplitz(toep),
-                strong_circulant=float(np.max(np.abs(circulant_eigs(cov, n)))),
+                strong_circulant=float(np.max(np.abs(np.fft.fft(circ).real))),
                 abs_sum_bound=bound,
             )
         )

@@ -170,6 +170,25 @@ class TestDetectCommand:
             assert float(row["lower"]) <= float(row["np_beta_log"]) + 1.0
             assert row["in_window"] == "true"
 
+    def test_rows_are_the_result(self, capsys):
+        code, out, _ = run_cli(capsys, "detect", "--n-list", "32,64,96", "--samples", "10000")
+        assert code == 0
+        _, header, rows = parse_csv(out)
+        config = cli.DEFAULTS["detect"]
+        result = detect.gcsl_experiment(
+            cli.covariance_from_spec(config["cov_p"]),
+            cli.covariance_from_spec(config["cov_q"]),
+            config["tau"],
+            [32, 64, 96],
+            10_000,
+            config["seed"],
+        )
+        assert header == [field.name for field in dataclasses.fields(detect.GcslRow)]
+        assert rows == [
+            {key: cli._format_value(value) for key, value in dataclasses.asdict(row).items()}
+            for row in result.rows
+        ]
+
     def test_alpha_and_stderr_columns(self, capsys):
         args = ("detect", "--n-list", "32,64,96", "--samples", "10000", "--seed", "4")
         _, out_nats, _ = run_cli(capsys, *args)

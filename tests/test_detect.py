@@ -242,6 +242,23 @@ def toeplitz_form(n, rho=0.5):
     return pair, coef, offset
 
 
+def assert_scored_alone(row, pair, tau, count, seed):
+    """The row's Monte Carlo columns are those of its pair's two detectors,
+    the exact level-tau threshold and the typical set of the CLT good
+    threshold, each scored alone by `estimate_beta_is` on `seed`."""
+    gamma = typicality.good_delta_correlated(pair, tau).delta
+    est_np, est_ts = (
+        detect.estimate_beta_is(det, pair, count, seed)
+        for det in (detect.np_threshold_exact(pair, tau), detect.DetectorSpec.typical_set(gamma))
+    )
+    assert (row.np_alpha, row.np_beta_log, row.np_beta_stderr, row.np_ess) == (
+        est_np.alpha_hat, est_np.beta_log, est_np.stderr_beta_log, est_np.ess
+    )
+    assert (row.ts_alpha, row.ts_beta_log, row.ts_beta_stderr, row.ts_ess) == (
+        est_ts.alpha_hat, est_ts.beta_log, est_ts.stderr_beta_log, est_ts.ess
+    )
+
+
 CRITERION_07_NS = list(range(32, 257, 32))
 
 
@@ -340,10 +357,10 @@ class TestExactThreshold:
             10_000,
             3,
         )
-        assert calls == [(streams.derive_seed(3, detect.EVALUATION_STREAM), 10_000, ns)]
-        assert [r.np_threshold for r in result.rows] == [
-            detect.np_threshold_exact(toeplitz_form(n)[0], 0.2).threshold for n in ns
-        ]
+        seed_eval = streams.derive_seed(3, detect.EVALUATION_STREAM)
+        assert calls == [(seed_eval, 10_000, ns)]
+        for n, row in zip(ns, result.rows):
+            assert_scored_alone(row, toeplitz_form(n)[0], 0.2, 10_000, seed_eval)
 
     def test_no_convergence_is_a_numerical_failure(self, monkeypatch, capsys):
         # One budget for every Newton solve: here the inversion's saddlepoint
@@ -355,6 +372,25 @@ class TestExactThreshold:
         code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
         assert code == 3
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_closed_bracket_is_a_numerical_failure(self, monkeypatch):
+        # At n = 1 the root x = t - offset, about 8e-19, is below the float
+        # spacing of t near offset = -0.35, so no t meets the tolerance: the
+        # bracket closes on adjacent floats, and the solve stops there
+        # rather than invert at the same t for the rest of its 200 steps.
+        calls = []
+        cdf = qform.quadratic_form_cdf
+
+        def counted(coef, x):
+            calls.append(x)
+            return cdf(coef, x)
+
+        monkeypatch.setattr(qform, "quadratic_form_cdf", counted)
+        cov_p = spectral.CovarianceSequence.geometric(0.3, 2.0)
+        pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, 1), np.eye(1))
+        with pytest.raises(NumericalFailureError, match="the bracket closed at"):
+            detect.np_threshold_exact(pair, 1e-9)
+        assert len(calls) <= 60
 
     # Each case needs the adaptive bisection: n=1 of either sign far into
     # both tails, n=2 with mixed signs (both tails and next to the density's
@@ -513,7 +549,7 @@ class TestGcslExperiment:
         assert result.stein_rate == pytest.approx(-0.5 * math.log(0.75), abs=1e-10)
         assert [r.n for r in result.rows] == [32, 64, 96, 128]
         for row in result.rows:
-            assert row.exp_lower < row.exp_upper
+            assert row.lower < row.upper
             assert row.np_beta_log > 0.0
             assert 0.0 < row.np_alpha < 0.5
 
@@ -527,22 +563,9 @@ class TestGcslExperiment:
     def test_one_pass_matches_separate_estimates(self, result):
         # Each n reads the leading coordinates of the one evaluation stream,
         # so its row is that of its own pair scored alone on the same seed.
-        cov_p = spectral.CovarianceSequence.geometric(0.5)
         seed_eval = streams.derive_seed(GCSL_SEED, detect.EVALUATION_STREAM)
         for row in result.rows:
-            pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, row.n), np.eye(row.n))
-            est_np = detect.estimate_beta_is(
-                detect.DetectorSpec.np_threshold(row.np_threshold), pair, 20_000, seed_eval
-            )
-            est_ts = detect.estimate_beta_is(
-                detect.DetectorSpec.typical_set(row.gamma), pair, 20_000, seed_eval
-            )
-            assert (row.np_alpha, row.np_beta_log, row.np_beta_stderr) == (
-                est_np.alpha_hat, est_np.beta_log, est_np.stderr_beta_log
-            )
-            assert (row.ts_alpha, row.ts_beta_log, row.ts_beta_stderr) == (
-                est_ts.alpha_hat, est_ts.beta_log, est_ts.stderr_beta_log
-            )
+            assert_scored_alone(row, toeplitz_form(row.n)[0], 0.2, 20_000, seed_eval)
 
     def test_degenerate_pair_rejected(self):
         white = spectral.CovarianceSequence.white()

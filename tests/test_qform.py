@@ -65,9 +65,22 @@ class TestBracketedNewton:
         assert len(calls) < 10
 
     def test_budget_exhaustion_names_the_unknown(self):
-        # Without the rounding stop the same iterates end stuck next to
-        # sqrt 2 and run out of steps.
+        # An f that stays negative brackets no root: each iterate moves by
+        # `step` toward the open upper side, to a new point every time,
+        # until the steps run out.
+        f, calls = recorded(lambda x: (-1.0, 0.0))
+        with pytest.raises(NumericalFailureError, match=r"f = 0 not found in 200 steps"):
+            qform.bracketed_newton(f, 0.0, -math.inf, math.inf, 1.0, "f = 0")
+        assert len(set(calls)) == len(calls) == 200
+
+    def test_closed_bracket_stops(self):
+        # Without the rounding stop the iterates of x^2 = 2 end on a float
+        # next to sqrt 2 whose next iterate is itself: the solve stops
+        # there, naming the point, rather than evaluate it again.
         f, calls = recorded(lambda x: (x * x - 2.0, 2.0 * x))
-        with pytest.raises(NumericalFailureError, match=r"x\^2 = 2 not found in 200 steps"):
+        closed = r"x\^2 = 2 not found: the bracket closed"
+        with pytest.raises(NumericalFailureError, match=closed) as err:
             qform.bracketed_newton(f, 1.5, 1.0, 2.0, math.nan, "x^2 = 2")
-        assert len(calls) == 200
+        assert str(err.value).endswith(f"closed at {calls[-1]!r}")
+        assert abs(calls[-1] - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
+        assert len(set(calls)) == len(calls) < 10

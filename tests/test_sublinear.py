@@ -66,45 +66,6 @@ class TestKl:
         assert sublinear.sub_kl(10**6) / 10**6 < 1e-5
 
 
-class TestResidual:
-    def test_matches_definition(self):
-        n = 20
-        outside = np.full(n, 0.9)
-        value = sublinear.sub_llr(n, outside) - sublinear.sub_kl(n)
-        assert sublinear.sub_residual(n) == pytest.approx(value, abs=1e-12)
-
-    def test_vanishes(self):
-        assert abs(sublinear.sub_residual(10**6)) < 1e-4
-        assert abs(sublinear.sub_residual(10**6)) < abs(sublinear.sub_residual(100))
-
-    def test_crossover_is_first_qualifying_n(self):
-        delta = 0.05
-        n = sublinear.crossover_n(delta)
-        assert abs(sublinear.sub_residual(n)) < delta
-        if n > 3:
-            assert abs(sublinear.sub_residual(n - 1)) >= delta
-
-    @pytest.mark.parametrize(
-        "delta",
-        [*np.geomspace(1e-3, 0.127, 30), *np.linspace(0.128, 0.5, 50)],
-        ids=lambda delta: f"{delta:.4g}",
-    )
-    def test_crossover_matches_linear_scan(self, delta):
-        # The residual peaks at n=6, so for delta above |residual(3)| the
-        # answer is 3 even though larger n up to the peak do not qualify.
-        n = 3
-        while abs(sublinear.sub_residual(n)) >= delta:
-            n += 1
-        assert sublinear.crossover_n(delta) == n
-
-    def test_crossover_monotone(self):
-        assert sublinear.crossover_n(0.01) >= sublinear.crossover_n(0.1)
-
-    def test_bad_delta_rejected(self):
-        with pytest.raises(ValueError):
-            sublinear.crossover_n(0.0)
-
-
 class TestErrors:
     def test_typical_lb(self):
         assert sublinear.sub_typical_lb(10) == pytest.approx(0.9)
