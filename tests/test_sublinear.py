@@ -66,6 +66,62 @@ class TestKl:
         assert sublinear.sub_kl(10**6) / 10**6 < 1e-5
 
 
+def outside_gap(n: int) -> float:
+    """LLR at the cube's far corner, which lies outside the small ball, minus the KL."""
+    return sublinear.sub_llr(n, np.ones(n)) - sublinear.sub_kl(n)
+
+
+def first_below(gap, delta: float) -> int:
+    n = 3
+    while abs(gap(n)) >= delta:
+        n += 1
+    return n
+
+
+class TestResidual:
+    """The gap between the outside region's LLR and the KL (see sub_typical_lb).
+
+    For every delta above it, the outside region lies in the relative-entropy
+    typical set.
+    """
+
+    @staticmethod
+    def closed_form(n: int) -> float:
+        root = math.sqrt(n)
+        return (1.0 / n) * math.log((n - 1.0) * (n - root) / root)
+
+    def test_matches_definition(self):
+        assert outside_gap(20) == pytest.approx(self.closed_form(20), abs=1e-12)
+
+    def test_vanishes(self):
+        assert abs(outside_gap(10**6)) < 1e-4
+        assert abs(outside_gap(10**6)) < abs(outside_gap(100))
+
+    def test_crossover_is_first_qualifying_n(self):
+        # Below |gap(3)| the first qualifying n lies past the peak at n=6,
+        # and the outside region stays delta-typical from there on.
+        delta = 0.05
+        n = first_below(outside_gap, delta)
+        assert n > 6
+        assert all(abs(outside_gap(m)) < delta for m in range(n, 4 * n))
+
+    @pytest.mark.parametrize(
+        "delta", [0.001, 0.1075, 0.2039, 0.5], ids=lambda delta: f"{delta:.4g}"
+    )
+    def test_crossover_matches_linear_scan(self, delta):
+        # Above |gap(3)| (0.2039, 0.5) the answer is 3 even though larger n
+        # up to the peak do not qualify.
+        assert first_below(outside_gap, delta) == first_below(self.closed_form, delta)
+
+    def test_crossover_monotone(self):
+        # The gap rises from n=3 to its peak at n=6 and falls after it.
+        gaps = [outside_gap(n) for n in range(3, 2000)]
+        peak = int(np.argmax(gaps))
+        assert peak + 3 == 6
+        assert np.all(np.diff(gaps[: peak + 1]) > 0)
+        assert np.all(np.diff(gaps[peak:]) < 0)
+
+
 class TestErrors:
     def test_typical_lb(self):
         assert sublinear.sub_typical_lb(10) == pytest.approx(0.9)
