@@ -95,9 +95,10 @@ DEFAULTS: dict[str, dict[str, Any]] = {
     },
 }
 
-# Columns whose values are in nats; divided by ln 2 under --unit bits.
+# Columns and summary keys whose values are in nats; divided by ln 2 under
+# --unit bits.
 NAT_COLUMNS: dict[str, set[str]] = {
-    "rate": {"D", "D_over_n", "C_s", "abs_err"},
+    "rate": {"D", "D_over_n", "C_s", "abs_err", "final_abs_err"},
     "typical": {"B_n", "delta_min"},
     "detect": {
         "D",
@@ -107,6 +108,8 @@ NAT_COLUMNS: dict[str, set[str]] = {
         "ts_beta_log",
         "np_beta_stderr",
         "ts_beta_stderr",
+        "slope",
+        "C_s",
     },
     "asymptotics": {"eigavg_log", "spectral_log"},
     "sublinear": {"D", "ln_sqrt_n", "beta_log"},
@@ -171,7 +174,7 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"field 'out': must be a path, got {config['out']!r}")
 
 
-def run_rate(config: dict) -> tuple[list[str], list[dict]]:
+def run_rate(config: dict) -> tuple[dict, list[dict]]:
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"])
     rate = spectral.stein_rate(cov_p, cov_q)
@@ -188,8 +191,7 @@ def run_rate(config: dict) -> tuple[list[str], list[dict]]:
                 "abs_err": abs(kl / n - rate),
             }
         )
-    summary = [f"# summary: C_s={rate:.12g} final_abs_err={rows[-1]['abs_err']:.12g}"]
-    return summary, rows
+    return {"C_s": rate, "final_abs_err": rows[-1]["abs_err"]}, rows
 
 
 def _entropy_set(model: gaussian.GaussianModel, eps: float, factor: float) -> tuple:
@@ -211,7 +213,7 @@ def _relative_entropy_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tu
     return n, threshold.b_n, threshold.delta, spec
 
 
-def run_typical(config: dict) -> tuple[list[str], list[dict]]:
+def run_typical(config: dict) -> tuple[dict, list[dict]]:
     eps = config["eps"]
     factor = config["delta_factor"]
     samples = config["samples"]
@@ -244,11 +246,10 @@ def run_typical(config: dict) -> tuple[list[str], list[dict]]:
                 "pass": mc.estimate >= 1.0 - eps - 3.0 * mc.stderr,
             }
         )
-    summary = [f"# summary: variant={variant} eps={eps:g} delta_factor={factor:g}"]
-    return summary, rows
+    return {"variant": variant, "eps": eps, "delta_factor": factor}, rows
 
 
-def run_detect(config: dict) -> tuple[list[str], list[dict]]:
+def run_detect(config: dict) -> tuple[dict, list[dict]]:
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"])
     result = detect.gcsl_experiment(
@@ -259,19 +260,16 @@ def run_detect(config: dict) -> tuple[list[str], list[dict]]:
         config["samples"],
         config["seed"],
     )
-    summary = [
-        f"# summary: slope={result.slope:.12g} C_s={result.stein_rate:.12g} "
-        f"rel_err={result.slope_rel_err:.12g}"
-    ]
+    summary = {"slope": result.slope, "C_s": result.stein_rate, "rel_err": result.slope_rel_err}
     return summary, [dataclasses.asdict(row) for row in result.rows]
 
 
-def run_asymptotics(config: dict) -> tuple[list[str], list[dict]]:
+def run_asymptotics(config: dict) -> tuple[dict, list[dict]]:
     report = spectral.asym_equiv_report(covariance_from_spec(config["cov_p"]), config["ns"])
-    return [], [dataclasses.asdict(row) for row in report]
+    return {}, [dataclasses.asdict(row) for row in report]
 
 
-def run_sublinear(config: dict) -> tuple[list[str], list[dict]]:
+def run_sublinear(config: dict) -> tuple[dict, list[dict]]:
     rows = []
     for n in config["ns"]:
         kl = sublinear.sub_kl(n)
@@ -288,7 +286,7 @@ def run_sublinear(config: dict) -> tuple[list[str], list[dict]]:
                 "beta_log": errors.beta_log,
             }
         )
-    return [], rows
+    return {}, rows
 
 
 RUNNERS = {
@@ -334,6 +332,8 @@ def run_check(command: str, rows: list[dict]) -> None:
 
 
 def _format_value(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
@@ -341,26 +341,23 @@ def _format_value(value) -> str:
     return f"{float(value):.12g}"
 
 
-def render_csv(command: str, config: dict, summary: list[str], rows: list[dict]) -> str:
+def render_csv(command: str, config: dict, summary: dict, rows: list[dict]) -> str:
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, default=str).encode()
     ).hexdigest()[:12]
     seed = config.get("seed", "none")
     lines = [f"# command={command} config_hash={digest} seed={seed} unit={config['unit']}"]
-    lines.extend(summary)
+    nat_keys = NAT_COLUMNS[command] if config["unit"] == "bits" else set()
+
+    def cell(key, value):
+        return _format_value(units.nats_to_bits(float(value)) if key in nat_keys else value)
+
+    if summary:
+        lines.append("# summary: " + " ".join(f"{k}={cell(k, v)}" for k, v in summary.items()))
     if rows:
-        columns = list(rows[0].keys())
+        columns = list(rows[0])
         lines.append(",".join(columns))
-        to_bits = config["unit"] == "bits"
-        nat_cols = NAT_COLUMNS.get(command, set())
-        for row in rows:
-            cells = []
-            for col in columns:
-                value = row[col]
-                if to_bits and col in nat_cols:
-                    value = units.nats_to_bits(float(value))
-                cells.append(_format_value(value))
-            lines.append(",".join(cells))
+        lines.extend(",".join(cell(col, row[col]) for col in columns) for row in rows)
     return "\n".join(lines) + "\n"
 
 

@@ -21,7 +21,7 @@ leading rows, one matrix-vector product per form, and hands them to the
 study's reducer.  Chunks hold `CHUNK_SIZE` = 256 samples, so a chunk of a
 study at n = 384 is 768 KB.  The reducer runs in the worker that drew the
 chunk and returns the few numbers the study reads of it (a count, a
-log-sum); the study combines those in chunk order.  Only the draws of the
+maximum, sums); the study combines those in chunk order.  Only the draws of the
 chunks in flight are held, one block per worker, never a value per sample
 and n.  Reducers run in worker threads, so they must call no function that
 the benchmark's tracer (`bench/tracer.py`) wraps: its span stack is not

@@ -22,7 +22,6 @@ import numpy as np
 from . import gaussian, streams
 from .exceptions import DegeneratePairError
 
-EXP_OVERFLOW = 700.0  # exp() overflows past this in double precision
 # `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
 CLT_KS_BOUND = 0.02
 
@@ -156,12 +155,11 @@ def mc_typical_probs(
 
 
 def exp_or_inf(log_value: float) -> float:
-    """e^log_value, saturated to inf or 0 beyond +-EXP_OVERFLOW."""
-    if log_value > EXP_OVERFLOW:
+    """e^log_value, or inf where it overflows a double (past ln 2^1024)."""
+    try:
+        return math.exp(log_value)
+    except OverflowError:
         return math.inf
-    if log_value < -EXP_OVERFLOW:
-        return 0.0
-    return math.exp(log_value)
 
 
 @dataclass(frozen=True)

@@ -280,6 +280,51 @@ class TestGoldenOutput:
         assert out == GOLDEN_TYPICAL[variant]
 
 
+def summary_of(out):
+    """The '# summary:' line of a CSV as a dict of its printed values."""
+    (line,) = [line for line in out.splitlines() if line.startswith("# summary: ")]
+    return dict(field.split("=") for field in line[len("# summary: "):].split())
+
+
+class TestSummary:
+    @pytest.mark.parametrize("command", list(cli.RUNNERS))
+    def test_nat_columns_are_printed(self, capsys, command):
+        # A renamed column or key would silently drop out of the bits
+        # conversion.
+        code, out, _ = run_cli(capsys, command)
+        assert code == 0
+        _, header, _ = parse_csv(out)
+        summary = summary_of(out) if "# summary: " in out else {}
+        assert cli.NAT_COLUMNS[command] <= set(header) | set(summary)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["rate"], ["detect", "--n-list", "32,64,96", "--samples", "10000"]],
+        ids=["rate", "detect"],
+    )
+    def test_bits_apply_to_the_summary(self, capsys, argv):
+        nats = summary_of(run_cli(capsys, *argv)[1])
+        bits = summary_of(run_cli(capsys, *argv, "--unit", "bits")[1])
+        assert nats.keys() == bits.keys()
+        for key, value in nats.items():
+            if key in cli.NAT_COLUMNS[argv[0]]:
+                assert float(bits[key]) == pytest.approx(float(value) / units.LN2, rel=1e-11)
+            else:
+                assert bits[key] == value
+        # C_s = -ln(1 - 0.5^2) / 2 nats, as the rate study's C_s column prints it.
+        assert bits["C_s"] == "0.207518749639"
+
+    def test_typical_echoes_every_digit(self, capsys):
+        args = ("--eps", "0.0123456789", "--n-list", "8", "--samples", "1000")
+        code, out, _ = run_cli(capsys, "typical", *args)
+        assert code == 0
+        assert summary_of(out) == {
+            "variant": "rel_entropy",
+            "eps": "0.0123456789",
+            "delta_factor": "1.1",
+        }
+
+
 class TestAsymptoticsCommand:
     def test_diagnostics(self, capsys):
         code, out, _ = run_cli(capsys, "asymptotics", "--n-list", "64,256", "--check")

@@ -4,7 +4,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.special
 from scipy.stats import multivariate_normal
 
 from steinlab import cli, detect, gaussian, numlin, qform, spectral, streams, typicality
@@ -124,35 +123,40 @@ class TestEstimateBeta:
         assert a.beta_hat == b.beta_hat
 
 
-class TestLogsumexp:
-    # The reduction's own logsumexp must give scipy's bits, so the IS
-    # columns of every study stay byte-identical.
+@pytest.mark.filterwarnings("error")
+class TestRescaledSums:
+    # `_error_estimates` rescales each chunk's weight sums from the chunk's
+    # largest log weight to the overall largest.  Values recorded when the
+    # chunks' log-sums were combined by a logsumexp instead.
     @pytest.mark.parametrize(
-        "values",
+        "quantile, beta_log, stderr, ess",
         [
-            pytest.param([-math.inf, 3.5, -math.inf], id="single-finite"),
-            pytest.param([2.0], id="one-entry"),
-            pytest.param([1.25, -0.5, 1.25, -math.inf, 1.25], id="ties-at-max"),
-            pytest.param([0.0, -1000.0, -math.inf], id="rest-underflows"),
-            pytest.param([-750.0, -745.0, -760.0], id="all-below-exp-range"),
+            pytest.param(
+                0.999, 8168.685937935625, 0.7138294853674868, 1.961543799716245, id="q0.999"
+            ),
+            pytest.param(
+                0.5, 6555.155346079121, 0.49885037932942183, 4.014424615159959, id="q0.5"
+            ),
         ],
     )
-    def test_is_scipy_bit_for_bit(self, values):
-        a = np.array(values)
-        assert detect._logsumexp(a) == float(scipy.special.logsumexp(a))
+    def test_deep_tail(self, quantile, beta_log, stderr, ess):
+        # Every log weight lies below -709, and at the 0.999 quantile most
+        # chunks accept no draw: their placeholder top must not scale in.
+        pair = gaussian.diagonal_pair(np.full(512, 30.0))
+        threshold = float(np.quantile(detect.sample_llr(pair, 4000, seed=3), quantile))
+        est = detect.estimate_beta_is(detect.DetectorSpec.np_threshold(threshold), pair, 4000, 3)
+        assert not est.underflow
+        assert est.beta_log == pytest.approx(beta_log, rel=1e-12)
+        assert est.stderr_beta_log == pytest.approx(stderr, rel=1e-12)
+        assert est.ess == pytest.approx(ess, rel=1e-12)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_weights_are_scipy_bit_for_bit(self, seed):
-        # As `_error_estimates` forms them: -LLR where accepted, else -inf,
-        # with ties at the maximum in half the cases.
-        rng = np.random.default_rng(seed)
-        llrs = rng.normal(40.0, 8.0, size=1 + 5000 * seed)
-        if seed % 2:
-            llrs[rng.integers(llrs.size, size=4)] = llrs.min()
-        log_weights = np.where(llrs > 38.0, -llrs, -math.inf)
-        for a in (log_weights, 2.0 * log_weights):
-            if np.any(np.isfinite(a)):
-                assert detect._logsumexp(a) == float(scipy.special.logsumexp(a))
+    def test_threshold_far_below_the_draws(self):
+        # Weights shifted by the threshold, e^{-LLR - 2000}, would all be 0.
+        pair = gaussian.diagonal_pair(np.linspace(2.2, 0.6, 8))
+        det = detect.DetectorSpec.np_threshold(-2000.0)
+        est = detect.estimate_beta_is(det, pair, count=20_000, seed=5)
+        assert not est.underflow
+        assert est.beta_log == pytest.approx(0.0006567686506819825, rel=1e-12)
 
 
 def imhof_reference(coef, x):

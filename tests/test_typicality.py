@@ -97,6 +97,15 @@ class TestBoundFormulas:
         assert b.upper == math.inf
         assert b.log_upper == pytest.approx(1001.0)
 
+    @pytest.mark.parametrize("log_value", [705.0, -705.0])
+    def test_exp_or_inf_is_exp_within_double_range(self, log_value):
+        # e^705 = 1.5e306 and e^-705 = 6.6e-307 are both doubles.
+        assert typicality.exp_or_inf(log_value) == math.exp(log_value)
+        assert 0.0 < typicality.exp_or_inf(log_value) < math.inf
+
+    def test_exp_or_inf_overflows_to_inf(self):
+        assert typicality.exp_or_inf(710.0) == math.inf
+
     def test_q_prob_bounds(self):
         b = typicality.q_prob_bounds(kl=5.0, delta=0.5, eps=0.1)
         assert b.log_upper == pytest.approx(-4.5)
