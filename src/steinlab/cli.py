@@ -174,12 +174,18 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"field 'out': must be a path, got {config['out']!r}")
 
 
-def run_rate(config: dict) -> tuple[dict, list[dict]]:
-    cov_p = covariance_from_spec(config["cov_p"])
-    cov_q = covariance_from_spec(config["cov_q"])
+def _stein_rate(cov_p, cov_q) -> float:
+    """C_s, a config error where it is 0: the spectra agree on the grid."""
     rate = spectral.stein_rate(cov_p, cov_q)
     if rate == 0.0:
         raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
+    return rate
+
+
+def run_rate(config: dict) -> tuple[dict, list[dict]]:
+    cov_p = covariance_from_spec(config["cov_p"])
+    cov_q = covariance_from_spec(config["cov_q"])
+    rate = _stein_rate(cov_p, cov_q)
     rows = []
     for n, kl in zip(config["ns"], gaussian.kl_toeplitz(cov_p, cov_q, config["ns"])):
         rows.append(
@@ -208,9 +214,9 @@ def _relative_entropy_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tu
     pair = gaussian.whiten(
         numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
     )
-    threshold = typicality.good_delta_correlated(pair, eps)
-    spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * threshold.delta)
-    return n, threshold.b_n, threshold.delta, spec
+    delta_min = typicality.good_delta_correlated(pair, eps)
+    spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * delta_min)
+    return n, pair.b_n, delta_min, spec
 
 
 def run_typical(config: dict) -> tuple[dict, list[dict]]:
@@ -220,15 +226,17 @@ def run_typical(config: dict) -> tuple[dict, list[dict]]:
     seed = config["seed"]
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
-    cov_q = covariance_from_spec(config["cov_q"]) if variant == "rel_entropy" else None
-    # A config error here as in `rate`, before any n can fail to factor.
-    spectral.check_spectra((cov_p,) if cov_q is None else (cov_p, cov_q))
-    # Every set first, then every draw (see `streams`); a set keeps only
-    # its statistic's coefficient vector and scalars, not the matrices.
-    if cov_q is None:
+    # A config error comes first as in `rate`, before any n can fail to
+    # factor: a spectrum not positive on the grid, or spectra that agree.
+    # Then every set, then every draw (see `streams`); a set keeps only its
+    # statistic's coefficient vector and scalars, not the matrices.
+    if variant == "entropy":
+        spectral.check_spectra((cov_p,))
         models = gaussian.model_toeplitz(cov_p, config["ns"])
         sets = [_entropy_set(model, eps, factor) for model in models]
     else:
+        cov_q = covariance_from_spec(config["cov_q"])
+        _stein_rate(cov_p, cov_q)
         sets = [_relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
     ns, b_ns, delta_mins, specs = zip(*sets)
     estimates = typicality.mc_typical_probs(
@@ -402,10 +410,10 @@ def merge_config(args: argparse.Namespace) -> dict:
         raise ConfigError(f"unknown config keys for {args.command}: {sorted(unknown)}")
     config.update(loaded)
     if args.n_list is not None:
-        try:
-            config["ns"] = [int(v) for v in args.n_list.split(",") if v]
-        except ValueError as exc:
-            raise ConfigError(f"bad --n-list {args.n_list!r}") from exc
+        items = args.n_list.split(",")
+        if not all(item.isascii() and item.isdigit() for item in items):
+            raise ConfigError(f"bad --n-list {args.n_list!r}: items must be decimal digits")
+        config["ns"] = [int(item) for item in items]
     for key, value in vars(args).items():
         if key in keys and value is not None:
             config[key] = value

@@ -1,8 +1,10 @@
 """Detectors, error-rate estimation, and error-exponent extraction.
 
 The minimal type-II error beta_tau is approximated by the likelihood-ratio
-detector whose type-I error is exactly tau; the typical-set detector
-realizes the analytic upper-bound construction.  Type-II errors are
+detector (`NpThreshold`) whose type-I error is exactly tau.  The
+typical-set detector, which realizes the analytic upper-bound
+construction, is the relative-entropy `typicality.TypicalSetSpec` itself:
+the set whose p-probability `typical` measures.  Type-II errors are
 estimated by exact change of measure (sampling under p with weights
 e^{-LLR}).  Only the largest log weight is kept in the log domain, so
 -ln beta is formed without underflow where beta is below every double:
@@ -34,34 +36,18 @@ EVALUATION_STREAM = 1
 
 
 @dataclass(frozen=True)
-class DetectorSpec:
-    """Decision region for p: LLR above a threshold, or LLR near the KL.
+class NpThreshold:
+    """Likelihood-ratio detector: decide p when llr(x) > threshold."""
 
-    kind "np_threshold": decide p when llr(x) > threshold.
-    kind "typical_set": decide p when |llr(x) - kl| <= gamma.
-    """
+    threshold: float
 
-    kind: str
-    threshold: float = math.nan  # np_threshold
-    gamma: float = math.nan  # typical_set
+    def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValueError(f"threshold must be finite, got {self.threshold}")
 
-    @classmethod
-    def np_threshold(cls, threshold: float) -> "DetectorSpec":
-        if not math.isfinite(threshold):
-            raise ValueError(f"threshold must be finite, got {threshold}")
-        return cls(kind="np_threshold", threshold=threshold)
-
-    @classmethod
-    def typical_set(cls, gamma: float) -> "DetectorSpec":
-        if gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {gamma}")
-        return cls(kind="typical_set", gamma=gamma)
-
-    def accepts_p(self, llr_values: np.ndarray, kl: float) -> np.ndarray:
+    def contains(self, llrs: np.ndarray) -> np.ndarray:
         """Boolean mask: which LLR values fall in the p-decision region."""
-        if self.kind == "np_threshold":
-            return llr_values > self.threshold
-        return np.abs(llr_values - kl) <= self.gamma
+        return llrs > self.threshold
 
 
 @dataclass(frozen=True)
@@ -91,7 +77,7 @@ def sample_llr(
 
 def np_calibrate(
     pair: gaussian.HypothesisPair, tau: float, count: int, seed: int
-) -> DetectorSpec:
+) -> NpThreshold:
     """Threshold detector at the empirical tau-quantile of the LLR under p.
 
     The LLR is continuous, so the quantile rule needs no randomization and
@@ -105,10 +91,10 @@ def np_calibrate(
     _require_pair(pair)
     llrs = sample_llr(pair, count, seed, under="p")
     threshold = float(np.quantile(llrs, tau, method="lower"))
-    return DetectorSpec.np_threshold(threshold)
+    return NpThreshold(threshold)
 
 
-def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> DetectorSpec:
+def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> NpThreshold:
     """Threshold detector whose type-I error is tau, with no sampling.
 
     Under p the LLR is offset + Q (`gaussian.llr_form`), so the type-I
@@ -131,13 +117,14 @@ def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> DetectorSpe
     start = pair.kl - sd * typicality.qfunc_inv(tau)
     what = f"NP threshold at tau={tau}"
     t, _ = qform.bracketed_newton(gap, start, -math.inf, math.inf, sd, what, tol=qform.CDF_TOL)
-    return DetectorSpec.np_threshold(t)
+    return NpThreshold(t)
 
 
 def estimate_beta_is(
-    det: DetectorSpec, pair: gaussian.HypothesisPair, count: int, seed: int
+    det, pair: gaussian.HypothesisPair, count: int, seed: int
 ) -> ErrorEstimates:
-    """Unbiased type-II error estimate from p-samples only.
+    """Unbiased type-II error estimate from p-samples only, for a detector
+    that decides p on the LLR values it `contains`.
 
     beta = q(decide p) = E_p[e^{-LLR} 1{decide p}]; the weights are summed
     relative to the largest, so -ln beta is finite where beta < e^{-745}.  The
@@ -152,22 +139,20 @@ def estimate_beta_is(
         seed,
         count,
         [gaussian.llr_form(pair, "p")],
-        lambda llrs: _chunk_sums([det], [pair.kl], llrs),
+        lambda llrs: _chunk_sums([det], llrs),
     )
     return _error_estimates(count, np.array(sums)[:, :, 0])
 
 
-def _chunk_sums(
-    dets: Sequence[DetectorSpec], kls: Sequence[float], llrs: np.ndarray
-) -> np.ndarray:
+def _chunk_sums(dets: Sequence, llrs: np.ndarray) -> np.ndarray:
     """One chunk's reduction for the detector dets[i] on the LLR values in
-    row i of `llrs`, drawn under p, whose KL is kls[i]: rows (accepted
-    count, top, sum w, sum w^2) over its accepted draws, each with a column
-    per detector.  Here top is the largest accepted -LLR (0 where no draw
-    is accepted) and w = e^{-LLR - top}, so every w is at most 1.  A column
-    depends on its own row alone.
+    row i of `llrs`, drawn under p: rows (accepted count, top, sum w,
+    sum w^2) over its accepted draws, each with a column per detector.
+    Here top is the largest accepted -LLR (0 where no draw is accepted)
+    and w = e^{-LLR - top}, so every w is at most 1.  A column depends on
+    its own row alone.
     """
-    accepted = np.array([det.accepts_p(row, kl) for det, row, kl in zip(dets, llrs, kls)])
+    accepted = np.array([det.contains(row) for det, row in zip(dets, llrs)])
     log_weights = np.where(accepted, -llrs, NEG_INF)
     top = np.max(log_weights, axis=1)
     top[top == NEG_INF] = 0.0
@@ -306,19 +291,19 @@ def _exact_terms(
     n: int,
     tau: float,
 ) -> tuple:
-    """What the draws and the row of one n read: (kl, window, exact
-    threshold detector, typical-set detector, LLR form under p).  The
-    n x n matrices they come from are dropped on return."""
+    """What the draws and the row of one n read: (window, exact threshold
+    detector, typical-set detector), the last holding the KL and the LLR
+    form.  The n x n matrices they come from are dropped on return."""
     pair = gaussian.whiten(
         numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
     )
     _require_pair(pair)
-    # The window's delta and gamma and the typical set's gamma are the same
+    # The window's delta and gamma and the typical set's delta are the same
     # CLT good threshold.
-    gamma = typicality.good_delta_correlated(pair, tau).delta
+    gamma = typicality.good_delta_correlated(pair, tau)
     window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
     det_np = np_threshold_exact(pair, tau)
-    return pair.kl, window, det_np, DetectorSpec.typical_set(gamma), gaussian.llr_form(pair, "p")
+    return window, det_np, typicality.TypicalSetSpec.relative_entropy(pair, gamma)
 
 
 def gcsl_experiment(
@@ -334,9 +319,10 @@ def gcsl_experiment(
     It runs in two phases.  The exact phase takes, for each n, the exact
     KL, the CLT good threshold gamma (from B_n, at eps=tau), the
     analytic exponent window with delta = gamma and the exact level-tau
-    threshold (`np_threshold_exact`, no draws); of each n it keeps the two
-    detectors, the LLR form and those scalars, not the matrices.  All
-    dense linear algebra thus ends before the first draw (see `streams`).
+    threshold (`np_threshold_exact`, no draws); of each n it keeps the
+    window and the two detectors, not the matrices: the typical set holds
+    the KL and the LLR form.  All dense linear algebra thus ends before
+    the first draw (see `streams`).
 
     Only then does the draw phase estimate -ln(beta) by Monte Carlo for
     both the threshold detector and the typical-set detector, in one
@@ -360,17 +346,17 @@ def gcsl_experiment(
         raise DegeneratePairError("the two covariance sequences coincide")
 
     exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
-    kls, windows, np_dets, ts_dets, forms = zip(*exact)
+    windows, np_dets, ts_dets = zip(*exact)
     sums = streams.quadratic_draws(
         streams.derive_seed(seed, EVALUATION_STREAM),
         count,
-        forms,
-        lambda llrs: np.array([_chunk_sums(dets, kls, llrs) for dets in (np_dets, ts_dets)]),
+        [(ts.coef, ts.offset) for ts in ts_dets],
+        lambda llrs: np.array([_chunk_sums(dets, llrs) for dets in (np_dets, ts_dets)]),
     )
     # Axes: chunk, detector (threshold, typical set), sum, n.
     sums = np.array(sums)
     rows = []
-    for i, (n, kl, window) in enumerate(zip(ns, kls, windows)):
+    for i, (n, window, ts) in enumerate(zip(ns, windows, ts_dets)):
         est_np = _error_estimates(count, sums[:, 0, :, i])
         est_ts = _error_estimates(count, sums[:, 1, :, i])
         margin = 3.0 * est_np.stderr_beta_log
@@ -378,7 +364,7 @@ def gcsl_experiment(
         rows.append(
             GcslRow(
                 n=n,
-                D=kl,
+                D=ts.center,
                 lower=window.exp_lower,
                 upper=window.exp_upper,
                 np_beta_log=est_np.beta_log,

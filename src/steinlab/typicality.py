@@ -1,13 +1,15 @@
 """Typical sets, their good thresholds, and their bound calculators.
 
 Covers both flavors of typical set (entropy-centered and relative-entropy-
-centered) as the statistic each tests, the inverse normal tail they
-calibrate against, the CLT good thresholds for the white and the
-correlated Gaussian cases (normal approximations, neither minimal nor
-always eps-good), Monte Carlo set-probability estimation on the draws
-of `streams.quadratic_draws`, the volume / q-probability bound formulas,
-and a CLT check of the log-likelihood-ratio fluctuation.
-Everything is in nats.
+centered) as the statistic each tests, with one membership rule; the
+relative-entropy set is also the typical-set detector that `detect`
+scores.  Besides the sets: the inverse normal tail they calibrate
+against, the CLT good thresholds for the white and the correlated
+Gaussian cases (normal approximations, neither minimal nor always
+eps-good), Monte Carlo set-probability estimation on the draws of
+`streams.quadratic_draws`, one window that bounds both a set's volume
+and the relative-entropy set's q-mass, and a CLT check of the
+log-likelihood-ratio fluctuation.  Everything is in nats.
 """
 
 from __future__ import annotations
@@ -44,15 +46,7 @@ def good_delta_white_gaussian(n: int, eps: float) -> float:
     return math.sqrt(n / 2.0) * qfunc_inv(eps / 2.0)
 
 
-@dataclass(frozen=True)
-class CorrelatedThreshold:
-    delta: float
-    b_n: float
-
-
-def good_delta_correlated(
-    pair: gaussian.HypothesisPair, eps: float
-) -> CorrelatedThreshold:
+def good_delta_correlated(pair: gaussian.HypothesisPair, eps: float) -> float:
     """CLT threshold (B_n/sqrt(2))*Qinv(eps/2) for a whitened pair.
 
     It treats the LLR as normal with variance B_n^2/2.  That is neither
@@ -64,9 +58,7 @@ def good_delta_correlated(
     b_n = pair.b_n
     if b_n == 0.0:
         raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    return CorrelatedThreshold(
-        delta=b_n / math.sqrt(2.0) * qfunc_inv(eps / 2.0), b_n=b_n
-    )
+    return b_n / math.sqrt(2.0) * qfunc_inv(eps / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +69,19 @@ class TypicalSetSpec:
     offset + sum_j coef[j] z_j^2 with z ~ N(0, I), is within delta of
     center.  Both kinds of set have a statistic of that form: -log p(x)
     for the entropy set (`entropy`), the log-likelihood ratio for the
-    relative-entropy set (`relative_entropy`).
+    relative-entropy set (`relative_entropy`).  The relative-entropy set
+    is also the detector of the lemma's achievability half, which
+    `detect` scores: it decides p on the draws the set contains.
     """
 
     delta: float
     center: float
     coef: np.ndarray = field(repr=False)
     offset: float
+
+    def contains(self, stats: np.ndarray) -> np.ndarray:
+        """Boolean mask: which statistic values lie in the set."""
+        return np.abs(stats - self.center) <= self.delta
 
     @classmethod
     def entropy(cls, model: gaussian.GaussianModel, delta: float) -> "TypicalSetSpec":
@@ -138,13 +136,11 @@ def mc_typical_probs(
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    centers = np.array([[spec.center] for spec in specs])
-    deltas = np.array([[spec.delta] for spec in specs])
     inside = streams.quadratic_draws(
         seed,
         count,
         [(spec.coef, spec.offset) for spec in specs],
-        lambda stats: np.count_nonzero(np.abs(stats - centers) <= deltas, axis=1),
+        lambda stats: [np.count_nonzero(spec.contains(row)) for spec, row in zip(specs, stats)],
     )
     results = []
     for hits in np.sum(inside, axis=0):
@@ -171,7 +167,12 @@ class VolumeBounds:
 
 
 def volume_bounds(h: float, delta: float, eps: float) -> VolumeBounds:
-    """Typical-set volume window: e^(h+delta) above, (1-eps)e^(h-delta) below."""
+    """Typical-set volume window: e^(h+delta) above, (1-eps)e^(h-delta) below.
+
+    For an eps-good set, h is the entropy for its volume and -D for the
+    q-mass of the relative-entropy set: there q = p e^-LLR with LLR within
+    delta of D, so that mass lies in [(1-eps)e^-(D+delta), e^-(D-delta)].
+    """
     if delta < 0.0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     if not 0.0 <= eps < 1.0:
@@ -179,33 +180,6 @@ def volume_bounds(h: float, delta: float, eps: float) -> VolumeBounds:
     log_upper = h + delta
     log_lower = math.log1p(-eps) + h - delta
     return VolumeBounds(
-        upper=exp_or_inf(log_upper),
-        lower=exp_or_inf(log_lower),
-        log_upper=log_upper,
-        log_lower=log_lower,
-    )
-
-
-@dataclass(frozen=True)
-class QProbBounds:
-    upper: float
-    lower: float
-    log_upper: float
-    log_lower: float
-
-
-def q_prob_bounds(kl: float, delta: float, eps: float) -> QProbBounds:
-    """q-mass window of the relative-entropy typical set.
-
-    Upper: e^-(D-delta).  Lower (for eps-good delta): (1-eps)e^-(D+delta).
-    """
-    if delta < 0.0:
-        raise ValueError(f"delta must be nonnegative, got {delta}")
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must lie in [0, 1), got {eps}")
-    log_upper = -(kl - delta)
-    log_lower = math.log1p(-eps) - (kl + delta)
-    return QProbBounds(
         upper=exp_or_inf(log_upper),
         lower=exp_or_inf(log_lower),
         log_upper=log_upper,

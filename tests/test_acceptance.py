@@ -80,7 +80,7 @@ def test_criterion_05_good_threshold_coverage():
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
     pair = toeplitz_pair(n)
-    delta_corr = typicality.good_delta_correlated(pair, eps).delta
+    delta_corr = typicality.good_delta_correlated(pair, eps)
     mc = typicality.mc_typical_prob(
         typicality.TypicalSetSpec.relative_entropy(pair, delta_corr), count, seed=102
     )
@@ -106,7 +106,7 @@ def test_criterion_06_exponent_sandwich():
     details = []
     for i, n in enumerate((64, 128, 256)):
         pair = toeplitz_pair(n)
-        delta = typicality.good_delta_correlated(pair, tau).delta
+        delta = typicality.good_delta_correlated(pair, tau)
         window = detect.stein_bounds(pair.kl, delta, delta, eps, tau)
         det = detect.np_calibrate(pair, tau, count, seed=200 + 2 * i)
         est = detect.estimate_beta_is(det, pair, count, seed=201 + 2 * i)
@@ -132,10 +132,10 @@ def test_criterion_07_exponent_slope():
 def test_criterion_08_importance_sampling_oracle():
     pair = gaussian.diagonal_pair(np.linspace(2.2, 0.6, 8))
     count = 1_000_000
-    det = detect.DetectorSpec.np_threshold(0.0)
+    det = detect.NpThreshold(0.0)
     est = detect.estimate_beta_is(det, pair, count, seed=301)
     llrs_q = detect.sample_llr(pair, count, seed=302, under="q")
-    direct = float(np.mean(det.accepts_p(llrs_q, pair.kl)))
+    direct = float(np.mean(det.contains(llrs_q)))
     se_direct = math.sqrt(direct * (1.0 - direct) / count)
     se_is = est.beta_hat * est.stderr_beta_log
     joint = math.hypot(se_direct, se_is)

@@ -103,6 +103,17 @@ class TestRateCommand:
         assert code == 2
         assert "config error" in err
 
+    @pytest.mark.parametrize("command", ["rate", "typical", "detect"])
+    def test_identical_pair_exits_2(self, capsys, tmp_path, command):
+        # The kappas of this pair are 1 only up to rounding, so B_n is not
+        # exactly 0; C_s is, and each study rejects the pair by it.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cov_q": {"kind": "geometric", "rho": 0.5}}))
+        code, out, err = run_cli(capsys, command, "--config", str(cfg), "--n-list", "32,64,96")
+        assert code == 2
+        assert out == ""
+        assert "config error" in err
+
     def test_spectral_integral_not_converged_exits_3(self, capsys, monkeypatch, tmp_path):
         # rho = 0.999 needs 65536 grid points.
         monkeypatch.setattr(spectral, "POINTS_MAX", 8192)
@@ -731,6 +742,11 @@ class TestPlumbing:
             ("rate", "0,4"),
             ("sublinear", "2,4"),
             ("detect", "128,256"),
+            # Each item must be decimal digits; int() takes all four below.
+            ("rate", "64,,128"),
+            ("rate", "64,"),
+            ("rate", "1_6,32"),
+            ("rate", " 16,32"),
         ],
         ids=[
             "duplicate",
@@ -738,6 +754,10 @@ class TestPlumbing:
             "rate-below-1",
             "sublinear-below-3",
             "detect-fewer-than-3",
+            "empty-item",
+            "trailing-comma",
+            "underscore",
+            "leading-space",
         ],
     )
     def test_bad_n_list_exits_2(self, capsys, command, n_list):

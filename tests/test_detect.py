@@ -17,20 +17,20 @@ def small_pair():
 
 class TestDetectorSpec:
     def test_np_threshold_mask(self):
-        det = detect.DetectorSpec.np_threshold(0.0)
-        mask = det.accepts_p(np.array([-1.0, 0.0, 2.0]), kl=5.0)
+        det = detect.NpThreshold(0.0)
+        mask = det.contains(np.array([-1.0, 0.0, 2.0]))
         assert mask.tolist() == [False, False, True]
 
     def test_typical_set_mask(self):
-        det = detect.DetectorSpec.typical_set(1.0)
-        mask = det.accepts_p(np.array([3.9, 5.0, 6.1]), kl=5.0)
+        det = typicality.TypicalSetSpec(delta=1.0, center=5.0, coef=np.ones(1), offset=0.0)
+        mask = det.contains(np.array([3.9, 5.0, 6.1]))
         assert mask.tolist() == [False, True, False]
 
-    def test_validation(self):
+    def test_validation(self, small_pair):
         with pytest.raises(ValueError):
-            detect.DetectorSpec.np_threshold(math.inf)
+            detect.NpThreshold(math.inf)
         with pytest.raises(ValueError):
-            detect.DetectorSpec.typical_set(0.0)
+            typicality.TypicalSetSpec.relative_entropy(small_pair, 0.0)
 
 
 class TestSampleLlr:
@@ -83,10 +83,10 @@ class TestNpCalibrate:
 
 class TestEstimateBeta:
     def test_agrees_with_direct_q_sampling(self, small_pair):
-        det = detect.DetectorSpec.np_threshold(0.0)
+        det = detect.NpThreshold(0.0)
         est = detect.estimate_beta_is(det, small_pair, count=100_000, seed=6)
         llrs_q = detect.sample_llr(small_pair, count=100_000, seed=7, under="q")
-        direct = float(np.mean(det.accepts_p(llrs_q, small_pair.kl)))
+        direct = float(np.mean(det.contains(llrs_q)))
         direct_se = math.sqrt(direct * (1.0 - direct) / llrs_q.size)
         joint = math.sqrt(direct_se**2 + (est.beta_hat * est.stderr_beta_log) ** 2)
         assert abs(est.beta_hat - direct) < 4.0 * joint
@@ -94,14 +94,14 @@ class TestEstimateBeta:
     def test_reaches_deep_tails(self):
         # beta around e^-40 is far below what direct q-sampling can see
         pair = gaussian.diagonal_pair(np.full(64, 3.0))
-        det = detect.DetectorSpec.np_threshold(pair.kl)
+        det = detect.NpThreshold(pair.kl)
         est = detect.estimate_beta_is(det, pair, count=50_000, seed=8)
         assert not est.underflow
         assert est.beta_log > 20.0
         assert math.isfinite(est.stderr_beta_log)
 
     def test_underflow_flagged(self, small_pair):
-        det = detect.DetectorSpec.typical_set(1e-9)
+        det = typicality.TypicalSetSpec.relative_entropy(small_pair, 1e-9)
         est = detect.estimate_beta_is(det, small_pair, count=1000, seed=9)
         assert est.underflow
         assert est.beta_hat == 0.0
@@ -109,18 +109,30 @@ class TestEstimateBeta:
         assert est.ess == 0.0
 
     def test_ess_of_the_weights(self, small_pair):
-        det = detect.DetectorSpec.np_threshold(small_pair.kl)
+        det = detect.NpThreshold(small_pair.kl)
         est = detect.estimate_beta_is(det, small_pair, count=20_000, seed=12)
         llrs = detect.sample_llr(small_pair, count=20_000, seed=12)
-        weights = np.where(det.accepts_p(llrs, small_pair.kl), np.exp(-llrs), 0.0)
+        weights = np.where(det.contains(llrs), np.exp(-llrs), 0.0)
         assert est.ess == pytest.approx(np.sum(weights) ** 2 / np.sum(weights**2), rel=1e-10)
         assert 1.0 < est.ess < 20_000
 
     def test_deterministic(self, small_pair):
-        det = detect.DetectorSpec.np_threshold(0.0)
+        det = detect.NpThreshold(0.0)
         a = detect.estimate_beta_is(det, small_pair, count=2000, seed=10)
         b = detect.estimate_beta_is(det, small_pair, count=2000, seed=10)
         assert a.beta_hat == b.beta_hat
+
+    @pytest.mark.parametrize("count", [1000, 10_000, 100_003])
+    def test_typical_set_detector_is_the_set(self, pair_rho_half_n64, count):
+        # On the same draws, the typical-set detector rejects p exactly on
+        # the draws that fall outside the set `typical` measures.
+        pair = pair_rho_half_n64
+        ts = typicality.TypicalSetSpec.relative_entropy(
+            pair, typicality.good_delta_correlated(pair, 0.2)
+        )
+        rejected = detect.estimate_beta_is(ts, pair, count, seed=13).alpha_hat * count
+        inside = typicality.mc_typical_prob(ts, count, seed=13).estimate * count
+        assert round(rejected) + round(inside) == count
 
 
 @pytest.mark.filterwarnings("error")
@@ -144,7 +156,7 @@ class TestRescaledSums:
         # chunks accept no draw: their placeholder top must not scale in.
         pair = gaussian.diagonal_pair(np.full(512, 30.0))
         threshold = float(np.quantile(detect.sample_llr(pair, 4000, seed=3), quantile))
-        est = detect.estimate_beta_is(detect.DetectorSpec.np_threshold(threshold), pair, 4000, 3)
+        est = detect.estimate_beta_is(detect.NpThreshold(threshold), pair, 4000, 3)
         assert not est.underflow
         assert est.beta_log == pytest.approx(beta_log, rel=1e-12)
         assert est.stderr_beta_log == pytest.approx(stderr, rel=1e-12)
@@ -153,7 +165,7 @@ class TestRescaledSums:
     def test_threshold_far_below_the_draws(self):
         # Weights shifted by the threshold, e^{-LLR - 2000}, would all be 0.
         pair = gaussian.diagonal_pair(np.linspace(2.2, 0.6, 8))
-        det = detect.DetectorSpec.np_threshold(-2000.0)
+        det = detect.NpThreshold(-2000.0)
         est = detect.estimate_beta_is(det, pair, count=20_000, seed=5)
         assert not est.underflow
         assert est.beta_log == pytest.approx(0.0006567686506819825, rel=1e-12)
@@ -250,10 +262,13 @@ def assert_scored_alone(row, pair, tau, count, seed):
     """The row's Monte Carlo columns are those of its pair's two detectors,
     the exact level-tau threshold and the typical set of the CLT good
     threshold, each scored alone by `estimate_beta_is` on `seed`."""
-    gamma = typicality.good_delta_correlated(pair, tau).delta
+    gamma = typicality.good_delta_correlated(pair, tau)
     est_np, est_ts = (
         detect.estimate_beta_is(det, pair, count, seed)
-        for det in (detect.np_threshold_exact(pair, tau), detect.DetectorSpec.typical_set(gamma))
+        for det in (
+            detect.np_threshold_exact(pair, tau),
+            typicality.TypicalSetSpec.relative_entropy(pair, gamma),
+        )
     )
     assert (row.np_alpha, row.np_beta_log, row.np_beta_stderr, row.np_ess) == (
         est_np.alpha_hat, est_np.beta_log, est_np.stderr_beta_log, est_np.ess

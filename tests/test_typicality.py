@@ -37,9 +37,8 @@ class TestGoodDeltas:
 
     def test_correlated_uses_b_n(self):
         pair = gaussian.diagonal_pair([3.0, 1.0])
-        result = typicality.good_delta_correlated(pair, 0.2)
-        assert result.b_n == pytest.approx(2.0)
-        assert result.delta == pytest.approx(
+        assert pair.b_n == pytest.approx(2.0)
+        assert typicality.good_delta_correlated(pair, 0.2) == pytest.approx(
             2.0 / math.sqrt(2.0) * typicality.qfunc_inv(0.1)
         )
 
@@ -65,7 +64,7 @@ class TestMonteCarlo:
     def test_rel_entropy_coverage(self):
         eps = 0.1
         pair = gaussian.diagonal_pair(np.linspace(0.5, 2.0, 32))
-        delta = typicality.good_delta_correlated(pair, eps).delta
+        delta = typicality.good_delta_correlated(pair, eps)
         spec = typicality.TypicalSetSpec.relative_entropy(pair, delta)
         result = typicality.mc_typical_prob(spec, count=20_000, seed=22)
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.02
@@ -107,7 +106,7 @@ class TestBoundFormulas:
         assert typicality.exp_or_inf(710.0) == math.inf
 
     def test_q_prob_bounds(self):
-        b = typicality.q_prob_bounds(kl=5.0, delta=0.5, eps=0.1)
+        b = typicality.volume_bounds(h=-5.0, delta=0.5, eps=0.1)
         assert b.log_upper == pytest.approx(-4.5)
         assert b.log_lower == pytest.approx(math.log(0.9) - 5.5)
         assert b.lower <= b.upper
@@ -115,7 +114,7 @@ class TestBoundFormulas:
     def test_negative_delta_rejected(self):
         for fn in (
             lambda: typicality.volume_bounds(0.0, -1.0, 0.1),
-            lambda: typicality.q_prob_bounds(1.0, -1.0, 0.1),
+            lambda: typicality.volume_bounds(-1.0, -1.0, 0.1),
         ):
             with pytest.raises(ValueError):
                 fn()
