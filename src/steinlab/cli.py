@@ -30,7 +30,7 @@ from typing import Any
 
 import numpy as np
 
-from . import detect, gaussian, numlin, spectral, streams, typicality, sublinear, units
+from . import detect, gaussian, spectral, streams, typicality, sublinear, units
 from .exceptions import (
     DegeneratePairError,
     IllConditionedSpectraError,
@@ -200,25 +200,6 @@ def run_rate(config: dict) -> tuple[dict, list[dict]]:
     return {"C_s": rate, "final_abs_err": rows[-1]["abs_err"]}, rows
 
 
-def _entropy_set(model: gaussian.GaussianModel, eps: float, factor: float) -> tuple:
-    """(n, B_n, delta_min, set) for the entropy set of p at dimension model.n."""
-    n = model.n
-    delta_min = typicality.good_delta_white_gaussian(n, eps)
-    spec = typicality.TypicalSetSpec.entropy(model, factor * delta_min)
-    return n, math.sqrt(n), delta_min, spec
-
-
-def _relative_entropy_set(cov_p, cov_q, n: int, eps: float, factor: float) -> tuple:
-    """(n, B_n, delta_min, set) for the relative-entropy set of (p, q) at
-    dimension n."""
-    pair = gaussian.whiten(
-        numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
-    )
-    delta_min = typicality.good_delta_correlated(pair, eps)
-    spec = typicality.TypicalSetSpec.relative_entropy(pair, factor * delta_min)
-    return n, pair.b_n, delta_min, spec
-
-
 def run_typical(config: dict) -> tuple[dict, list[dict]]:
     eps = config["eps"]
     factor = config["delta_factor"]
@@ -228,26 +209,30 @@ def run_typical(config: dict) -> tuple[dict, list[dict]]:
     cov_p = covariance_from_spec(config["cov_p"])
     # A config error comes first as in `rate`, before any n can fail to
     # factor: a spectrum not positive on the grid, or spectra that agree.
-    # Then every set, then every draw (see `streams`); a set keeps only its
-    # statistic's coefficient vector and scalars, not the matrices.
+    # Then every set's statistic, then every draw (see `streams`); a form
+    # keeps only its coefficient vector and offset, not the matrices.
     if variant == "entropy":
         spectral.check_spectra((cov_p,))
         models = gaussian.model_toeplitz(cov_p, config["ns"])
-        sets = [_entropy_set(model, eps, factor) for model in models]
+        forms = [gaussian.surprisal_form(model) for model in models]
     else:
         cov_q = covariance_from_spec(config["cov_q"])
         _stein_rate(cov_p, cov_q)
-        sets = [_relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]]
-    ns, b_ns, delta_mins, specs = zip(*sets)
+        forms = [
+            gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n).require_distinct(), "p")
+            for n in config["ns"]
+        ]
+    delta_mins = [typicality.good_delta(form, eps) for form in forms]
+    specs = [typicality.TypicalSetSpec(form, factor * d) for form, d in zip(forms, delta_mins)]
     estimates = typicality.mc_typical_probs(
         specs, samples, streams.derive_seed(seed, COVERAGE_STREAM)
     )
     rows = []
-    for n, b_n, delta_min, mc in zip(ns, b_ns, delta_mins, estimates):
+    for n, form, delta_min, mc in zip(config["ns"], forms, delta_mins, estimates):
         rows.append(
             {
                 "n": n,
-                "B_n": b_n,
+                "B_n": form.scale,
                 "delta_min": delta_min,
                 "p_hat": mc.estimate,
                 "stderr": mc.stderr,

@@ -12,10 +12,10 @@ near 8,000 nats for 512 coordinates of variance ratio 30.
 
 Everything runs in whitened coordinates: both error probabilities and the
 LLR law are invariant under the whitening bijection, so under p the LLR is
-offset + sum_j c_j z_j^2 with c = (kappas - 1)/2 and z standard normal.
-The threshold for a type-I error of tau is a root of that law
-(`np_threshold_exact`, from `qform`), with no draws; every sampled LLR
-value comes from `streams.quadratic_draws`.
+the `qform.QuadraticForm` offset + sum_j c_j z_j^2 with c = (kappas - 1)/2
+and z standard normal (`gaussian.llr_form`).  The threshold for a type-I
+error of tau is that form's tau-quantile (`np_threshold_exact`), with no
+draws; every sampled LLR value comes from `streams.quadratic_draws`.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, numlin, qform, spectral, streams, typicality
+from . import gaussian, spectral, streams, typicality
 from .exceptions import DegeneratePairError, VacuousBoundError
 
 NEG_INF = float("-inf")
@@ -63,16 +63,11 @@ class ErrorEstimates:
     underflow: bool = False
 
 
-def _require_pair(pair: gaussian.HypothesisPair) -> None:
-    if pair.b_n == 0.0:
-        raise DegeneratePairError("hypotheses are identical; no exponent to estimate")
-
-
 def sample_llr(
     pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
 ) -> np.ndarray:
     """LLR values of `count` draws from p or q, in whitened coordinates."""
-    return streams.quadratic_values(seed, count, *gaussian.llr_form(pair, under))
+    return streams.quadratic_values(seed, count, gaussian.llr_form(pair, under))
 
 
 def np_calibrate(
@@ -88,36 +83,20 @@ def np_calibrate(
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
-    _require_pair(pair)
+    pair.require_distinct()
     llrs = sample_llr(pair, count, seed, under="p")
     threshold = float(np.quantile(llrs, tau, method="lower"))
     return NpThreshold(threshold)
 
 
 def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> NpThreshold:
-    """Threshold detector whose type-I error is tau, with no sampling.
-
-    Under p the LLR is offset + Q (`gaussian.llr_form`), so the type-I
-    error at threshold t is alpha(t) = P(Q <= t - offset) (`qform`).
-    `qform.bracketed_newton` solves alpha(t) = tau from the normal quantile
-    kl + sd Phi^-1(tau), sd = b_n / sqrt 2, moving by sd while the bracket
-    is open.  It stops only at |alpha(t) - tau| <= 1e-12, up to the
-    inversion's accuracy, or raises `NumericalFailureError`.
-    """
+    """Threshold detector whose type-I error is tau, with no sampling: the
+    tau-quantile of the LLR under p (`QuadraticForm.quantile`, to 1e-12 in
+    alpha up to the inversion's accuracy, or `NumericalFailureError`)."""
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
-    _require_pair(pair)
-    coef, offset = gaussian.llr_form(pair, "p")
-    sd = pair.b_n / math.sqrt(2.0)
-
-    def gap(t):
-        alpha, density = qform.quadratic_form_cdf(coef, t - offset)
-        return alpha - tau, density
-
-    start = pair.kl - sd * typicality.qfunc_inv(tau)
-    what = f"NP threshold at tau={tau}"
-    t, _ = qform.bracketed_newton(gap, start, -math.inf, math.inf, sd, what, tol=qform.CDF_TOL)
-    return NpThreshold(t)
+    pair.require_distinct()
+    return NpThreshold(gaussian.llr_form(pair, "p").quantile(tau, f"NP threshold at tau={tau}"))
 
 
 def estimate_beta_is(
@@ -285,25 +264,18 @@ class GcslResult:
     slope_rel_err: float
 
 
-def _exact_terms(
-    cov_p: spectral.CovarianceSequence,
-    cov_q: spectral.CovarianceSequence,
-    n: int,
-    tau: float,
-) -> tuple:
-    """What the draws and the row of one n read: (window, exact threshold
-    detector, typical-set detector), the last holding the KL and the LLR
-    form.  The n x n matrices they come from are dropped on return."""
-    pair = gaussian.whiten(
-        numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n)
-    )
-    _require_pair(pair)
+def _exact_terms(cov_p, cov_q, n: int, tau: float) -> tuple:
+    """What the draws and the row of one n read: (KL, window, exact
+    threshold detector, typical-set detector holding the LLR form, whose
+    mean is the KL up to cancellation).  The matrices are dropped here."""
+    pair = gaussian.whiten_toeplitz(cov_p, cov_q, n).require_distinct()
     # The window's delta and gamma and the typical set's delta are the same
     # CLT good threshold.
-    gamma = typicality.good_delta_correlated(pair, tau)
+    form = gaussian.llr_form(pair, "p")
+    gamma = typicality.good_delta(form, tau)
     window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
     det_np = np_threshold_exact(pair, tau)
-    return window, det_np, typicality.TypicalSetSpec.relative_entropy(pair, gamma)
+    return pair.kl, window, det_np, typicality.TypicalSetSpec(form, gamma)
 
 
 def gcsl_experiment(
@@ -320,8 +292,8 @@ def gcsl_experiment(
     KL, the CLT good threshold gamma (from B_n, at eps=tau), the
     analytic exponent window with delta = gamma and the exact level-tau
     threshold (`np_threshold_exact`, no draws); of each n it keeps the
-    window and the two detectors, not the matrices: the typical set holds
-    the KL and the LLR form.  All dense linear algebra thus ends before
+    KL, the window and the two detectors, not the matrices: the typical
+    set holds the LLR form.  All dense linear algebra thus ends before
     the first draw (see `streams`).
 
     Only then does the draw phase estimate -ln(beta) by Monte Carlo for
@@ -346,17 +318,17 @@ def gcsl_experiment(
         raise DegeneratePairError("the two covariance sequences coincide")
 
     exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
-    windows, np_dets, ts_dets = zip(*exact)
+    kls, windows, np_dets, ts_dets = zip(*exact)
     sums = streams.quadratic_draws(
         streams.derive_seed(seed, EVALUATION_STREAM),
         count,
-        [(ts.coef, ts.offset) for ts in ts_dets],
+        [ts.form for ts in ts_dets],
         lambda llrs: np.array([_chunk_sums(dets, llrs) for dets in (np_dets, ts_dets)]),
     )
     # Axes: chunk, detector (threshold, typical set), sum, n.
     sums = np.array(sums)
     rows = []
-    for i, (n, window, ts) in enumerate(zip(ns, windows, ts_dets)):
+    for i, (n, kl, window) in enumerate(zip(ns, kls, windows)):
         est_np = _error_estimates(count, sums[:, 0, :, i])
         est_ts = _error_estimates(count, sums[:, 1, :, i])
         margin = 3.0 * est_np.stderr_beta_log
@@ -364,7 +336,7 @@ def gcsl_experiment(
         rows.append(
             GcslRow(
                 n=n,
-                D=ts.center,
+                D=kl,
                 lower=window.exp_lower,
                 upper=window.exp_upper,
                 np_beta_log=est_np.beta_log,

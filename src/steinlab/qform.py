@@ -1,14 +1,18 @@
-"""The law of Q = sum_j c_j z_j^2, z iid standard normal: Imhof's
-inversion (`quadratic_form_cdf`), one adaptive G10/K21 Gauss-Kronrod
-quadrature along a ray through the saddlepoint, and `bracketed_newton`, the
-one root finder for an increasing function, under one step budget, which
-the saddlepoint and `detect.np_threshold_exact` both call.
+"""The law of a statistic offset + sum_j c_j z_j^2, z iid standard normal,
+as one value, `QuadraticForm`: every statistic a study reads is one.  Its
+law is Imhof's inversion (`quadratic_form_cdf`), one adaptive G10/K21
+Gauss-Kronrod quadrature along a ray through the saddlepoint, and its
+quantiles come from `bracketed_newton`, the one root finder for an
+increasing function, under one step budget, which the saddlepoint calls too.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 
@@ -19,8 +23,8 @@ _EPS = float(np.finfo(float).eps)
 # over initial panels that end at these multiples of the local scale.
 _RAY_ANGLE = 7.0 * math.pi / 16.0
 _RAY_PANELS = (1.5, 3.0, 6.0, 12.0)
-# Absolute accuracy asked of each inversion; `detect.np_threshold_exact`
-# stops once its type-I error is this close to tau.
+# Absolute accuracy asked of each inversion; `QuadraticForm.quantile`
+# stops once the CDF is this close to its level.
 CDF_TOL = 1e-12
 # An inversion whose error estimate exceeds this is a failure.
 _CDF_ERR_MAX = 1e-10
@@ -60,6 +64,47 @@ _GK_HALF_GAUSS = (
 _GK_NODES = np.array(_GK_HALF_NODES + tuple(-x for x in _GK_HALF_NODES[-2::-1]))
 _GK_KRONROD = np.array(_GK_HALF_KRONROD + _GK_HALF_KRONROD[-2::-1])
 _GK_GAUSS = np.array(_GK_HALF_GAUSS + _GK_HALF_GAUSS[-2::-1])
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticForm:
+    """The statistic offset + sum_j coef[j] z_j^2, z ~ N(0, I), with `coef`
+    stored as a contiguous float array: mean offset + sum(coef), variance
+    B^2 / 2 for the CLT `scale` B = sqrt(sum (2 coef[j])^2)."""
+
+    coef: np.ndarray = field(repr=False)
+    offset: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "coef", np.ascontiguousarray(self.coef, dtype=float))
+        object.__setattr__(self, "offset", float(self.offset))
+
+    @functools.cached_property
+    def mean(self) -> float:
+        return self.offset + float(np.sum(self.coef))
+
+    @functools.cached_property
+    def scale(self) -> float:
+        return float(np.sqrt(np.sum((2.0 * self.coef) ** 2)))
+
+    def cdf(self, t: float) -> tuple[float, float]:
+        """P(statistic <= t) and its density at t (`quadratic_form_cdf`)."""
+        return quadratic_form_cdf(self.coef, t - self.offset)
+
+    def quantile(self, p: float, what: str) -> float:
+        """The t with cdf(t) = p to `CDF_TOL`, by `bracketed_newton` from
+        the normal quantile mean + sd Phi^-1(p), sd = B / sqrt 2, moving by
+        sd while the bracket is open; `what` names the solve in a
+        `NumericalFailureError`."""
+        sd = self.scale / math.sqrt(2.0)
+
+        def gap(t):
+            value, density = self.cdf(t)
+            return value - p, density
+
+        start = self.mean + sd * NormalDist().inv_cdf(p)
+        t, _ = bracketed_newton(gap, start, -math.inf, math.inf, sd, what, tol=CDF_TOL)
+        return t
 
 
 def quadratic_form_cdf(coef: np.ndarray, x: float) -> tuple[float, float]:

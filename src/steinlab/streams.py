@@ -15,7 +15,7 @@ across n), each with the law of its own dimension.  The first k samples
 are likewise the same whatever `count` is.
 
 `quadratic_draws` is the one Monte Carlo kernel.  Every statistic a study
-reads is offset + sum_j coef[j] z_j^2 for a form (coef, offset); the kernel
+reads is a `qform.QuadraticForm`, offset + sum_j coef[j] z_j^2; the kernel
 draws each chunk once, squares it, takes every form's values from its
 leading rows, one matrix-vector product per form, and hands them to the
 study's reducer.  Chunks hold `CHUNK_SIZE` = 256 samples, so a chunk of a
@@ -48,6 +48,8 @@ from typing import Callable, Iterator, Sequence, TypeVar
 
 import numpy as np
 import numpy.random
+
+from .qform import QuadraticForm
 
 CHUNK_SIZE = 256
 
@@ -106,36 +108,35 @@ def _worker_count() -> int:
 def quadratic_draws(
     seed: int,
     count: int,
-    forms: Sequence[tuple[np.ndarray, float]],
+    forms: Sequence[QuadraticForm],
     reduce: Callable[[np.ndarray], Reduced],
 ) -> list[Reduced]:
     """`reduce(values)` for each chunk of `count` samples, in chunk order.
 
-    `values` is a (len(forms), size) array whose row i holds
-    offset_i + sum_j coef_i[j] z_j^2 over the chunk's columns z of
+    `values` is a (len(forms), size) array whose row i holds form i,
+    offset_i + sum_j coef_i[j] z_j^2, over the chunk's columns z of
     `standard_normal_chunks(seed, count, dim)`, dim the largest coef size:
     each form reads the leading coordinates of the same samples.  Chunks
     are drawn and reduced on every usable core; every worker's exception
     is raised here, and the workers have ended when this returns.
     """
-    forms = [(np.ascontiguousarray(c, dtype=float), float(offset)) for c, offset in forms]
-    dim = max(coef.size for coef, _ in forms)
+    dim = max(form.coef.size for form in forms)
 
     def chunk(item: tuple[int, int]) -> Reduced:
         index, size = item
         z = _chunk_normals(seed, index, size, dim)
         np.square(z, out=z)
         values = np.empty((len(forms), size))
-        for row, (coef, offset) in zip(values, forms):
-            np.matmul(coef, z[: coef.size], out=row)
-            row += offset
+        for row, form in zip(values, forms):
+            np.matmul(form.coef, z[: form.coef.size], out=row)
+            row += form.offset
         return reduce(values)
 
     with ThreadPoolExecutor(_worker_count()) as pool:
         return list(pool.map(chunk, chunk_sizes(count)))
 
 
-def quadratic_values(seed: int, count: int, coef: np.ndarray, offset: float) -> np.ndarray:
-    """The `count` values offset + sum_j coef[j] z_j^2 of one form, in
-    sample order: `quadratic_draws` keeping every value."""
-    return np.concatenate(quadratic_draws(seed, count, [(coef, offset)], lambda v: v[0]))
+def quadratic_values(seed: int, count: int, form: QuadraticForm) -> np.ndarray:
+    """The `count` values of one form, in sample order: `quadratic_draws`
+    keeping every value."""
+    return np.concatenate(quadratic_draws(seed, count, [form], lambda v: v[0]))

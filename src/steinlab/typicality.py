@@ -1,11 +1,12 @@
 """Typical sets, their good thresholds, and their bound calculators.
 
-Covers both flavors of typical set (entropy-centered and relative-entropy-
-centered) as the statistic each tests, with one membership rule; the
-relative-entropy set is also the typical-set detector that `detect`
-scores.  Besides the sets: the inverse normal tail they calibrate
-against, the CLT good thresholds for the white and the correlated
-Gaussian cases (normal approximations, neither minimal nor always
+A typical set is a `qform.QuadraticForm` statistic and a delta: the
+entropy-centred set tests -log p (`gaussian.surprisal_form`), the
+relative-entropy-centred set the log-likelihood ratio (`gaussian.llr_form`),
+with one membership rule; the relative-entropy set is also the
+typical-set detector that `detect` scores.  Besides the sets: the inverse
+normal tail they calibrate against, the CLT good threshold `good_delta`
+of any form (a normal approximation, neither minimal nor always
 eps-good), Monte Carlo set-probability estimation on the draws of
 `streams.quadratic_draws`, one window that bounds both a set's volume
 and the relative-entropy set's q-mass, and a CLT check of the
@@ -15,13 +16,13 @@ log-likelihood-ratio fluctuation.  Everything is in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, streams
+from . import gaussian, qform, streams
 from .exceptions import DegeneratePairError
 
 # `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
@@ -35,79 +36,46 @@ def qfunc_inv(p: float) -> float:
     return -NormalDist().inv_cdf(p)
 
 
-def good_delta_white_gaussian(n: int, eps: float) -> float:
-    """CLT threshold sqrt(n/2)*Qinv(eps/2) for the white Gaussian set.
-
-    It treats the centred chi-square statistic as normal.  That is not the
-    minimal eps-good threshold: the set it gives over-covers (0.955 at
-    n = 8, 0.950 at n = 256, for eps = 0.05)."""
+def good_delta(form: qform.QuadraticForm, eps: float) -> float:
+    """CLT threshold (B/sqrt(2)) Qinv(eps/2) for the statistic `form`, as if
+    it were normal with variance B^2/2.  That is neither minimal nor always
+    eps-good: at eps = 0.05 the white entropy set covers 0.955 at n = 8 and
+    0.950 at n = 256, the LLR set of rho = 0.5 against white noise 0.9438
+    at n = 8, 0.94945 at n = 64 and 0.95002 at n = 256."""
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    return math.sqrt(n / 2.0) * qfunc_inv(eps / 2.0)
-
-
-def good_delta_correlated(pair: gaussian.HypothesisPair, eps: float) -> float:
-    """CLT threshold (B_n/sqrt(2))*Qinv(eps/2) for a whitened pair.
-
-    It treats the LLR as normal with variance B_n^2/2.  That is neither
-    minimal nor always eps-good: at rho = 0.5 against white noise and
-    eps = 0.05 the exact coverage is 0.9438 at n = 8, 0.94945 at n = 64
-    and 0.95002 at n = 256."""
-    if not 0.0 < eps <= 1.0:
-        raise ValueError(f"eps must lie in (0, 1], got {eps}")
-    b_n = pair.b_n
-    if b_n == 0.0:
-        raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    return b_n / math.sqrt(2.0) * qfunc_inv(eps / 2.0)
+    if not form.scale > 0.0:
+        raise DegeneratePairError("the statistic is constant (all coefficients are 0)")
+    return form.scale / math.sqrt(2.0) * qfunc_inv(eps / 2.0)
 
 
 @dataclass(frozen=True, eq=False)
 class TypicalSetSpec:
     """A typical set as the statistic it tests.
 
-    A draw from p lies in the set when its statistic,
-    offset + sum_j coef[j] z_j^2 with z ~ N(0, I), is within delta of
-    center.  Both kinds of set have a statistic of that form: -log p(x)
-    for the entropy set (`entropy`), the log-likelihood ratio for the
-    relative-entropy set (`relative_entropy`).  The relative-entropy set
-    is also the detector of the lemma's achievability half, which
-    `detect` scores: it decides p on the draws the set contains.
+    A draw from p lies in the set when its statistic `form` is within
+    delta of the form's mean, the center: up to rounding, the entropy for
+    the entropy set, the KL for the relative-entropy set.  The latter is
+    also the detector of the lemma's achievability half, which `detect`
+    scores: it decides p on the draws the set contains.
     """
 
+    form: qform.QuadraticForm
     delta: float
-    center: float
-    coef: np.ndarray = field(repr=False)
-    offset: float
+
+    def __post_init__(self):
+        if not self.delta > 0.0:
+            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not math.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center}")
+
+    @property
+    def center(self) -> float:
+        return self.form.mean
 
     def contains(self, stats: np.ndarray) -> np.ndarray:
         """Boolean mask: which statistic values lie in the set."""
         return np.abs(stats - self.center) <= self.delta
-
-    @classmethod
-    def entropy(cls, model: gaussian.GaussianModel, delta: float) -> "TypicalSetSpec":
-        """Entropy-centred set: a draw from p is L z (L L^T = Lambda), and
-        -log p(L z) = 0.5 (n ln 2 pi + log det Lambda) + 0.5 |z|^2, so only
-        the model's log-determinant and entropy are read."""
-        if delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        return cls(
-            delta=delta,
-            center=model.entropy,
-            coef=np.full(model.n, 0.5),
-            offset=0.5 * (model.n * gaussian.LOG_2PI + model.log_det),
-        )
-
-    @classmethod
-    def relative_entropy(
-        cls, pair: gaussian.HypothesisPair, delta: float
-    ) -> "TypicalSetSpec":
-        """KL-centred set, on the LLR under p (`gaussian.llr_form`)."""
-        if delta <= 0.0:
-            raise ValueError(f"delta must be positive, got {delta}")
-        if not math.isfinite(pair.kl):
-            raise ValueError("pair KL must be finite")
-        coef, offset = gaussian.llr_form(pair, "p")
-        return cls(delta=delta, center=pair.kl, coef=coef, offset=offset)
 
 
 @dataclass(frozen=True)
@@ -139,7 +107,7 @@ def mc_typical_probs(
     inside = streams.quadratic_draws(
         seed,
         count,
-        [(spec.coef, spec.offset) for spec in specs],
+        [spec.form for spec in specs],
         lambda stats: [np.count_nonzero(spec.contains(row)) for spec, row in zip(specs, stats)],
     )
     results = []
@@ -205,9 +173,8 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
     """
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
-    if pair.b_n == 0.0:
-        raise DegeneratePairError("hypotheses are identical (all kappas are 1)")
-    llrs = streams.quadratic_values(seed, count, *gaussian.llr_form(pair, "p"))
+    pair.require_distinct()
+    llrs = streams.quadratic_values(seed, count, gaussian.llr_form(pair, "p"))
     values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
     cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
     i = np.arange(1, count + 1)

@@ -73,21 +73,23 @@ def test_criterion_05_good_threshold_coverage():
     checks = []
 
     model = gaussian.model_from_cov(np.eye(n))
-    delta_white = typicality.good_delta_white_gaussian(n, eps)
+    form = gaussian.surprisal_form(model)
+    delta_white = typicality.good_delta(form, eps)
     mc = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec.entropy(model, delta_white), count, seed=101
+        typicality.TypicalSetSpec(form, delta_white), count, seed=101
     )
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
     pair = toeplitz_pair(n)
-    delta_corr = typicality.good_delta_correlated(pair, eps)
+    form = gaussian.llr_form(pair, "p")
+    delta_corr = typicality.good_delta(form, eps)
     mc = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec.relative_entropy(pair, delta_corr), count, seed=102
+        typicality.TypicalSetSpec(form, delta_corr), count, seed=102
     )
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
     mc_half = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec.relative_entropy(pair, 0.5 * delta_corr), count, seed=103
+        typicality.TypicalSetSpec(form, 0.5 * delta_corr), count, seed=103
     )
     checks.append(mc_half.estimate < 1.0 - eps - 3.0 * mc_half.stderr)
 
@@ -106,7 +108,7 @@ def test_criterion_06_exponent_sandwich():
     details = []
     for i, n in enumerate((64, 128, 256)):
         pair = toeplitz_pair(n)
-        delta = typicality.good_delta_correlated(pair, tau)
+        delta = typicality.good_delta(gaussian.llr_form(pair, "p"), tau)
         window = detect.stein_bounds(pair.kl, delta, delta, eps, tau)
         det = detect.np_calibrate(pair, tau, count, seed=200 + 2 * i)
         est = detect.estimate_beta_is(det, pair, count, seed=201 + 2 * i)

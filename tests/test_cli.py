@@ -114,6 +114,26 @@ class TestRateCommand:
         assert out == ""
         assert "config error" in err
 
+    @pytest.mark.parametrize("command", ["typical", "detect"])
+    def test_pair_identical_at_one_n_exits_2(self, capsys, tmp_path, command):
+        # The tables differ only at lag 4, so C_s > 0 but T_4 is the same
+        # matrix for both, whose whitened B_n is 9.4e-16, not 0.
+        table = [3.3, 1.1, 0.7, 0.2]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "cov_p": {"kind": "table", "values": table + [0.1]},
+                    "cov_q": {"kind": "table", "values": table + [0.05]},
+                }
+            )
+        )
+        argv = ["--config", str(cfg), "--n-list", "4,5,6", "--samples", "10000"]
+        code, out, err = run_cli(capsys, command, *argv)
+        assert code == 2
+        assert out == ""
+        assert "identical" in err
+
     def test_spectral_integral_not_converged_exits_3(self, capsys, monkeypatch, tmp_path):
         # rho = 0.999 needs 65536 grid points.
         monkeypatch.setattr(spectral, "POINTS_MAX", 8192)
@@ -397,7 +417,7 @@ class TestSweepsMatchSingleRuns:
         estimate = typicality.mc_typical_probs
 
         def recorded(specs, samples, seed):
-            sets.extend((spec.delta, spec.center, spec.offset) for spec in specs)
+            sets.extend((spec.delta, spec.center, spec.form.offset) for spec in specs)
             return estimate(specs, samples, seed)
 
         monkeypatch.setattr(typicality, "mc_typical_probs", recorded)
@@ -457,18 +477,21 @@ class TestMonteCarloWithinTolerance:
         if variant == "entropy":
             del config["cov_q"]
             models = gaussian.model_toeplitz(cov_p, config["ns"])
-            sets = [cli._entropy_set(model, eps, factor) for model in models]
+            forms = [gaussian.surprisal_form(model) for model in models]
         else:
             cov_q = cli.covariance_from_spec(config["cov_q"])
-            sets = [
-                cli._relative_entropy_set(cov_p, cov_q, n, eps, factor) for n in config["ns"]
+            forms = [
+                gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n), "p")
+                for n in config["ns"]
             ]
+        deltas = [factor * typicality.good_delta(form, eps) for form in forms]
+        specs = [typicality.TypicalSetSpec(form, delta) for form, delta in zip(forms, deltas)]
         _, rows = cli.run_typical(config)
-        for row, (n, _, _, spec) in zip(rows, sets):
+        for row, n, spec in zip(rows, config["ns"], specs):
             # P(|offset + Q - center| <= delta), Q = sum coef z^2.
-            edge = spec.center - spec.offset
-            upper, _ = qform.quadratic_form_cdf(spec.coef, edge + spec.delta)
-            lower, _ = qform.quadratic_form_cdf(spec.coef, edge - spec.delta)
+            edge = spec.center - spec.form.offset
+            upper, _ = qform.quadratic_form_cdf(spec.form.coef, edge + spec.delta)
+            lower, _ = qform.quadratic_form_cdf(spec.form.coef, edge - spec.delta)
             assert row["n"] == n
             assert abs(row["p_hat"] - (upper - lower)) <= 4.0 * row["stderr"], row
 

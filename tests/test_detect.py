@@ -22,7 +22,7 @@ class TestDetectorSpec:
         assert mask.tolist() == [False, False, True]
 
     def test_typical_set_mask(self):
-        det = typicality.TypicalSetSpec(delta=1.0, center=5.0, coef=np.ones(1), offset=0.0)
+        det = typicality.TypicalSetSpec(qform.QuadraticForm(np.ones(1), 4.0), delta=1.0)
         mask = det.contains(np.array([3.9, 5.0, 6.1]))
         assert mask.tolist() == [False, True, False]
 
@@ -30,7 +30,7 @@ class TestDetectorSpec:
         with pytest.raises(ValueError):
             detect.NpThreshold(math.inf)
         with pytest.raises(ValueError):
-            typicality.TypicalSetSpec.relative_entropy(small_pair, 0.0)
+            typicality.TypicalSetSpec(gaussian.llr_form(small_pair, "p"), 0.0)
 
 
 class TestSampleLlr:
@@ -101,7 +101,7 @@ class TestEstimateBeta:
         assert math.isfinite(est.stderr_beta_log)
 
     def test_underflow_flagged(self, small_pair):
-        det = typicality.TypicalSetSpec.relative_entropy(small_pair, 1e-9)
+        det = typicality.TypicalSetSpec(gaussian.llr_form(small_pair, "p"), 1e-9)
         est = detect.estimate_beta_is(det, small_pair, count=1000, seed=9)
         assert est.underflow
         assert est.beta_hat == 0.0
@@ -127,9 +127,8 @@ class TestEstimateBeta:
         # On the same draws, the typical-set detector rejects p exactly on
         # the draws that fall outside the set `typical` measures.
         pair = pair_rho_half_n64
-        ts = typicality.TypicalSetSpec.relative_entropy(
-            pair, typicality.good_delta_correlated(pair, 0.2)
-        )
+        form = gaussian.llr_form(pair, "p")
+        ts = typicality.TypicalSetSpec(form, typicality.good_delta(form, 0.2))
         rejected = detect.estimate_beta_is(ts, pair, count, seed=13).alpha_hat * count
         inside = typicality.mc_typical_prob(ts, count, seed=13).estimate * count
         assert round(rejected) + round(inside) == count
@@ -254,20 +253,21 @@ def ar1_pair(rho, n):
 
 def toeplitz_form(n, rho=0.5):
     pair = gaussian.whiten(numlin.toeplitz_from_cov(spectral.CovarianceSequence.geometric(rho), n), np.eye(n))
-    coef, offset = gaussian.llr_form(pair, "p")
-    return pair, coef, offset
+    form = gaussian.llr_form(pair, "p")
+    return pair, form.coef, form.offset
 
 
 def assert_scored_alone(row, pair, tau, count, seed):
     """The row's Monte Carlo columns are those of its pair's two detectors,
     the exact level-tau threshold and the typical set of the CLT good
     threshold, each scored alone by `estimate_beta_is` on `seed`."""
-    gamma = typicality.good_delta_correlated(pair, tau)
+    form = gaussian.llr_form(pair, "p")
+    gamma = typicality.good_delta(form, tau)
     est_np, est_ts = (
         detect.estimate_beta_is(det, pair, count, seed)
         for det in (
             detect.np_threshold_exact(pair, tau),
-            typicality.TypicalSetSpec.relative_entropy(pair, gamma),
+            typicality.TypicalSetSpec(form, gamma),
         )
     )
     assert (row.np_alpha, row.np_beta_log, row.np_beta_stderr, row.np_ess) == (
@@ -363,7 +363,7 @@ class TestExactThreshold:
         kernel = streams.quadratic_draws
 
         def counted(seed, count, forms, reduce):
-            calls.append((seed, count, [coef.size for coef, _ in forms]))
+            calls.append((seed, count, [form.coef.size for form in forms]))
             return kernel(seed, count, forms, reduce)
 
         monkeypatch.setattr(streams, "quadratic_draws", counted)
@@ -487,7 +487,8 @@ class TestExactThreshold:
 
     def test_n_4096_in_bounded_memory(self, monkeypatch):
         pair = ar1_pair(0.9, 4096)
-        coef, offset = gaussian.llr_form(pair, "p")
+        form = gaussian.llr_form(pair, "p")
+        coef, offset = form.coef, form.offset
 
         def threshold_and_peak():
             tracemalloc.start()

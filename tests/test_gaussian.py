@@ -6,8 +6,12 @@ import pytest
 import scipy.linalg
 from scipy.stats import multivariate_normal
 
-from steinlab import cli, detect, gaussian, numlin, spectral, streams
-from steinlab.exceptions import InvalidDimensionError, NotPositiveDefiniteError
+from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality
+from steinlab.exceptions import (
+    DegeneratePairError,
+    InvalidDimensionError,
+    NotPositiveDefiniteError,
+)
 
 from conftest import random_pd
 
@@ -197,6 +201,53 @@ class TestLlr:
         pair = gaussian.diagonal_pair([2.0, 0.5])
         with pytest.raises(ValueError):
             gaussian.llr_form(pair, "r")
+
+
+# Identical pairs of every kind: whitening leaves their kappas a few
+# rounding units eps sqrt(n) max kappa from 1, never exactly 1 in general.
+IDENTICAL_COVARIANCES = [
+    *(
+        spectral.CovarianceSequence.geometric(rho, scale)
+        for rho in (0.1, 0.5, 0.9, 0.99, -0.7)
+        for scale in (1.0, 3.0, 1e-3)
+    ),
+    spectral.CovarianceSequence.from_table([1.0, 0.4, 0.2, 0.1]),
+    spectral.CovarianceSequence.white(2.0),
+]
+
+
+class TestDegenerateRule:
+    @pytest.mark.parametrize("n", [1, 2, 8, 64, 256])
+    def test_identical_pairs_rejected(self, n):
+        eps = np.finfo(float).eps
+        for cov in IDENTICAL_COVARIANCES:
+            pair = gaussian.whiten_toeplitz(cov, cov, n)
+            # 6.25 units at most here: the rule's 64 leaves a margin of 10.
+            assert pair.b_n <= 10.0 * eps * np.sqrt(n) * np.max(pair.kappas)
+            with pytest.raises(DegeneratePairError):
+                pair.require_distinct()
+
+    GUARDS = {
+        "np_calibrate": lambda pair, cov: detect.np_calibrate(pair, 0.2, 10_000, 0),
+        "np_threshold_exact": lambda pair, cov: detect.np_threshold_exact(pair, 0.2),
+        "_exact_terms": lambda pair, cov: detect._exact_terms(cov, cov, 64, 0.2),
+        "clt_psi_check": lambda pair, cov: typicality.clt_psi_check(pair, 10_000, 0),
+    }
+
+    @pytest.mark.parametrize("guard", list(GUARDS))
+    def test_guards_reject_a_pair_identical_up_to_rounding(self, geo_half, guard):
+        # b_n is 4.4e-15 here, not 0, and the KL is exactly 0.
+        pair = gaussian.whiten_toeplitz(geo_half, geo_half, 64)
+        assert 0.0 < pair.b_n < 1e-13
+        with pytest.raises(DegeneratePairError):
+            self.GUARDS[guard](pair, geo_half)
+
+    def test_nearby_pair_accepted(self, geo_half):
+        # rho 0.5 against 0.501: b_n is far above rounding, though small.
+        cov_q = spectral.CovarianceSequence.geometric(0.501)
+        pair = gaussian.whiten_toeplitz(geo_half, cov_q, 64)
+        pair.require_distinct()
+        assert detect.np_threshold_exact(pair, 0.2).threshold < pair.kl
 
 
 def test_studies_read_only_kappas(capsys, monkeypatch, tmp_path):

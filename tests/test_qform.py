@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
-from steinlab import qform
+from steinlab import gaussian, numlin, qform, spectral
 from steinlab.exceptions import NumericalFailureError
 
 
@@ -84,3 +85,39 @@ class TestBracketedNewton:
         assert str(err.value).endswith(f"closed at {calls[-1]!r}")
         assert abs(calls[-1] - math.sqrt(2.0)) <= math.ulp(math.sqrt(2.0))
         assert len(set(calls)) == len(calls) < 10
+
+
+class TestQuadraticForm:
+    def test_stored_as_float_array_and_float(self):
+        form = qform.QuadraticForm([1, 2, 3], 4)
+        assert isinstance(form.coef, np.ndarray) and form.coef.dtype == float
+        assert form.coef.flags.c_contiguous
+        assert type(form.offset) is float
+        assert form.mean == 10.0
+        assert qform.QuadraticForm(form.coef, 4.0) != form  # identity equality
+
+    @pytest.mark.parametrize("n", [1, 8, 64, 256])
+    def test_surprisal_law_is_gamma(self, n):
+        # -log p = offset + |z|^2 / 2, and |z|^2 / 2 is Gamma(n / 2).
+        cov = spectral.CovarianceSequence.geometric(0.5)
+        model = gaussian.model_toeplitz(cov, [n])[0]
+        form = gaussian.surprisal_form(model)
+        assert form.scale == math.sqrt(n)
+        assert form.mean == pytest.approx(model.entropy, rel=1e-12)
+        for y in (0.25 * n, 0.5 * n, n, 1.5 * n + 3.0):
+            cdf, _ = form.cdf(form.offset + y)
+            assert abs(cdf - special.gammainc(n / 2.0, y)) < 1e-12
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_llr_scale_is_b_n_and_mean_is_kl(self, n):
+        cov_p = spectral.CovarianceSequence.geometric(0.5)
+        pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, n), np.eye(n))
+        form = gaussian.llr_form(pair, "p")
+        assert form.scale == pair.b_n
+        assert form.mean == pytest.approx(pair.kl, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("p", [1e-9, 0.2, 0.5, 0.9])
+    def test_quantile_inverts_the_cdf(self, p):
+        form = qform.QuadraticForm(np.linspace(-0.3, 0.8, 12), -1.5)
+        t = form.quantile(p, "quantile")
+        assert abs(form.cdf(t)[0] - p) <= qform.CDF_TOL

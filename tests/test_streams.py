@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from steinlab import streams
+from steinlab import qform, streams
 
 
 def test_chunk_sizes_cover_count():
@@ -86,7 +86,8 @@ def _reference(seed, count, coef):
 
 def _rows(seed, count, coefs):
     # Every form's values from one kernel call, one row per form.
-    chunks = streams.quadratic_draws(seed, count, [(c, 0.0) for c in coefs], lambda v: v)
+    forms = [qform.QuadraticForm(c, 0.0) for c in coefs]
+    chunks = streams.quadratic_draws(seed, count, forms, lambda v: v)
     return np.concatenate(chunks, axis=1)
 
 
@@ -108,9 +109,9 @@ def test_quadratic_chunks_match_the_normal_stream(monkeypatch, dim, count, worke
 def test_quadratic_draws_add_the_offset():
     coef = np.random.default_rng(5).standard_normal(5)
     count = streams.CHUNK_SIZE + 9
-    got = streams.quadratic_values(4, count, coef, -2.75)
+    got = streams.quadratic_values(4, count, qform.QuadraticForm(coef, -2.75))
     assert np.array_equal(got, _reference(4, count, coef) + -2.75)
-    forms = [(coef[:2], 1.5), (coef, -2.75)]
+    forms = [qform.QuadraticForm(coef[:2], 1.5), qform.QuadraticForm(coef, -2.75)]
     rows = np.concatenate(streams.quadratic_draws(4, count, forms, lambda v: v), axis=1)
     assert np.array_equal(rows[0], _reference(4, count, coef[:2]) + 1.5)
     assert np.array_equal(rows[1], got)
@@ -119,8 +120,9 @@ def test_quadratic_draws_add_the_offset():
 def test_quadratic_draws_reduce_each_chunk_in_order():
     coef = np.random.default_rng(6).standard_normal(4)
     count = 3 * streams.CHUNK_SIZE + 5
-    got = streams.quadratic_draws(9, count, [(coef, 0.0)], lambda v: (v.shape, float(v.sum())))
-    values = streams.quadratic_values(9, count, coef, 0.0)
+    form = qform.QuadraticForm(coef, 0.0)
+    got = streams.quadratic_draws(9, count, [form], lambda v: (v.shape, float(v.sum())))
+    values = streams.quadratic_values(9, count, form)
     parts = np.split(values, range(streams.CHUNK_SIZE, count, streams.CHUNK_SIZE))
     expected = [((1, part.size), float(part.sum())) for part in parts]
     assert got == expected
@@ -134,18 +136,19 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
     coef = np.random.default_rng(dim).standard_normal(dim)
     for count in (1, streams.CHUNK_SIZE + 1, 2 * streams.CHUNK_SIZE + 1):
         expected = _reference(2, count, coef)
-        assert np.array_equal(streams.quadratic_values(2, count, coef, 0.0), expected)
+        got = streams.quadratic_values(2, count, qform.QuadraticForm(coef, 0.0))
+        assert np.array_equal(got, expected)
         assert np.array_equal(_rows(2, count, [coef, np.ones(dim + 5)])[0], expected)
 
 
 _ONE_BLAS_THREAD_SCRIPT = """
 import numpy as np
-from steinlab import streams
+from steinlab import qform, streams
 for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
     expected = [coef @ (z * z) for z in streams.standard_normal_chunks(11, count, dim)]
-    got = streams.quadratic_values(11, count, coef, 0.0)
+    got = streams.quadratic_values(11, count, qform.QuadraticForm(coef, 0.0))
     assert np.array_equal(got, np.concatenate(expected))
     print(got.tobytes().hex())
 """
@@ -163,7 +166,8 @@ def test_quadratic_chunks_match_under_one_blas_thread():
     here = []
     for dim in (3, 384, 1000):
         coef = np.random.default_rng(dim).standard_normal(dim)
-        got = streams.quadratic_values(11, 2 * streams.CHUNK_SIZE + 7, coef, 0.0)
+        form = qform.QuadraticForm(coef, 0.0)
+        got = streams.quadratic_values(11, 2 * streams.CHUNK_SIZE + 7, form)
         here.append(got.tobytes().hex())
     # The default thread count gives the same bytes as one thread.
     assert single == here
@@ -180,7 +184,7 @@ def test_worker_failure_is_raised_and_leaves_no_threads(monkeypatch):
     monkeypatch.setattr(streams, "chunk_rng", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
-        streams.quadratic_values(3, 8 * streams.CHUNK_SIZE, np.ones(64), 0.0)
+        streams.quadratic_values(3, 8 * streams.CHUNK_SIZE, qform.QuadraticForm(np.ones(64), 0))
     assert threading.active_count() == threads
 
 
@@ -195,7 +199,7 @@ def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
     got = []
 
     def call():
-        got.append(streams.quadratic_values(8, count, coef, 0.0))
+        got.append(streams.quadratic_values(8, count, qform.QuadraticForm(coef, 0.0)))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

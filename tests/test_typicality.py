@@ -31,54 +31,56 @@ class TestGoodDeltas:
     def test_white_gaussian_closed_form(self):
         # the entropy statistic per coordinate has variance 1/2
         n, eps = 64, 0.1
-        assert typicality.good_delta_white_gaussian(n, eps) == pytest.approx(
+        model = gaussian.model_from_cov(np.eye(n))
+        assert typicality.good_delta(gaussian.surprisal_form(model), eps) == pytest.approx(
             math.sqrt(n / 2.0) * norm.isf(eps / 2.0)
         )
 
     def test_correlated_uses_b_n(self):
         pair = gaussian.diagonal_pair([3.0, 1.0])
         assert pair.b_n == pytest.approx(2.0)
-        assert typicality.good_delta_correlated(pair, 0.2) == pytest.approx(
+        assert typicality.good_delta(gaussian.llr_form(pair, "p"), 0.2) == pytest.approx(
             2.0 / math.sqrt(2.0) * typicality.qfunc_inv(0.1)
         )
 
     def test_degenerate_pair_rejected(self):
         pair = gaussian.diagonal_pair([1.0, 1.0])
         with pytest.raises(DegeneratePairError):
-            typicality.good_delta_correlated(pair, 0.1)
+            typicality.good_delta(gaussian.llr_form(pair, "p"), 0.1)
 
     def test_bad_arguments(self):
+        model = gaussian.model_from_cov(np.eye(4))
         with pytest.raises(ValueError):
-            typicality.good_delta_white_gaussian(4, 0.0)
+            typicality.good_delta(gaussian.surprisal_form(model), 0.0)
 
 
 class TestMonteCarlo:
     def test_white_entropy_coverage(self):
         n, eps = 64, 0.1
         model = gaussian.model_from_cov(np.eye(n))
-        delta = typicality.good_delta_white_gaussian(n, eps)
-        spec = typicality.TypicalSetSpec.entropy(model, delta)
+        form = gaussian.surprisal_form(model)
+        spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
         result = typicality.mc_typical_prob(spec, count=20_000, seed=21)
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.01
 
     def test_rel_entropy_coverage(self):
         eps = 0.1
         pair = gaussian.diagonal_pair(np.linspace(0.5, 2.0, 32))
-        delta = typicality.good_delta_correlated(pair, eps)
-        spec = typicality.TypicalSetSpec.relative_entropy(pair, delta)
+        form = gaussian.llr_form(pair, "p")
+        spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
         result = typicality.mc_typical_prob(spec, count=20_000, seed=22)
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.02
 
     def test_deterministic(self):
         model = gaussian.model_from_cov(np.eye(8))
-        spec = typicality.TypicalSetSpec.entropy(model, 1.0)
+        spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
         a = typicality.mc_typical_prob(spec, count=2000, seed=5)
         b = typicality.mc_typical_prob(spec, count=2000, seed=5)
         assert a.estimate == b.estimate
 
     def test_small_count_rejected(self):
         model = gaussian.model_from_cov(np.eye(2))
-        spec = typicality.TypicalSetSpec.entropy(model, 1.0)
+        spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
         with pytest.raises(ValueError):
             typicality.mc_typical_prob(spec, count=999, seed=0)
 
