@@ -160,6 +160,8 @@ def _validate(config: dict) -> None:
             raise ConfigError(f"field {key!r}: must lie in (0, 1), got {config[key]}")
     if config.get("tau", 0.0) >= 0.5:
         raise ConfigError(f"field 'tau': must be < 0.5, got {config['tau']}")
+    if config.get("tau", 1.0) < detect.TAU_MIN:
+        raise ConfigError(f"field 'tau': must be >= {detect.TAU_MIN:g}, got {config['tau']}")
     if config.get("samples", 1000) < 1000:
         raise ConfigError(f"field 'samples': must be >= 1000, got {config['samples']}")
     if config.get("unit") not in ("nats", "bits"):
@@ -174,18 +176,12 @@ def _validate(config: dict) -> None:
         raise ConfigError(f"field 'out': must be a path, got {config['out']!r}")
 
 
-def _stein_rate(cov_p, cov_q) -> float:
-    """C_s, a config error where it is 0: the spectra agree on the grid."""
-    rate = spectral.stein_rate(cov_p, cov_q)
-    if rate == 0.0:
-        raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
-    return rate
-
-
 def run_rate(config: dict) -> tuple[dict, list[dict]]:
     cov_p = covariance_from_spec(config["cov_p"])
     cov_q = covariance_from_spec(config["cov_q"])
-    rate = _stein_rate(cov_p, cov_q)
+    rate = spectral.stein_rate(cov_p, cov_q)
+    if rate == 0.0:
+        raise ConfigError("cov_p and cov_q induce identical spectra (degenerate pair)")
     rows = []
     for n, kl in zip(config["ns"], gaussian.kl_toeplitz(cov_p, cov_q, config["ns"])):
         rows.append(
@@ -207,21 +203,17 @@ def run_typical(config: dict) -> tuple[dict, list[dict]]:
     seed = config["seed"]
     variant = config["variant"]
     cov_p = covariance_from_spec(config["cov_p"])
-    # A config error comes first as in `rate`, before any n can fail to
-    # factor: a spectrum not positive on the grid, or spectra that agree.
+    covs = (cov_p,) if variant == "entropy" else (cov_p, covariance_from_spec(config["cov_q"]))
+    # A spectrum not positive on the grid is a config error before any n
+    # can fail to factor; `llr_form` rejects a pair identical at some n.
     # Then every set's statistic, then every draw (see `streams`); a form
     # keeps only its coefficient vector and offset, not the matrices.
+    spectral.check_spectra(covs)
     if variant == "entropy":
-        spectral.check_spectra((cov_p,))
         models = gaussian.model_toeplitz(cov_p, config["ns"])
         forms = [gaussian.surprisal_form(model) for model in models]
     else:
-        cov_q = covariance_from_spec(config["cov_q"])
-        _stein_rate(cov_p, cov_q)
-        forms = [
-            gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n).require_distinct(), "p")
-            for n in config["ns"]
-        ]
+        forms = [gaussian.llr_form(gaussian.whiten_toeplitz(*covs, n), "p") for n in config["ns"]]
     delta_mins = [typicality.good_delta(form, eps) for form in forms]
     specs = [typicality.TypicalSetSpec(form, factor * d) for form, d in zip(forms, delta_mins)]
     estimates = typicality.mc_typical_probs(

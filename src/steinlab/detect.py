@@ -13,8 +13,9 @@ near 8,000 nats for 512 coordinates of variance ratio 30.
 Everything runs in whitened coordinates: both error probabilities and the
 LLR law are invariant under the whitening bijection, so under p the LLR is
 the `qform.QuadraticForm` offset + sum_j c_j z_j^2 with c = (kappas - 1)/2
-and z standard normal (`gaussian.llr_form`).  The threshold for a type-I
-error of tau is that form's tau-quantile (`np_threshold_exact`), with no
+and z standard normal (`gaussian.llr_form`, which rejects a pair identical
+up to rounding).  The threshold for a type-I error of tau, down to
+`TAU_MIN`, is that form's tau-quantile (`np_threshold_exact`), with no
 draws; every sampled LLR value comes from `streams.quadratic_draws`.
 """
 
@@ -26,10 +27,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, spectral, streams, typicality
+from . import gaussian, qform, spectral, streams, typicality
 from .exceptions import DegeneratePairError, VacuousBoundError
 
 NEG_INF = float("-inf")
+# The smallest level `np_threshold_exact` takes: the inversion stops within
+# `qform.CDF_TOL` of tau in absolute terms, 0.1% of tau here.
+TAU_MIN = qform.CDF_TOL * 1e3
 # `gcsl_experiment` draws its evaluation samples from the sub-stream of
 # this key of its seed.
 EVALUATION_STREAM = 1
@@ -83,7 +87,6 @@ def np_calibrate(
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
-    pair.require_distinct()
     llrs = sample_llr(pair, count, seed, under="p")
     threshold = float(np.quantile(llrs, tau, method="lower"))
     return NpThreshold(threshold)
@@ -92,10 +95,10 @@ def np_calibrate(
 def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> NpThreshold:
     """Threshold detector whose type-I error is tau, with no sampling: the
     tau-quantile of the LLR under p (`QuadraticForm.quantile`, to 1e-12 in
-    alpha up to the inversion's accuracy, or `NumericalFailureError`)."""
-    if not 0.0 < tau < 0.5:
-        raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
-    pair.require_distinct()
+    alpha up to the inversion's accuracy, or `NumericalFailureError`), for
+    tau from `TAU_MIN`: below it the level found would not be tau."""
+    if not TAU_MIN <= tau < 0.5:
+        raise ValueError(f"tau must lie in [{TAU_MIN:g}, 1/2), got {tau}")
     return NpThreshold(gaussian.llr_form(pair, "p").quantile(tau, f"NP threshold at tau={tau}"))
 
 
@@ -268,7 +271,7 @@ def _exact_terms(cov_p, cov_q, n: int, tau: float) -> tuple:
     """What the draws and the row of one n read: (KL, window, exact
     threshold detector, typical-set detector holding the LLR form, whose
     mean is the KL up to cancellation).  The matrices are dropped here."""
-    pair = gaussian.whiten_toeplitz(cov_p, cov_q, n).require_distinct()
+    pair = gaussian.whiten_toeplitz(cov_p, cov_q, n)
     # The window's delta and gamma and the typical set's delta are the same
     # CLT good threshold.
     form = gaussian.llr_form(pair, "p")

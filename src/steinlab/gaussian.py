@@ -13,7 +13,8 @@ two covariance sequences at one n).  There the log-likelihood ratio is a
 (`llr_form`), as is -log p of a model (`surprisal_form`);
 `streams.quadratic_draws` samples such forms for every Monte Carlo study:
 no density is evaluated and no draw is kept as a vector.  A pair whose
-kappas are 1 up to rounding is rejected by `HypothesisPair.require_distinct`.
+kappas are 1 up to rounding has no LLR: `llr_form` rejects it by
+`HypothesisPair.require_distinct`, the one degenerate-pair rule.
 The whitening map itself, U^T Lq^-1 for the eigenvectors U of X X^T, is
 solved for only when it is read.
 `kl_toeplitz` gives the same relative entropy for two stationary
@@ -183,11 +184,13 @@ def diagonal_pair(kappas) -> HypothesisPair:
 
 
 def llr_form(pair: HypothesisPair, under: str) -> qform.QuadraticForm:
-    """The LLR as a form in z ~ N(0, I), for draws from p or q."""
+    """The LLR as a form in z ~ N(0, I), for draws from p or q;
+    `DegeneratePairError` for a pair that fails `require_distinct`."""
     # Whitened draws are sqrt(kappa) z under p and z under q (z ~ N(0, I)),
     # so LLR = sum c z^2 - 0.5 sum log kappa, c = 0.5 (kappa - 1) [/ kappa].
     if under not in ("p", "q"):
         raise ValueError(f"under must be 'p' or 'q', got {under!r}")
+    pair.require_distinct()
     coef = 0.5 * (pair.kappas - 1.0)
     if under == "q":
         coef = coef / pair.kappas

@@ -173,7 +173,6 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
     """
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
-    pair.require_distinct()
     llrs = streams.quadratic_values(seed, count, gaussian.llr_form(pair, "p"))
     values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
     cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)

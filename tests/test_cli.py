@@ -106,7 +106,8 @@ class TestRateCommand:
     @pytest.mark.parametrize("command", ["rate", "typical", "detect"])
     def test_identical_pair_exits_2(self, capsys, tmp_path, command):
         # The kappas of this pair are 1 only up to rounding, so B_n is not
-        # exactly 0; C_s is, and each study rejects the pair by it.
+        # exactly 0; C_s is.  rate and detect reject the pair by C_s,
+        # typical by the degenerate-pair rule of its LLR form.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"cov_q": {"kind": "geometric", "rho": 0.5}}))
         code, out, err = run_cli(capsys, command, "--config", str(cfg), "--n-list", "32,64,96")
@@ -181,6 +182,29 @@ class TestTypicalCommand:
         assert code == 2
         assert out == ""
         assert "spectrum is not positive on the grid" in err
+
+    def test_near_pair_prints_every_row(self, capsys, tmp_path):
+        # C_s of this pair needs more grid points than the spectral integral
+        # allows; typical never reads C_s.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"cov_q": {"kind": "geometric", "rho": 0.5001}}))
+        argv = ["--config", str(cfg), "--n-list", "32,64", "--samples", "10000", "--check"]
+        code, out, err = run_cli(capsys, "typical", *argv)
+        assert code == 0, err
+        assert [row["n"] for row in parse_csv(out)[2]] == ["32", "64"]
+
+    @pytest.mark.parametrize("variant", ["entropy", "rel_entropy"])
+    def test_no_spectral_rate_computed(self, capsys, monkeypatch, tmp_path, variant):
+        def refuse(*args, **kwargs):
+            raise AssertionError("spectral.stein_rate called")
+
+        monkeypatch.setattr(spectral, "stein_rate", refuse)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"variant": variant}))
+        argv = ["--config", str(cfg), "--n-list", "32,64", "--samples", "10000", "--check"]
+        code, out, _ = run_cli(capsys, "typical", *argv)
+        assert code == 0
+        assert len(parse_csv(out)[2]) == 2
 
 
 class TestDetectCommand:
@@ -607,11 +631,13 @@ class TestPlumbing:
             ("typical", "delta_factor", -1),
             ("detect", "tau", "0.2"),
             ("detect", "out", 5),
+            ("detect", "tau", 1e-10),
         ],
         ids=[
             "seed-fraction", "seed-bool", "seed-negative", "samples-fraction",
             "samples-string", "eps-string", "delta_factor-string", "delta_factor-inf",
             "delta_factor-zero", "delta_factor-negative", "tau-string", "out-number",
+            "tau-below-floor",
         ],
     )
     def test_bad_scalar_exits_2(self, capsys, tmp_path, command, field, value):

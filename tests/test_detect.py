@@ -515,6 +515,15 @@ class TestExactThreshold:
         with pytest.raises(DegeneratePairError):
             detect.np_threshold_exact(gaussian.diagonal_pair(np.ones(4)), 0.2)
 
+    def test_tau_below_the_floor_rejected(self):
+        # The inversion stops within 1e-12 of tau: here the level found was
+        # 1.000006e-9 for tau = 1e-9, 1.0057e-10 for 1e-10, 1.75e-13 for 1e-13.
+        pair, _, _ = toeplitz_form(64)
+        assert detect.TAU_MIN == 1e-9
+        detect.np_threshold_exact(pair, 1e-9)
+        with pytest.raises(ValueError):
+            detect.np_threshold_exact(pair, 1e-10)
+
 
 class TestSteinBounds:
     def test_window_arithmetic(self):

@@ -232,6 +232,11 @@ class TestDegenerateRule:
         "np_threshold_exact": lambda pair, cov: detect.np_threshold_exact(pair, 0.2),
         "_exact_terms": lambda pair, cov: detect._exact_terms(cov, cov, 64, 0.2),
         "clt_psi_check": lambda pair, cov: typicality.clt_psi_check(pair, 10_000, 0),
+        "estimate_beta_is": lambda pair, cov: detect.estimate_beta_is(
+            detect.NpThreshold(0.0), pair, 1000, 0
+        ),
+        "sample_llr-p": lambda pair, cov: detect.sample_llr(pair, 1000, 0, "p"),
+        "sample_llr-q": lambda pair, cov: detect.sample_llr(pair, 1000, 0, "q"),
     }
 
     @pytest.mark.parametrize("guard", list(GUARDS))
