@@ -67,31 +67,6 @@ class ErrorEstimates:
     underflow: bool = False
 
 
-def sample_llr(
-    pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
-) -> np.ndarray:
-    """LLR values of `count` draws from p or q, in whitened coordinates."""
-    return streams.quadratic_values(seed, count, gaussian.llr_form(pair, under))
-
-
-def np_calibrate(
-    pair: gaussian.HypothesisPair, tau: float, count: int, seed: int
-) -> NpThreshold:
-    """Threshold detector at the empirical tau-quantile of the LLR under p.
-
-    The LLR is continuous, so the quantile rule needs no randomization and
-    the achieved type-I error concentrates below tau.  The Monte Carlo
-    counterpart of `np_threshold_exact`.
-    """
-    if not 0.0 < tau < 0.5:
-        raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
-    if count < 10_000:
-        raise ValueError(f"count must be >= 10000, got {count}")
-    llrs = sample_llr(pair, count, seed, under="p")
-    threshold = float(np.quantile(llrs, tau, method="lower"))
-    return NpThreshold(threshold)
-
-
 def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> NpThreshold:
     """Threshold detector whose type-I error is tau, with no sampling: the
     tau-quantile of the LLR under p (`QuadraticForm.quantile`, to 1e-12 in
@@ -270,7 +245,7 @@ class GcslResult:
 def _exact_terms(cov_p, cov_q, n: int, tau: float) -> tuple:
     """What the draws and the row of one n read: (KL, window, exact
     threshold detector, typical-set detector holding the LLR form, whose
-    mean is the KL up to cancellation).  The matrices are dropped here."""
+    mean is the KL up to cancellation)."""
     pair = gaussian.whiten_toeplitz(cov_p, cov_q, n)
     # The window's delta and gamma and the typical set's delta are the same
     # CLT good threshold.

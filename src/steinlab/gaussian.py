@@ -1,22 +1,20 @@
 """Zero-mean Gaussian models, whitening and exact relative entropy.
 
 A `GaussianModel` holds the dimension, log-determinant and differential
-entropy of its covariance, from one checked Cholesky factor of a dense
-covariance (`model_from_cov`) or from the Levinson recursion of a
-stationary one (`model_toeplitz`: O(n^2) time, no LAPACK call).  `whiten`
-checks both covariances by their factors Lp and Lq and reduces the pair
-through them to the equivalent diagonal-vs-identity test, with diagonal
-entries the kappas: the pencil's eigenvalues, from one values-only solve
-of X X^T with X = Lq^-1 Lp, so q is factored once (`whiten_toeplitz` for
-two covariance sequences at one n).  There the log-likelihood ratio is a
+entropy of its covariance, from the Levinson recursion of a stationary one
+(`model_toeplitz`: O(n^2) time, no LAPACK call).  `whiten` checks two
+dense covariances by their factors Lp and Lq and reduces the pair through
+them to the equivalent diagonal-vs-identity test: a `HypothesisPair` is
+its diagonal entries, the kappas, and its exact relative entropy.  The
+kappas are the pencil's eigenvalues, from one values-only solve of X X^T
+with X = Lq^-1 Lp, so q is factored once (`whiten_toeplitz` for two
+covariance sequences at one n).  There the log-likelihood ratio is a
 `qform.QuadraticForm`, an affine weighted sum of chi-square variables
 (`llr_form`), as is -log p of a model (`surprisal_form`);
 `streams.quadratic_draws` samples such forms for every Monte Carlo study:
 no density is evaluated and no draw is kept as a vector.  A pair whose
 kappas are 1 up to rounding has no LLR: `llr_form` rejects it by
 `HypothesisPair.require_distinct`, the one degenerate-pair rule.
-The whitening map itself, U^T Lq^-1 for the eigenvectors U of X X^T, is
-solved for only when it is read.
 `kl_toeplitz` gives the same relative entropy for two stationary
 covariances straight from their lags.  Both Toeplitz functions take an
 ascending list of n and run one recursion per covariance, at the largest
@@ -25,8 +23,7 @@ n: every smaller n reads its errors and predictor off that run.
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,13 +50,6 @@ class GaussianModel:
         return cls(n=n, log_det=log_det, entropy=0.5 * (n * (LOG_2PI + 1.0) + log_det))
 
 
-def model_from_cov(cov: np.ndarray) -> GaussianModel:
-    """Build a model from a symmetric positive-definite covariance."""
-    factor = numlin.cholesky(numlin.symmetrize(cov), "covariance")
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    return GaussianModel.from_log_det(factor.shape[0], log_det)
-
-
 def _leading_lags(cov, ns) -> np.ndarray:
     """The lags K[0..N-1] of the last (largest) n of `ns`, every n checked."""
     for n in ns:
@@ -69,8 +59,8 @@ def _leading_lags(cov, ns) -> np.ndarray:
 
 
 def model_toeplitz(cov, ns) -> list[GaussianModel]:
-    """`model_from_cov` of the n x n Toeplitz matrix of a covariance
-    sequence, for each n of the ascending `ns`, from its lags: log det T_n =
+    """The model of the n x n Toeplitz matrix of a covariance sequence,
+    for each n of the ascending `ns`, from its lags: log det T_n =
     sum(log E_k) over the first n prediction errors of one
     `numlin.levinson` run at the largest n, which apply the same
     positive-definiteness rule as the Cholesky pivots."""
@@ -82,21 +72,10 @@ def _kl_from_kappas(kappas: np.ndarray) -> float:
     return float(0.5 * np.sum(kappas - np.log(kappas) - 1.0))
 
 
-def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
-    """Relative entropy D(N(0, cov_p) || N(0, cov_q)) in nats.
-
-    Closed form 0.5 tr(cov_q^-1 cov_p) - 0.5 log(det cov_p / det cov_q) - n/2,
-    evaluated through the kappas (eigenvalues of the pencil (cov_p, cov_q))
-    so it is exactly the diagonal-form value 0.5 sum(kappa - log kappa - 1).
-    Both covariances must pass the positive-definiteness checks of `whiten`.
-    """
-    return whiten(cov_p, cov_q).kl
-
-
 def kl_toeplitz(cov_p, cov_q, ns) -> list[float]:
-    """`kl_gaussian` of the n x n Toeplitz matrices of two covariance
-    sequences, for each n of the ascending `ns`, in O(N^2) time and O(N)
-    memory at the largest n, N.
+    """Relative entropy D(N(0, Tp) || N(0, Tq)) in nats of the n x n
+    Toeplitz matrices of two covariance sequences, for each n of the
+    ascending `ns`, in O(N^2) time and O(N) memory at the largest n, N.
 
     0.5 (tr(Tq^-1 Tp) - log det Tp + log det Tq - n), with both log
     determinants from `numlin.levinson` and the trace as
@@ -120,24 +99,14 @@ def kl_toeplitz(cov_p, cov_q, ns) -> list[float]:
 
 @dataclass(frozen=True)
 class HypothesisPair:
-    """A (p, q) Gaussian pair with its whitened diagonal form.
+    """A (p, q) Gaussian pair as its whitened diagonal form.
 
     In whitened coordinates p has covariance diag(kappas) and q the
-    identity; `kl` is the exact finite-n relative entropy in nats.  The
-    `whitener` is built on first use.
+    identity; `kl` is the exact finite-n relative entropy in nats.
     """
 
-    cov_p: np.ndarray = field(repr=False)
-    cov_q: np.ndarray = field(repr=False)
     kappas: np.ndarray  # descending
     kl: float
-
-    @functools.cached_property
-    def whitener(self) -> np.ndarray:
-        """V^T, for the generalized eigenbasis V = Lq^-T U of the pencil
-        (cov_p, cov_q): V^T cov_q V = I and V^T cov_p V = diag(kappas),
-        rows in kappa order."""
-        return numlin.eig_sym(self.cov_p, self.cov_q).basis[:, ::-1].T
 
     @property
     def b_n(self) -> float:
@@ -169,18 +138,12 @@ def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
     factor_q = numlin.cholesky(cov_q, "q covariance")
     factor_p = numlin.cholesky(cov_p, "p covariance")
     kappas = numlin.pencil_eigvals(factor_p, factor_q)[::-1].copy()
-    return HypothesisPair(cov_p=cov_p, cov_q=cov_q, kappas=kappas, kl=_kl_from_kappas(kappas))
+    return HypothesisPair(kappas=kappas, kl=_kl_from_kappas(kappas))
 
 
 def whiten_toeplitz(cov_p, cov_q, n: int) -> HypothesisPair:
     """`whiten` of the n x n Toeplitz matrices of two covariance sequences."""
     return whiten(numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n))
-
-
-def diagonal_pair(kappas) -> HypothesisPair:
-    """Pair with p = N(0, diag(kappas)) and q = N(0, I), already whitened."""
-    kappas = np.asarray(kappas, dtype=float)
-    return whiten(np.diag(kappas), np.eye(kappas.size))
 
 
 def llr_form(pair: HypothesisPair, under: str) -> qform.QuadraticForm:

@@ -1,13 +1,12 @@
 """Symmetric and Toeplitz matrix kernel, in numpy alone.
 
-Builds the three dense covariance-matrix variants used by the
-asymptotic-equivalence arguments (full Toeplitz, banded, circulant), exposes
-the checked Cholesky factor, symmetric eigensolves and the symmetric-definite
-(pencil) eigensolve, and implements the weak and strong matrix norms.  The
-pencil (M, B) is solved through the lower Cholesky factors M = Lm Lm^T and
-B = Lb Lb^T: its eigenvalues are those of X X^T with X = Lb^-1 Lm.
-`pencil_eigvals` takes the factors its caller has already checked, so B
-is factored once.
+Builds the dense Toeplitz covariance matrix and the columns of its banded
+and circulant variants used by the asymptotic-equivalence arguments, and
+exposes the checked Cholesky factor and the values-only symmetric-definite
+(pencil) eigensolve.  The pencil (M, B) is solved through the lower
+Cholesky factors M = Lm Lm^T and B = Lb Lb^T: its eigenvalues are those of
+X X^T with X = Lb^-1 Lm.  `pencil_eigvals` takes the factors its caller
+has already checked, so B is factored once.
 
 A symmetric Toeplitz matrix is also handled through its lags alone, in O(n)
 memory: the Levinson-Durbin recursion gives its log-determinant and its
@@ -20,8 +19,6 @@ whole list of n: `levinson`'s `orders` hands back each one's predictor.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 # numpy loads its fft and random modules on first use; importing them with
@@ -46,18 +43,6 @@ _EPS = float(np.finfo(float).eps)
 # `strong_norm_toeplitz` raises past this many Lanczos steps; shift-inverted,
 # it converges in under ten.
 _LANCZOS_STEPS = 64
-
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Eigenvalues in ascending order and the eigenvector basis.
-
-    The basis is orthogonal for one matrix and B-orthonormal for a pencil
-    (M, B): V^T B V = I and V^T M V = diag(eigenvalues).
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray  # columns are eigenvectors
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -99,11 +84,6 @@ def banded_column(cov, n: int) -> np.ndarray:
     return col
 
 
-def banded_from_cov(cov, n: int) -> np.ndarray:
-    """Toeplitz matrix with lags at or beyond floor(n/2)+1 zeroed."""
-    return _symmetric_toeplitz(banded_column(cov, n))
-
-
 def circulant_column(cov, n: int) -> np.ndarray:
     """First column of the symmetric circulant completion: K[min(j, n - j)].
 
@@ -115,13 +95,6 @@ def circulant_column(cov, n: int) -> np.ndarray:
         raise InvalidDimensionError(f"n must be >= 3, got {n}")
     j = np.arange(n)
     return cov.k(np.minimum(j, n - j))
-
-
-def circulant_from_cov(cov, n: int) -> np.ndarray:
-    """Symmetric circulant completion of the banded covariance matrix."""
-    # The column is palindromic, c[n - j] = c[j], so entry (i, j) of the
-    # circulant, c[(i - j) mod n], is c[|i - j|].
-    return _symmetric_toeplitz(circulant_column(cov, n))
 
 
 def _check_pencil(m: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -138,23 +111,6 @@ def _pencil_matrix(factor_m: np.ndarray, factor_b: np.ndarray) -> np.ndarray:
     factor_m, factor_b = _check_pencil(factor_m, factor_b)
     x = np.linalg.solve(factor_b, factor_m)
     return x @ x.T
-
-
-def eig_sym(m: np.ndarray, b: np.ndarray | None = None) -> EigenDecomposition:
-    """Eigen-decomposition of a symmetric matrix, eigenvalues ascending.
-
-    With `b` it solves the pencil M v = lambda B v; M and B must both pass
-    `cholesky`, and the pencil is reduced through their factors."""
-    try:
-        if b is None:
-            w, v = np.linalg.eigh(_check_square_finite(m))
-        else:
-            factor_b = cholesky(b, "B")
-            w, u = np.linalg.eigh(_pencil_matrix(cholesky(m, "M"), factor_b))
-            v = np.linalg.solve(factor_b.T, u)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigen-decomposition failed: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, basis=v)
 
 
 def pencil_eigvals(factor_m: np.ndarray, factor_b: np.ndarray) -> np.ndarray:
@@ -185,18 +141,6 @@ def cholesky(m: np.ndarray, what: str) -> np.ndarray:
         raise NotPositiveDefiniteError(f"{what} is not positive definite: {exc}") from exc
     _check_pivots((np.diagonal(factor) ** 2).min(), m.diagonal().max(), what)
     return factor
-
-
-def weak_norm(m: np.ndarray) -> float:
-    """Dimension-normalized Frobenius norm: sqrt((1/n) sum |a_kj|^2)."""
-    m = _check_square_finite(m)
-    n = m.shape[0]
-    return float(np.linalg.norm(m, "fro") / np.sqrt(n))
-
-
-def strong_norm(m: np.ndarray) -> float:
-    """l2 operator norm (largest singular value; max |eigenvalue| if symmetric)."""
-    return float(np.linalg.norm(_check_square_finite(m), 2))
 
 
 def levinson(lags, orders=None) -> tuple[np.ndarray | list[np.ndarray], np.ndarray]:
@@ -290,8 +234,8 @@ def inverse_diagonal_sums(a: np.ndarray, error: float) -> np.ndarray:
 
 
 def weak_norm_toeplitz(lags) -> float:
-    """`weak_norm` of the symmetric Toeplitz matrix of `lags`, from the lags:
-    n |T|_weak^2 = n K[0]^2 + sum_{d>=1} 2 (n - d) K[d]^2."""
+    """Weak norm sqrt((1/n) sum |t_kj|^2) of the symmetric Toeplitz matrix of
+    `lags`, from the lags: n |T|_weak^2 = n K[0]^2 + sum_{d>=1} 2 (n - d) K[d]^2."""
     lags = np.asarray(lags, dtype=float)
     n = lags.size
     weights = 2.0 * (n - np.arange(n))
@@ -300,7 +244,7 @@ def weak_norm_toeplitz(lags) -> float:
 
 
 def strong_norm_toeplitz(lags) -> float:
-    """`strong_norm` (largest eigenvalue) of a positive-definite symmetric
+    """Strong norm (largest eigenvalue) of a positive-definite symmetric
     Toeplitz matrix T, from its lags in O(n^2) time and O(n) memory.
 
     T is the leading block of the 2n-point circulant with first column

@@ -1,10 +1,10 @@
 """Covariance sequences, spectra and their asymptotics.
 
 Houses the stationary-process side of the library: absolutely summable
-auto-covariance sequences, their spectra (DTFTs), truncated spectra and
-circulant eigenvalues, spectral integrals, the Stein rate, the CLT scale
-limit, and the asymptotic-equivalence diagnostics (norms and Szego averages)
-for the three covariance matrix constructions.
+auto-covariance sequences, their spectra (DTFTs), spectral integrals, the
+Stein rate, the CLT scale limit, and the asymptotic-equivalence
+diagnostics (norms and Szego averages) for the three covariance matrix
+constructions.
 
 A spectrum is sampled at f = k/P by one real FFT of the lags folded modulo
 P (`CovarianceSequence.spectrum`).  Every spectral integrand is a smooth
@@ -12,8 +12,7 @@ periodic function of f, so every spectral integral is the trapezoid rule,
 the plain mean of the samples, which converges geometrically in P: it
 doubles P from `POINTS_MIN` until two successive means agree, and fails
 past `POINTS_MAX`.  The rows of an integrand share one spectrum per
-covariance per grid.  `spectrum_partial` is the truncated cosine sum
-S^[n] at arbitrary frequencies, the one off-grid evaluation.
+covariance per grid.
 
 All logarithms are natural; bit-valued presentation is a reporting
 conversion handled by `units`.
@@ -28,11 +27,7 @@ import numpy as np
 import numpy.fft
 
 from . import numlin
-from .exceptions import (
-    IllConditionedSpectraError,
-    InvalidDimensionError,
-    NumericalFailureError,
-)
+from .exceptions import IllConditionedSpectraError, NumericalFailureError
 
 # Lags with |K[m]| below this fraction of K[0] are dropped.
 TAIL_CUTOFF = 1e-14
@@ -144,42 +139,6 @@ class CovarianceSequence:
         return half
 
 
-def spectrum_partial(cov: CovarianceSequence, n: int, f) -> np.ndarray | float:
-    """Truncated spectrum with the +-floor(n/2) circulant window.
-
-    For even n the window is m in [-n/2 + 1, n/2] (the extreme lag enters
-    once), for odd n it is symmetric; in both cases the result is the real
-    cosine sum, equal to the circulant eigenvalue at f = k/n.
-    """
-    if n < 3:
-        raise InvalidDimensionError(f"n must be >= 3, got {n}")
-    f = np.asarray(f, dtype=float)
-    half = n // 2
-    out = np.full(f.shape, cov.k(0), dtype=float)
-    if n % 2 == 0:
-        paired = np.arange(1, half)
-        single = half
-    else:
-        paired = np.arange(1, half + 1)
-        single = None
-    if paired.size:
-        out = out + 2.0 * np.cos(2.0 * np.pi * np.multiply.outer(f, paired)) @ np.asarray(
-            cov.k(paired)
-        )
-    if single is not None:
-        out = out + cov.k(single) * np.cos(2.0 * np.pi * f * single)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-def circulant_eigs(cov: CovarianceSequence, n: int) -> np.ndarray:
-    """Eigenvalues of the circulant construction: S^[n] at f = k/n.
-
-    A circulant matrix's eigenvalues are the DFT of its first column."""
-    return np.fft.fft(numlin.circulant_column(cov, n)).real
-
-
 def _half_period_mean(half: np.ndarray) -> float:
     """Mean over one period of samples given at k = 0 .. P/2 of an even
     function: samples 1 .. P/2 - 1 each stand for two."""
@@ -271,12 +230,6 @@ def bn_limit(cov_p: CovarianceSequence, cov_q: CovarianceSequence) -> float:
     return float(np.sqrt(_periodic_mean(_bn_integrand, (cov_p, cov_q))))
 
 
-def eig_functional_avg(func: Callable, eigs) -> float:
-    """(1/n) sum of func over an eigenvalue sequence."""
-    eigs = np.asarray(eigs, dtype=float)
-    return float(np.mean(np.asarray(func(eigs), dtype=float)))
-
-
 @dataclass(frozen=True)
 class EquivalenceRow:
     """Diagnostics at one n of the Toeplitz (T), banded (B) and circulant (C)
@@ -312,8 +265,7 @@ def asym_equiv_report(
     `numlin.inverse_diagonal_sums` of the order-n predictor.  The three
     spectral targets are one three-row `spectral_integral`.  T's strong
     norm comes from `numlin.strong_norm_toeplitz`; C's from its
-    eigenvalues, the FFT of the column built above, as `circulant_eigs`
-    forms them.
+    eigenvalues, the FFT of the column built above.
     """
     names = ("spectral_x", "spectral_log", "spectral_inv")
     targets = dict(zip(names, spectral_integral(lambda s: (s, np.log(s), 1.0 / s), cov)))

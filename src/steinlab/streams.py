@@ -27,11 +27,11 @@ and n.  Reducers run in worker threads, so they must call no function that
 the benchmark's tracer (`bench/tracer.py`) wraps: its span stack is not
 thread-safe.
 
-The values match those of `standard_normal_chunks`, the reference
-definition of the draws, reduced the same way one chunk at a time, bit for
-bit as long as BLAS sums each entry of a matrix-vector product in the same
-order whatever its thread count; that was verified on x86-64 with OpenBLAS
-0.3.31 at 1-4 BLAS threads and 1-3 workers, not in general.
+The values match those of the chunks defined above, reduced the same way
+one chunk at a time, bit for bit as long as BLAS sums each entry of a
+matrix-vector product in the same order whatever its thread count; that
+was verified on x86-64 with OpenBLAS 0.3.31 at 1-4 BLAS threads and 1-3
+workers, not in general.
 
 A study finishes all of its LAPACK work (factors, eigensolves) before its
 draws.  After a LAPACK call, OpenBLAS's own threads keep spinning for a
@@ -92,12 +92,6 @@ def _chunk_normals(seed: int, index: int, size: int, dim: int) -> np.ndarray:
     return np.ascontiguousarray(block[:, :size])
 
 
-def standard_normal_chunks(seed: int, count: int, dim: int) -> Iterator[np.ndarray]:
-    """Yield (dim, size) blocks of iid standard normals, one column per sample."""
-    for index, size in chunk_sizes(count):
-        yield _chunk_normals(seed, index, size, dim)
-
-
 def _worker_count() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -114,11 +108,11 @@ def quadratic_draws(
     """`reduce(values)` for each chunk of `count` samples, in chunk order.
 
     `values` is a (len(forms), size) array whose row i holds form i,
-    offset_i + sum_j coef_i[j] z_j^2, over the chunk's columns z of
-    `standard_normal_chunks(seed, count, dim)`, dim the largest coef size:
-    each form reads the leading coordinates of the same samples.  Chunks
-    are drawn and reduced on every usable core; every worker's exception
-    is raised here, and the workers have ended when this returns.
+    offset_i + sum_j coef_i[j] z_j^2, over the columns z of the chunk's
+    normals at dim, the largest coef size: each form reads the leading
+    coordinates of the same samples.  Chunks are drawn and reduced on
+    every usable core; every worker's exception is raised here, and the
+    workers have ended when this returns.
     """
     dim = max(form.coef.size for form in forms)
 
@@ -134,9 +128,3 @@ def quadratic_draws(
 
     with ThreadPoolExecutor(_worker_count()) as pool:
         return list(pool.map(chunk, chunk_sizes(count)))
-
-
-def quadratic_values(seed: int, count: int, form: QuadraticForm) -> np.ndarray:
-    """The `count` values of one form, in sample order: `quadratic_draws`
-    keeping every value."""
-    return np.concatenate(quadratic_draws(seed, count, [form], lambda v: v[0]))

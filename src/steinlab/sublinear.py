@@ -11,43 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .exceptions import InvalidDimensionError
 
 
 def _check_n(n: int) -> None:
     if n < 3:
         raise InvalidDimensionError(f"n must be >= 3, got {n}")
-
-
-def _check_point(n: int, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (n,):
-        raise InvalidDimensionError(f"expected a vector of length {n}, got {x.shape}")
-    if np.any(x < 0.0) or np.any(x > 1.0):
-        raise ValueError("point lies outside the unit cube")
-    return x
-
-
-def inner_radius(n: int) -> float:
-    """Sup-norm radius n^(-1/n) of the high-density region."""
-    _check_n(n)
-    return n ** (-1.0 / n)
-
-
-def sub_q_density(n: int, x) -> float:
-    """q-density: n - sqrt(n) inside the small ball, sqrt(n)/(n-1) outside."""
-    _check_n(n)
-    x = _check_point(n, x)
-    if np.max(np.abs(x)) <= inner_radius(n):
-        return n - math.sqrt(n)
-    return math.sqrt(n) / (n - 1.0)
-
-
-def sub_llr(n: int, x) -> float:
-    """Two-valued log-likelihood ratio ln(p/q) in nats."""
-    return -math.log(sub_q_density(n, x))
 
 
 def sub_kl(n: int) -> float:

@@ -8,9 +8,8 @@ typical-set detector that `detect` scores.  Besides the sets: the inverse
 normal tail they calibrate against, the CLT good threshold `good_delta`
 of any form (a normal approximation, neither minimal nor always
 eps-good), Monte Carlo set-probability estimation on the draws of
-`streams.quadratic_draws`, one window that bounds both a set's volume
-and the relative-entropy set's q-mass, and a CLT check of the
-log-likelihood-ratio fluctuation.  Everything is in nats.
+`streams.quadratic_draws`, and one window that bounds both a set's volume
+and the relative-entropy set's q-mass.  Everything is in nats.
 """
 
 from __future__ import annotations
@@ -22,11 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import gaussian, qform, streams
+from . import qform, streams
 from .exceptions import DegeneratePairError
-
-# `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
-CLT_KS_BOUND = 0.02
 
 
 def qfunc_inv(p: float) -> float:
@@ -84,23 +80,14 @@ class MonteCarloProbability:
     stderr: float
 
 
-def mc_typical_prob(
-    spec: TypicalSetSpec, count: int, seed: int
-) -> MonteCarloProbability:
-    """Fraction of `count` samples from p that land in the typical set,
-    with its binomial standard error: `mc_typical_probs` of one set."""
-    return mc_typical_probs([spec], count, seed)[0]
-
-
 def mc_typical_probs(
     specs: Sequence[TypicalSetSpec], count: int, seed: int
 ) -> list[MonteCarloProbability]:
-    """`mc_typical_prob` of each set, from one `streams.quadratic_draws`
+    """For each set, the fraction of `count` samples from p that land in
+    it, with its binomial standard error, from one `streams.quadratic_draws`
     call: every set reads the leading coordinates of the same `count`
     samples, so its estimate does not depend on the other sets.  Each
-    chunk is reduced in its worker to the count inside each set.  For a
-    relative-entropy set the statistic is the value `detect.sample_llr`
-    gives.
+    chunk is reduced in its worker to the count inside each set.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
@@ -153,31 +140,3 @@ def volume_bounds(h: float, delta: float, eps: float) -> VolumeBounds:
         log_upper=log_upper,
         log_lower=log_lower,
     )
-
-
-@dataclass(frozen=True)
-class CltCheck:
-    ks_distance: float
-    mean: float
-    variance: float
-    passed: bool
-
-
-def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCheck:
-    """Simulate the normalized LLR fluctuation and compare it to Phi.
-
-    Each replicate is (LLR - D) sqrt(2) / B_n under p, i.e. sum_k (kappa_k - 1)
-    / (sqrt(2) B_n) * (Y_k^2 - 1) with iid standard normal Y; its law should
-    be near standard normal for large n.  Returns the Kolmogorov-Smirnov
-    sup-gap of the empirical CDF against Phi, which passes below CLT_KS_BOUND.
-    """
-    if count < 10_000:
-        raise ValueError(f"count must be >= 10000, got {count}")
-    llrs = streams.quadratic_values(seed, count, gaussian.llr_form(pair, "p"))
-    values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
-    cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
-    i = np.arange(1, count + 1)
-    ks = float(np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count)))
-    mean = float(np.mean(values))
-    variance = float(np.var(values))
-    return CltCheck(ks_distance=ks, mean=mean, variance=variance, passed=ks < CLT_KS_BOUND)

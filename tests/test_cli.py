@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 
 import pytest
 
@@ -36,6 +38,42 @@ def run_python(script):
     )
     assert result.returncode == 0, result.stderr
     return result
+
+
+# Functions of the package that no study calls, each with its reader.
+NOT_RUN_BY_STUDIES = {
+    "spectral.bn_limit": "the limit of B_n / sqrt(n), for a large-n sweep of the CLT scale",
+    "spectral._bn_integrand": "the integrand of bn_limit",
+    "typicality.volume_bounds": "the volume and q-mass window of an eps-good typical set",
+    "detect.estimate_beta_is": "the IS estimate of one detector, which scores gcsl_experiment's rows",
+    "units.bits_to_nats": "the inverse of nats_to_bits, which criterion 11 round-trips",
+}
+
+
+def package_functions():
+    """{(file, first line of its code): dotted name} for every function and
+    method defined in the package, nested ones included."""
+    found = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.FunctionDef):
+                # A decorated function's code starts at its first decorator.
+                first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                found[(path, first)] = prefix + child.name
+                visit(child, path, f"{prefix}{child.name}.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    package = os.path.dirname(cli.__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path) as source:
+                visit(ast.parse(source.read()), path, f"{name[:-3]}.")
+    return found
 
 
 def parse_csv(text):
@@ -558,6 +596,44 @@ class TestPlumbing:
             """
         )
         assert json.loads(run_python(script).stdout) == [0] * len(SMALL_STUDIES)
+
+    def test_studies_reach_every_function(self, capsys, tmp_path):
+        # Every study, small, in process, with calls traced in this thread
+        # and in the draw workers: a function no study reaches is either
+        # named in NOT_RUN_BY_STUDIES or belongs with the tests' oracles.
+        table = tmp_path / "table.json"
+        table.write_text(json.dumps({"cov_p": {"kind": "table", "values": [2.0, 0.5, -0.25]}}))
+        entropy = tmp_path / "entropy.json"
+        entropy.write_text(json.dumps({"variant": "entropy"}))
+        small = ["--samples", "10000", "--check"]
+        runs = [
+            ["rate", "--n-list", "8,16", "--unit", "bits", "--check"],
+            ["typical", "--n-list", "8,16", *small],
+            ["typical", "--config", str(entropy), "--n-list", "8,16", *small],
+            ["detect", "--n-list", "8,16,24", *small, "--out", str(tmp_path / "detect.csv")],
+            ["asymptotics", "--config", str(table), "--n-list", "8,16", "--check"],
+            ["sublinear", "--n-list", "4,16", "--check"],
+        ]
+        reached = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+
+        previous = sys.getprofile(), threading.getprofile()
+        sys.setprofile(profile)
+        threading.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in runs]
+        finally:
+            sys.setprofile(previous[0])
+            threading.setprofile(previous[1])
+        capsys.readouterr()
+        assert codes == [0] * len(runs)
+        functions = package_functions()
+        assert set(NOT_RUN_BY_STUDIES) <= set(functions.values())
+        unreached = {name for key, name in functions.items() if key not in reached}
+        assert sorted(unreached - set(NOT_RUN_BY_STUDIES)) == []
 
     def test_deterministic_output(self, capsys):
         args = ("typical", "--n-list", "32", "--samples", "2000", "--seed", "9")

@@ -9,10 +9,12 @@ from scipy.stats import multivariate_normal
 from steinlab import cli, detect, gaussian, numlin, qform, spectral, streams, typicality
 from steinlab.exceptions import DegeneratePairError, NumericalFailureError, VacuousBoundError
 
+import oracles
+
 
 @pytest.fixture(scope="module")
 def small_pair():
-    return gaussian.diagonal_pair(np.linspace(0.5, 2.5, 16))
+    return oracles.diagonal_pair(np.linspace(0.5, 2.5, 16))
 
 
 class TestDetectorSpec:
@@ -35,7 +37,7 @@ class TestDetectorSpec:
 
 class TestSampleLlr:
     def test_mean_under_p_is_kl(self, small_pair):
-        llrs = detect.sample_llr(small_pair, count=200_000, seed=1, under="p")
+        llrs = oracles.sample_llr(small_pair, count=200_000, seed=1, under="p")
         se = np.std(llrs) / math.sqrt(llrs.size)
         assert abs(np.mean(llrs) - small_pair.kl) < 4.0 * se
 
@@ -44,7 +46,7 @@ class TestSampleLlr:
         reverse_kl = 0.5 * np.sum(
             1.0 / small_pair.kappas + np.log(small_pair.kappas) - 1.0
         )
-        llrs = detect.sample_llr(small_pair, count=200_000, seed=2, under="q")
+        llrs = oracles.sample_llr(small_pair, count=200_000, seed=2, under="q")
         se = np.std(llrs) / math.sqrt(llrs.size)
         assert abs(np.mean(llrs) + reverse_kl) < 4.0 * se
 
@@ -53,39 +55,46 @@ class TestSampleLlr:
         # coordinates coincide with the originals, so the chi-square
         # shortcut must reproduce the density-ratio values samplewise
         kappas = np.linspace(2.5, 0.5, 16)
-        pair = gaussian.diagonal_pair(kappas)
-        zs = np.concatenate(list(streams.standard_normal_chunks(3, 4096, 16)), axis=1).T
+        pair = oracles.diagonal_pair(kappas)
+        zs = np.concatenate(list(oracles.standard_normal_chunks(3, 4096, 16)), axis=1).T
         xs = np.sqrt(kappas) * zs
         log_p = multivariate_normal(cov=np.diag(kappas)).logpdf(xs)
         log_q = multivariate_normal(cov=np.eye(16)).logpdf(xs)
-        shortcut = detect.sample_llr(pair, count=4096, seed=3, under="p")
+        shortcut = oracles.sample_llr(pair, count=4096, seed=3, under="p")
         assert np.allclose(log_p - log_q, shortcut, atol=1e-8)
 
 
 class TestNpCalibrate:
     def test_alpha_near_tau(self, small_pair):
         tau = 0.2
-        det = detect.np_calibrate(small_pair, tau, count=50_000, seed=4)
+        det = oracles.np_calibrate(small_pair, tau, count=50_000, seed=4)
         est = detect.estimate_beta_is(det, small_pair, count=50_000, seed=5)
         assert abs(est.alpha_hat - tau) < 4.0 * est.stderr_alpha + 0.005
 
     def test_validation(self, small_pair):
         with pytest.raises(ValueError):
-            detect.np_calibrate(small_pair, 0.6, count=10_000, seed=0)
+            oracles.np_calibrate(small_pair, 0.6, count=10_000, seed=0)
         with pytest.raises(ValueError):
-            detect.np_calibrate(small_pair, 0.2, count=100, seed=0)
+            oracles.np_calibrate(small_pair, 0.2, count=100, seed=0)
+
+    def test_tau_below_ten_draws_rejected(self, small_pair):
+        # Below 1/count the empirical quantile is the sample minimum,
+        # whatever tau is; 10/count leaves ten draws under it.
+        with pytest.raises(ValueError, match="10/count"):
+            oracles.np_calibrate(small_pair, 1e-6, count=10_000, seed=0)
+        oracles.np_calibrate(small_pair, 1e-3, count=10_000, seed=0)
 
     def test_degenerate_pair_rejected(self):
-        pair = gaussian.diagonal_pair(np.ones(4))
+        pair = oracles.diagonal_pair(np.ones(4))
         with pytest.raises(DegeneratePairError):
-            detect.np_calibrate(pair, 0.2, count=10_000, seed=0)
+            oracles.np_calibrate(pair, 0.2, count=10_000, seed=0)
 
 
 class TestEstimateBeta:
     def test_agrees_with_direct_q_sampling(self, small_pair):
         det = detect.NpThreshold(0.0)
         est = detect.estimate_beta_is(det, small_pair, count=100_000, seed=6)
-        llrs_q = detect.sample_llr(small_pair, count=100_000, seed=7, under="q")
+        llrs_q = oracles.sample_llr(small_pair, count=100_000, seed=7, under="q")
         direct = float(np.mean(det.contains(llrs_q)))
         direct_se = math.sqrt(direct * (1.0 - direct) / llrs_q.size)
         joint = math.sqrt(direct_se**2 + (est.beta_hat * est.stderr_beta_log) ** 2)
@@ -93,7 +102,7 @@ class TestEstimateBeta:
 
     def test_reaches_deep_tails(self):
         # beta around e^-40 is far below what direct q-sampling can see
-        pair = gaussian.diagonal_pair(np.full(64, 3.0))
+        pair = oracles.diagonal_pair(np.full(64, 3.0))
         det = detect.NpThreshold(pair.kl)
         est = detect.estimate_beta_is(det, pair, count=50_000, seed=8)
         assert not est.underflow
@@ -111,7 +120,7 @@ class TestEstimateBeta:
     def test_ess_of_the_weights(self, small_pair):
         det = detect.NpThreshold(small_pair.kl)
         est = detect.estimate_beta_is(det, small_pair, count=20_000, seed=12)
-        llrs = detect.sample_llr(small_pair, count=20_000, seed=12)
+        llrs = oracles.sample_llr(small_pair, count=20_000, seed=12)
         weights = np.where(det.contains(llrs), np.exp(-llrs), 0.0)
         assert est.ess == pytest.approx(np.sum(weights) ** 2 / np.sum(weights**2), rel=1e-10)
         assert 1.0 < est.ess < 20_000
@@ -130,7 +139,7 @@ class TestEstimateBeta:
         form = gaussian.llr_form(pair, "p")
         ts = typicality.TypicalSetSpec(form, typicality.good_delta(form, 0.2))
         rejected = detect.estimate_beta_is(ts, pair, count, seed=13).alpha_hat * count
-        inside = typicality.mc_typical_prob(ts, count, seed=13).estimate * count
+        inside = typicality.mc_typical_probs([ts], count, seed=13)[0].estimate * count
         assert round(rejected) + round(inside) == count
 
 
@@ -153,8 +162,8 @@ class TestRescaledSums:
     def test_deep_tail(self, quantile, beta_log, stderr, ess):
         # Every log weight lies below -709, and at the 0.999 quantile most
         # chunks accept no draw: their placeholder top must not scale in.
-        pair = gaussian.diagonal_pair(np.full(512, 30.0))
-        threshold = float(np.quantile(detect.sample_llr(pair, 4000, seed=3), quantile))
+        pair = oracles.diagonal_pair(np.full(512, 30.0))
+        threshold = float(np.quantile(oracles.sample_llr(pair, 4000, seed=3), quantile))
         est = detect.estimate_beta_is(detect.NpThreshold(threshold), pair, 4000, 3)
         assert not est.underflow
         assert est.beta_log == pytest.approx(beta_log, rel=1e-12)
@@ -163,7 +172,7 @@ class TestRescaledSums:
 
     def test_threshold_far_below_the_draws(self):
         # Weights shifted by the threshold, e^{-LLR - 2000}, would all be 0.
-        pair = gaussian.diagonal_pair(np.linspace(2.2, 0.6, 8))
+        pair = oracles.diagonal_pair(np.linspace(2.2, 0.6, 8))
         det = detect.NpThreshold(-2000.0)
         est = detect.estimate_beta_is(det, pair, count=20_000, seed=5)
         assert not est.underflow
@@ -248,7 +257,7 @@ def ar1_pair(rho, n):
     inverse = scipy.linalg.eigvalsh_tridiagonal(diag / (1.0 - rho**2), np.full(n - 1, -rho / (1.0 - rho**2)))
     kappas = np.sort(1.0 / inverse)[::-1]
     # np_threshold_exact reads only the kappas and the KL.
-    return gaussian.HypothesisPair(cov_p=None, cov_q=None, kappas=kappas, kl=gaussian._kl_from_kappas(kappas))
+    return gaussian.HypothesisPair(kappas=kappas, kl=gaussian._kl_from_kappas(kappas))
 
 
 def toeplitz_form(n, rho=0.5):
@@ -351,7 +360,7 @@ class TestExactThreshold:
         for i, n in enumerate(CRITERION_07_NS):
             pair, coef, offset = toeplitz_form(n)
             exact = detect.np_threshold_exact(pair, tau).threshold
-            sampled = detect.np_calibrate(pair, tau, count, streams.derive_seed(7, i, 0))
+            sampled = oracles.np_calibrate(pair, tau, count, streams.derive_seed(7, i, 0))
             _, density = qform.quadratic_form_cdf(coef, exact - offset)
             stderr = math.sqrt(tau * (1.0 - tau) / count) / density
             assert abs(sampled.threshold - exact) < 3.0 * stderr, n
@@ -513,7 +522,7 @@ class TestExactThreshold:
             with pytest.raises(ValueError):
                 detect.np_threshold_exact(pair, tau)
         with pytest.raises(DegeneratePairError):
-            detect.np_threshold_exact(gaussian.diagonal_pair(np.ones(4)), 0.2)
+            detect.np_threshold_exact(oracles.diagonal_pair(np.ones(4)), 0.2)
 
     def test_tau_below_the_floor_rejected(self):
         # The inversion stops within 1e-12 of tau: here the level found was

@@ -8,6 +8,8 @@ import pytest
 
 from steinlab import qform, streams
 
+import oracles
+
 
 def test_chunk_sizes_cover_count():
     assert list(streams.chunk_sizes(1)) == [(0, 1)]
@@ -21,7 +23,7 @@ def test_chunk_sizes_cover_count():
 
 def _samples(seed, count, dim):
     # The draws as (count, dim): one row per sample.
-    return np.concatenate(list(streams.standard_normal_chunks(seed, count, dim)), axis=1).T
+    return np.concatenate(list(oracles.standard_normal_chunks(seed, count, dim)), axis=1).T
 
 
 def test_same_seed_reproduces():
@@ -48,7 +50,7 @@ def test_leading_coordinates_stable_under_larger_dim():
 
 
 def test_chunks_are_coordinate_major():
-    block = next(streams.standard_normal_chunks(5, 10, 3))
+    block = streams._chunk_normals(5, 0, 10, 3)
     full = streams.chunk_rng(5, 0).standard_normal((3, streams.CHUNK_SIZE))
     assert block.shape == (3, 10) and block.flags.c_contiguous
     assert np.array_equal(block, full[:, :10])
@@ -80,7 +82,7 @@ def test_derived_seeds_are_distinct_ints():
 
 def _reference(seed, count, coef):
     # The plain reduction of the raw draws, chunk by chunk.
-    chunks = streams.standard_normal_chunks(seed, count, coef.size)
+    chunks = oracles.standard_normal_chunks(seed, count, coef.size)
     return np.concatenate([coef @ (z * z) for z in chunks])
 
 
@@ -109,12 +111,12 @@ def test_quadratic_chunks_match_the_normal_stream(monkeypatch, dim, count, worke
 def test_quadratic_draws_add_the_offset():
     coef = np.random.default_rng(5).standard_normal(5)
     count = streams.CHUNK_SIZE + 9
-    got = streams.quadratic_values(4, count, qform.QuadraticForm(coef, -2.75))
-    assert np.array_equal(got, _reference(4, count, coef) + -2.75)
     forms = [qform.QuadraticForm(coef[:2], 1.5), qform.QuadraticForm(coef, -2.75)]
+    (alone,) = np.concatenate(streams.quadratic_draws(4, count, forms[1:], lambda v: v), axis=1)
+    assert np.array_equal(alone, _reference(4, count, coef) + -2.75)
     rows = np.concatenate(streams.quadratic_draws(4, count, forms, lambda v: v), axis=1)
     assert np.array_equal(rows[0], _reference(4, count, coef[:2]) + 1.5)
-    assert np.array_equal(rows[1], got)
+    assert np.array_equal(rows[1], alone)
 
 
 def test_quadratic_draws_reduce_each_chunk_in_order():
@@ -122,7 +124,7 @@ def test_quadratic_draws_reduce_each_chunk_in_order():
     count = 3 * streams.CHUNK_SIZE + 5
     form = qform.QuadraticForm(coef, 0.0)
     got = streams.quadratic_draws(9, count, [form], lambda v: (v.shape, float(v.sum())))
-    values = streams.quadratic_values(9, count, form)
+    values = _reference(9, count, coef)
     parts = np.split(values, range(streams.CHUNK_SIZE, count, streams.CHUNK_SIZE))
     expected = [((1, part.size), float(part.sum())) for part in parts]
     assert got == expected
@@ -136,19 +138,21 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
     coef = np.random.default_rng(dim).standard_normal(dim)
     for count in (1, streams.CHUNK_SIZE + 1, 2 * streams.CHUNK_SIZE + 1):
         expected = _reference(2, count, coef)
-        got = streams.quadratic_values(2, count, qform.QuadraticForm(coef, 0.0))
+        got = _rows(2, count, [coef])[0]
         assert np.array_equal(got, expected)
         assert np.array_equal(_rows(2, count, [coef, np.ones(dim + 5)])[0], expected)
 
 
 _ONE_BLAS_THREAD_SCRIPT = """
 import numpy as np
+import oracles
 from steinlab import qform, streams
 for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
-    expected = [coef @ (z * z) for z in streams.standard_normal_chunks(11, count, dim)]
-    got = streams.quadratic_values(11, count, qform.QuadraticForm(coef, 0.0))
+    expected = [coef @ (z * z) for z in oracles.standard_normal_chunks(11, count, dim)]
+    form = qform.QuadraticForm(coef, 0.0)
+    got = np.concatenate(streams.quadratic_draws(11, count, [form], lambda v: v[0]))
     assert np.array_equal(got, np.concatenate(expected))
     print(got.tobytes().hex())
 """
@@ -158,7 +162,8 @@ def test_quadratic_chunks_match_under_one_blas_thread():
     # OpenBLAS splits a large matrix-vector product across its own threads;
     # its thread count is fixed when numpy loads, hence the subprocess.
     src = os.path.dirname(os.path.dirname(streams.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=src)
+    path = os.pathsep.join([src, os.path.dirname(oracles.__file__)])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path)
     single = subprocess.run(
         [sys.executable, "-c", _ONE_BLAS_THREAD_SCRIPT],
         env=env, capture_output=True, text=True, check=True,
@@ -166,8 +171,7 @@ def test_quadratic_chunks_match_under_one_blas_thread():
     here = []
     for dim in (3, 384, 1000):
         coef = np.random.default_rng(dim).standard_normal(dim)
-        form = qform.QuadraticForm(coef, 0.0)
-        got = streams.quadratic_values(11, 2 * streams.CHUNK_SIZE + 7, form)
+        got = _rows(11, 2 * streams.CHUNK_SIZE + 7, [coef])[0]
         here.append(got.tobytes().hex())
     # The default thread count gives the same bytes as one thread.
     assert single == here
@@ -184,7 +188,7 @@ def test_worker_failure_is_raised_and_leaves_no_threads(monkeypatch):
     monkeypatch.setattr(streams, "chunk_rng", failing)
     threads = threading.active_count()
     with pytest.raises(RuntimeError, match="chunk 1 failed"):
-        streams.quadratic_values(3, 8 * streams.CHUNK_SIZE, qform.QuadraticForm(np.ones(64), 0))
+        _rows(3, 8 * streams.CHUNK_SIZE, [np.ones(64)])
     assert threading.active_count() == threads
 
 
@@ -199,7 +203,7 @@ def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
     got = []
 
     def call():
-        got.append(streams.quadratic_values(8, count, qform.QuadraticForm(coef, 0.0)))
+        got.append(_rows(8, count, [coef])[0])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)

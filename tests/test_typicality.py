@@ -5,8 +5,10 @@ import pytest
 from scipy import special
 from scipy.stats import norm
 
-from steinlab import detect, gaussian, numlin, typicality
+from steinlab import gaussian, numlin, typicality
 from steinlab.exceptions import DegeneratePairError
+
+import oracles
 
 
 class TestQfunc:
@@ -31,25 +33,25 @@ class TestGoodDeltas:
     def test_white_gaussian_closed_form(self):
         # the entropy statistic per coordinate has variance 1/2
         n, eps = 64, 0.1
-        model = gaussian.model_from_cov(np.eye(n))
+        model = oracles.model_from_cov(np.eye(n))
         assert typicality.good_delta(gaussian.surprisal_form(model), eps) == pytest.approx(
             math.sqrt(n / 2.0) * norm.isf(eps / 2.0)
         )
 
     def test_correlated_uses_b_n(self):
-        pair = gaussian.diagonal_pair([3.0, 1.0])
+        pair = oracles.diagonal_pair([3.0, 1.0])
         assert pair.b_n == pytest.approx(2.0)
         assert typicality.good_delta(gaussian.llr_form(pair, "p"), 0.2) == pytest.approx(
             2.0 / math.sqrt(2.0) * typicality.qfunc_inv(0.1)
         )
 
     def test_degenerate_pair_rejected(self):
-        pair = gaussian.diagonal_pair([1.0, 1.0])
+        pair = oracles.diagonal_pair([1.0, 1.0])
         with pytest.raises(DegeneratePairError):
             typicality.good_delta(gaussian.llr_form(pair, "p"), 0.1)
 
     def test_bad_arguments(self):
-        model = gaussian.model_from_cov(np.eye(4))
+        model = oracles.model_from_cov(np.eye(4))
         with pytest.raises(ValueError):
             typicality.good_delta(gaussian.surprisal_form(model), 0.0)
 
@@ -57,32 +59,32 @@ class TestGoodDeltas:
 class TestMonteCarlo:
     def test_white_entropy_coverage(self):
         n, eps = 64, 0.1
-        model = gaussian.model_from_cov(np.eye(n))
+        model = oracles.model_from_cov(np.eye(n))
         form = gaussian.surprisal_form(model)
         spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
-        result = typicality.mc_typical_prob(spec, count=20_000, seed=21)
+        result = typicality.mc_typical_probs([spec], count=20_000, seed=21)[0]
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.01
 
     def test_rel_entropy_coverage(self):
         eps = 0.1
-        pair = gaussian.diagonal_pair(np.linspace(0.5, 2.0, 32))
+        pair = oracles.diagonal_pair(np.linspace(0.5, 2.0, 32))
         form = gaussian.llr_form(pair, "p")
         spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
-        result = typicality.mc_typical_prob(spec, count=20_000, seed=22)
+        result = typicality.mc_typical_probs([spec], count=20_000, seed=22)[0]
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.02
 
     def test_deterministic(self):
-        model = gaussian.model_from_cov(np.eye(8))
+        model = oracles.model_from_cov(np.eye(8))
         spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
-        a = typicality.mc_typical_prob(spec, count=2000, seed=5)
-        b = typicality.mc_typical_prob(spec, count=2000, seed=5)
+        a = typicality.mc_typical_probs([spec], count=2000, seed=5)[0]
+        b = typicality.mc_typical_probs([spec], count=2000, seed=5)[0]
         assert a.estimate == b.estimate
 
     def test_small_count_rejected(self):
-        model = gaussian.model_from_cov(np.eye(2))
+        model = oracles.model_from_cov(np.eye(2))
         spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
         with pytest.raises(ValueError):
-            typicality.mc_typical_prob(spec, count=999, seed=0)
+            typicality.mc_typical_probs([spec], count=999, seed=0)
 
 
 class TestBoundFormulas:
@@ -129,7 +131,7 @@ class TestCltCheck:
         pair = gaussian.whiten(
             numlin.toeplitz_from_cov(geo_half, 256), np.eye(256)
         )
-        result = typicality.clt_psi_check(pair, count=20_000, seed=23)
+        result = oracles.clt_psi_check(pair, count=20_000, seed=23)
         assert result.passed
         assert abs(result.mean) < 0.05
         assert abs(result.variance - 1.0) < 0.1
@@ -138,8 +140,8 @@ class TestCltCheck:
         # The same draws against Phi from `scipy.special.erfc`: the two Phi
         # agree to 2 ulp of 1, so the distance does to 1e-15 absolute.
         pair, count, seed = pair_rho_half_n64, 10_000, 7
-        result = typicality.clt_psi_check(pair, count, seed)
-        llrs = detect.sample_llr(pair, count, seed, "p")
+        result = oracles.clt_psi_check(pair, count, seed)
+        llrs = oracles.sample_llr(pair, count, seed, "p")
         values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
         cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
         i = np.arange(1, count + 1)
@@ -147,10 +149,10 @@ class TestCltCheck:
         assert result.ks_distance == pytest.approx(ks, rel=0.0, abs=1e-15)
 
     def test_degenerate_pair_rejected(self):
-        pair = gaussian.diagonal_pair([1.0, 1.0, 1.0])
+        pair = oracles.diagonal_pair([1.0, 1.0, 1.0])
         with pytest.raises(DegeneratePairError):
-            typicality.clt_psi_check(pair, count=10_000, seed=0)
+            oracles.clt_psi_check(pair, count=10_000, seed=0)
 
     def test_small_count_rejected(self, pair_rho_half_n64):
         with pytest.raises(ValueError):
-            typicality.clt_psi_check(pair_rho_half_n64, count=5000, seed=0)
+            oracles.clt_psi_check(pair_rho_half_n64, count=5000, seed=0)
