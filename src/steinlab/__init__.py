@@ -13,7 +13,6 @@ from .exceptions import (
     NotPositiveDefiniteError,
     NumericalFailureError,
     SteinlabError,
-    VacuousBoundError,
 )
 
 __version__ = "0.1.0"
@@ -32,5 +31,4 @@ __all__ = [
     "InvalidDimensionError",
     "NotPositiveDefiniteError",
     "NumericalFailureError",
-    "VacuousBoundError",
 ]

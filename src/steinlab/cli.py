@@ -210,10 +210,9 @@ def run_typical(config: dict) -> tuple[dict, list[dict]]:
     # keeps only its coefficient vector and offset, not the matrices.
     spectral.check_spectra(covs)
     if variant == "entropy":
-        models = gaussian.model_toeplitz(cov_p, config["ns"])
-        forms = [gaussian.surprisal_form(model) for model in models]
+        forms = gaussian.surprisal_forms(cov_p, config["ns"])
     else:
-        forms = [gaussian.llr_form(gaussian.whiten_toeplitz(*covs, n), "p") for n in config["ns"]]
+        forms = [gaussian.llr_form(gaussian.whiten_toeplitz(*covs, n)) for n in config["ns"]]
     delta_mins = [typicality.good_delta(form, eps) for form in forms]
     specs = [typicality.TypicalSetSpec(form, factor * d) for form, d in zip(forms, delta_mins)]
     estimates = typicality.mc_typical_probs(

@@ -16,7 +16,10 @@ the `qform.QuadraticForm` offset + sum_j c_j z_j^2 with c = (kappas - 1)/2
 and z standard normal (`gaussian.llr_form`, which rejects a pair identical
 up to rounding).  The threshold for a type-I error of tau, down to
 `TAU_MIN`, is that form's tau-quantile (`np_threshold_exact`), with no
-draws; every sampled LLR value comes from `streams.quadratic_draws`.
+draws; every sampled LLR value comes from `streams.quadratic_draws`.  The
+estimates are read against the lemma's window on the exponent -ln beta_tau
+(`stein_bounds`), and their slope in n against the spectral rate
+(`exponent_fit`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from . import gaussian, qform, spectral, streams, typicality
-from .exceptions import DegeneratePairError, VacuousBoundError
+from .exceptions import DegeneratePairError
 
 NEG_INF = float("-inf")
 # The smallest level `np_threshold_exact` takes: the inversion stops within
@@ -74,7 +77,7 @@ def np_threshold_exact(pair: gaussian.HypothesisPair, tau: float) -> NpThreshold
     tau from `TAU_MIN`: below it the level found would not be tau."""
     if not TAU_MIN <= tau < 0.5:
         raise ValueError(f"tau must lie in [{TAU_MIN:g}, 1/2), got {tau}")
-    return NpThreshold(gaussian.llr_form(pair, "p").quantile(tau, f"NP threshold at tau={tau}"))
+    return NpThreshold(gaussian.llr_form(pair).quantile(tau, f"NP threshold at tau={tau}"))
 
 
 def estimate_beta_is(
@@ -95,7 +98,7 @@ def estimate_beta_is(
     sums = streams.quadratic_draws(
         seed,
         count,
-        [gaussian.llr_form(pair, "p")],
+        [gaussian.llr_form(pair)],
         lambda llrs: _chunk_sums([det], llrs),
     )
     return _error_estimates(count, np.array(sums)[:, :, 0])
@@ -160,40 +163,25 @@ def _error_estimates(count: int, sums: np.ndarray) -> ErrorEstimates:
 
 @dataclass(frozen=True)
 class SteinBounds:
-    """Two-sided window on beta_tau and on its exponent, in nats."""
+    """Two-sided window on the exponent -ln(beta_tau), in nats."""
 
-    beta_lower: float
-    beta_upper: float
-    exp_lower: float  # lower edge of the -ln(beta) window
+    exp_lower: float
     exp_upper: float
 
 
 def stein_bounds(
     kl: float, delta: float, gamma: float, eps: float, tau: float
 ) -> SteinBounds:
-    """Sandwich (1-eps-tau)e^-(D+delta) <= beta_tau <= e^-(D-gamma)."""
+    """Sandwich (1-eps-tau)e^-(D+delta) <= beta_tau <= e^-(D-gamma), as the
+    window D - gamma <= -ln(beta_tau) <= D + delta - ln(1-eps-tau)."""
     if delta <= 0.0 or gamma <= 0.0:
         raise ValueError(f"delta and gamma must be positive, got {delta}, {gamma}")
     if eps < 0.0 or tau < 0.0 or eps + tau >= 1.0:
-        raise VacuousBoundError(f"eps + tau must be < 1, got {eps} + {tau}")
-    exp_lower = kl - gamma
-    exp_upper = kl + delta - math.log1p(-(eps + tau))
-    return SteinBounds(
-        beta_lower=typicality.exp_or_inf(-exp_upper),
-        beta_upper=typicality.exp_or_inf(-exp_lower),
-        exp_lower=exp_lower,
-        exp_upper=exp_upper,
-    )
+        raise ValueError(f"eps + tau must be < 1, got {eps} + {tau}")
+    return SteinBounds(exp_lower=kl - gamma, exp_upper=kl + delta - math.log1p(-(eps + tau)))
 
 
-@dataclass(frozen=True)
-class ExponentFit:
-    slope: float
-    intercept: float
-    r2: float
-
-
-def exponent_fit(ns: Sequence[int], beta_logs: Sequence[float]) -> ExponentFit:
+def exponent_fit(ns: Sequence[int], beta_logs: Sequence[float]) -> float:
     """Least-squares slope of -ln(beta) against n."""
     ns = np.asarray(ns, dtype=float)
     beta_logs = np.asarray(beta_logs, dtype=float)
@@ -201,12 +189,8 @@ def exponent_fit(ns: Sequence[int], beta_logs: Sequence[float]) -> ExponentFit:
         raise ValueError("need at least 3 (n, beta_log) points")
     if np.ptp(ns) == 0.0:
         raise ValueError("abscissae are degenerate")
-    slope, intercept = np.polyfit(ns, beta_logs, 1)
-    fitted = slope * ns + intercept
-    ss_res = float(np.sum((beta_logs - fitted) ** 2))
-    ss_tot = float(np.sum((beta_logs - np.mean(beta_logs)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(slope=float(slope), intercept=float(intercept), r2=r2)
+    slope, _ = np.polyfit(ns, beta_logs, 1)
+    return float(slope)
 
 
 @dataclass(frozen=True)
@@ -238,7 +222,6 @@ class GcslResult:
     rows: list[GcslRow]
     stein_rate: float
     slope: float
-    r2: float
     slope_rel_err: float
 
 
@@ -249,7 +232,7 @@ def _exact_terms(cov_p, cov_q, n: int, tau: float) -> tuple:
     pair = gaussian.whiten_toeplitz(cov_p, cov_q, n)
     # The window's delta and gamma and the typical set's delta are the same
     # CLT good threshold.
-    form = gaussian.llr_form(pair, "p")
+    form = gaussian.llr_form(pair)
     gamma = typicality.good_delta(form, tau)
     window = stein_bounds(pair.kl, gamma, gamma, tau, tau)
     det_np = np_threshold_exact(pair, tau)
@@ -331,11 +314,7 @@ def gcsl_experiment(
             )
         )
 
-    fit = exponent_fit([r.n for r in rows], [r.np_beta_log for r in rows])
+    slope = exponent_fit([r.n for r in rows], [r.np_beta_log for r in rows])
     return GcslResult(
-        rows=rows,
-        stein_rate=rate,
-        slope=fit.slope,
-        r2=fit.r2,
-        slope_rel_err=abs(fit.slope - rate) / rate,
+        rows=rows, stein_rate=rate, slope=slope, slope_rel_err=abs(slope - rate) / rate
     )

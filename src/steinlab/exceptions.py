@@ -23,7 +23,3 @@ class IllConditionedSpectraError(SteinlabError):
 
 class DegeneratePairError(SteinlabError):
     """The two hypotheses coincide, so no error exponent exists."""
-
-
-class VacuousBoundError(SteinlabError):
-    """The requested probability bound is vacuous (mass budget >= 1)."""

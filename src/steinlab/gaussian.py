@@ -1,24 +1,23 @@
-"""Zero-mean Gaussian models, whitening and exact relative entropy.
+"""Zero-mean Gaussian laws, whitening and exact relative entropy.
 
-A `GaussianModel` holds the dimension, log-determinant and differential
-entropy of its covariance, from the Levinson recursion of a stationary one
-(`model_toeplitz`: O(n^2) time, no LAPACK call).  `whiten` checks two
-dense covariances by their factors Lp and Lq and reduces the pair through
-them to the equivalent diagonal-vs-identity test: a `HypothesisPair` is
-its diagonal entries, the kappas, and its exact relative entropy.  The
-kappas are the pencil's eigenvalues, from one values-only solve of X X^T
-with X = Lq^-1 Lp, so q is factored once (`whiten_toeplitz` for two
-covariance sequences at one n).  There the log-likelihood ratio is a
-`qform.QuadraticForm`, an affine weighted sum of chi-square variables
-(`llr_form`), as is -log p of a model (`surprisal_form`);
+`surprisal_forms` gives -log p of a stationary covariance's Toeplitz law
+from its Levinson recursion (O(n^2) time, no LAPACK call).  `whiten`
+checks two dense covariances by their factors Lp and Lq and reduces the
+pair through them to the equivalent diagonal-vs-identity test: a
+`HypothesisPair` is its diagonal entries, the kappas, and its exact
+relative entropy.  The kappas are the pencil's eigenvalues, from one
+values-only solve of X X^T with X = Lq^-1 Lp, so q is factored once
+(`whiten_toeplitz` for two covariance sequences at one n).  There the
+log-likelihood ratio under p is a `qform.QuadraticForm`, an affine
+weighted sum of chi-square variables (`llr_form`), as is -log p;
 `streams.quadratic_draws` samples such forms for every Monte Carlo study:
 no density is evaluated and no draw is kept as a vector.  A pair whose
-kappas are 1 up to rounding has no LLR: `llr_form` rejects it by
-`HypothesisPair.require_distinct`, the one degenerate-pair rule.
-`kl_toeplitz` gives the same relative entropy for two stationary
-covariances straight from their lags.  Both Toeplitz functions take an
-ascending list of n and run one recursion per covariance, at the largest
-n: every smaller n reads its errors and predictor off that run.
+kappas are 1 up to rounding has no LLR: `llr_form` rejects it by the
+form's CLT scale B_n, the one degenerate-pair rule.  `kl_toeplitz` gives
+the same relative entropy for two stationary covariances straight from
+their lags.  `surprisal_forms` and `kl_toeplitz` take an ascending list of
+n and run one recursion per covariance, at the largest n: every smaller n
+reads its errors and predictor off that run.
 """
 
 from __future__ import annotations
@@ -31,23 +30,8 @@ from . import numlin, qform
 from .exceptions import DegeneratePairError, InvalidDimensionError
 
 LOG_2PI = float(np.log(2.0 * np.pi))
-# `HypothesisPair.require_distinct` rejects a b_n up to this many rounding units.
+# `llr_form` rejects a B_n up to this many rounding units.
 DEGENERATE_ROUNDING = 64.0
-
-
-@dataclass(frozen=True)
-class GaussianModel:
-    """n-dimensional zero-mean Gaussian law (nats)."""
-
-    n: int
-    log_det: float
-    entropy: float
-
-    @classmethod
-    def from_log_det(cls, n: int, log_det: float) -> "GaussianModel":
-        """The model of dimension n whose covariance has this log-determinant:
-        its entropy is 0.5 (n (ln 2 pi + 1) + log det)."""
-        return cls(n=n, log_det=log_det, entropy=0.5 * (n * (LOG_2PI + 1.0) + log_det))
 
 
 def _leading_lags(cov, ns) -> np.ndarray:
@@ -58,14 +42,20 @@ def _leading_lags(cov, ns) -> np.ndarray:
     return cov.k(np.arange(ns[-1]))
 
 
-def model_toeplitz(cov, ns) -> list[GaussianModel]:
-    """The model of the n x n Toeplitz matrix of a covariance sequence,
-    for each n of the ascending `ns`, from its lags: log det T_n =
-    sum(log E_k) over the first n prediction errors of one
-    `numlin.levinson` run at the largest n, which apply the same
-    positive-definiteness rule as the Cholesky pivots."""
+def surprisal_forms(cov, ns) -> list[qform.QuadraticForm]:
+    """-log p as a form in z ~ N(0, I), for p the n x n Toeplitz law of a
+    covariance sequence, for each n of the ascending `ns`: a draw from p is
+    L z (L L^T = T_n), and -log p(L z) = 0.5 (n ln 2 pi + log det T_n) +
+    0.5 |z|^2, its mean the entropy.  log det T_n = sum(log E_k) over the
+    first n prediction errors of one `numlin.levinson` run at the largest
+    n, which apply the same positive-definiteness rule as the Cholesky
+    pivots."""
     _, errors = numlin.levinson(_leading_lags(cov, ns), ns)
-    return [GaussianModel.from_log_det(n, float(np.sum(np.log(errors[:n])))) for n in ns]
+    forms = []
+    for n in ns:
+        log_det = float(np.sum(np.log(errors[:n])))
+        forms.append(qform.QuadraticForm(np.full(n, 0.5), 0.5 * (n * LOG_2PI + log_det)))
+    return forms
 
 
 def _kl_from_kappas(kappas: np.ndarray) -> float:
@@ -108,22 +98,6 @@ class HypothesisPair:
     kappas: np.ndarray  # descending
     kl: float
 
-    @property
-    def b_n(self) -> float:
-        """CLT scale of the log-likelihood ratio: sqrt(sum (kappa-1)^2)."""
-        return float(np.sqrt(np.sum((self.kappas - 1.0) ** 2)))
-
-    def require_distinct(self) -> "HypothesisPair":
-        """The pair, or `DegeneratePairError` if p and q agree up to
-        rounding: b_n <= `DEGENERATE_ROUNDING` eps sqrt(n) max kappa.
-        Whitening a stationary pair against itself left at most 6.25 such
-        units for n <= 1024 in every case tried."""
-        n = self.kappas.size
-        rounding = np.finfo(float).eps * np.sqrt(n) * np.max(self.kappas)
-        if self.b_n <= DEGENERATE_ROUNDING * rounding:
-            raise DegeneratePairError("hypotheses are identical (all kappas are 1 up to rounding)")
-        return self
-
 
 def whiten(cov_p: np.ndarray, cov_q: np.ndarray) -> HypothesisPair:
     """Reduce (cov_p, cov_q) to the diagonal-vs-identity equivalent test.
@@ -146,21 +120,16 @@ def whiten_toeplitz(cov_p, cov_q, n: int) -> HypothesisPair:
     return whiten(numlin.toeplitz_from_cov(cov_p, n), numlin.toeplitz_from_cov(cov_q, n))
 
 
-def llr_form(pair: HypothesisPair, under: str) -> qform.QuadraticForm:
-    """The LLR as a form in z ~ N(0, I), for draws from p or q;
-    `DegeneratePairError` for a pair that fails `require_distinct`."""
-    # Whitened draws are sqrt(kappa) z under p and z under q (z ~ N(0, I)),
-    # so LLR = sum c z^2 - 0.5 sum log kappa, c = 0.5 (kappa - 1) [/ kappa].
-    if under not in ("p", "q"):
-        raise ValueError(f"under must be 'p' or 'q', got {under!r}")
-    pair.require_distinct()
-    coef = 0.5 * (pair.kappas - 1.0)
-    if under == "q":
-        coef = coef / pair.kappas
-    return qform.QuadraticForm(coef, -0.5 * float(np.sum(np.log(pair.kappas))))
-
-
-def surprisal_form(model: GaussianModel) -> qform.QuadraticForm:
-    """-log p as a form in z ~ N(0, I): a draw from p is L z (L L^T =
-    Lambda), and -log p(L z) = 0.5 (n ln 2 pi + log det Lambda) + 0.5 |z|^2."""
-    return qform.QuadraticForm(np.full(model.n, 0.5), 0.5 * (model.n * LOG_2PI + model.log_det))
+def llr_form(pair: HypothesisPair) -> qform.QuadraticForm:
+    """The LLR under p as a form in z ~ N(0, I), or `DegeneratePairError`
+    if p and q agree up to rounding: its scale B_n <= `DEGENERATE_ROUNDING`
+    eps sqrt(n) max kappa.  Whitening a stationary pair against itself left
+    at most 6.25 such units for n <= 1024 in every case tried."""
+    # Whitened draws from p are sqrt(kappa) z (z ~ N(0, I)), so
+    # LLR = sum c z^2 - 0.5 sum log kappa with c = 0.5 (kappa - 1).
+    kappas = pair.kappas
+    form = qform.QuadraticForm(0.5 * (kappas - 1.0), -0.5 * float(np.sum(np.log(kappas))))
+    rounding = np.finfo(float).eps * np.sqrt(kappas.size) * np.max(kappas)
+    if form.scale <= DEGENERATE_ROUNDING * rounding:
+        raise DegeneratePairError("hypotheses are identical (all kappas are 1 up to rounding)")
+    return form

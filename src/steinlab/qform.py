@@ -95,11 +95,18 @@ class QuadraticForm:
         """The t with cdf(t) = p to `CDF_TOL`, by `bracketed_newton` from
         the normal quantile mean + sd Phi^-1(p), sd = B / sqrt 2, moving by
         sd while the bracket is open; `what` names the solve in a
-        `NumericalFailureError`."""
+        `NumericalFailureError`.  Below the level each step is Newton's on
+        ln F, (ln F - ln p) F / f, and none where F = 0: from deep in the
+        lower tail a plain step would throw t far past the root."""
         sd = self.scale / math.sqrt(2.0)
 
         def gap(t):
             value, density = self.cdf(t)
+            if 0.0 < value < p - CDF_TOL:
+                # The slope that turns the plain step into the ln F step.
+                density *= (value - p) / (value * math.log(value / p))
+            elif value <= 0.0:
+                density = 0.0
             return value - p, density
 
         start = self.mean + sd * NormalDist().inv_cdf(p)

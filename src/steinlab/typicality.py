@@ -1,15 +1,15 @@
 """Typical sets, their good thresholds, and their bound calculators.
 
 A typical set is a `qform.QuadraticForm` statistic and a delta: the
-entropy-centred set tests -log p (`gaussian.surprisal_form`), the
+entropy-centred set tests -log p (`gaussian.surprisal_forms`), the
 relative-entropy-centred set the log-likelihood ratio (`gaussian.llr_form`),
 with one membership rule; the relative-entropy set is also the
-typical-set detector that `detect` scores.  Besides the sets: the inverse
-normal tail they calibrate against, the CLT good threshold `good_delta`
-of any form (a normal approximation, neither minimal nor always
-eps-good), Monte Carlo set-probability estimation on the draws of
-`streams.quadratic_draws`, and one window that bounds both a set's volume
-and the relative-entropy set's q-mass.  Everything is in nats.
+typical-set detector that `detect` scores.  Besides the sets: the CLT good
+threshold `good_delta` of any form (the inverse normal tail, scaled: a
+normal approximation, neither minimal nor always eps-good), Monte Carlo
+set-probability estimation on the draws of `streams.quadratic_draws`, and
+one window that bounds both a set's volume and the relative-entropy set's
+q-mass.  Everything is in nats.
 """
 
 from __future__ import annotations
@@ -25,13 +25,6 @@ from . import qform, streams
 from .exceptions import DegeneratePairError
 
 
-def qfunc_inv(p: float) -> float:
-    """Inverse of Q on (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"qfunc_inv requires p in (0, 1), got {p}")
-    return -NormalDist().inv_cdf(p)
-
-
 def good_delta(form: qform.QuadraticForm, eps: float) -> float:
     """CLT threshold (B/sqrt(2)) Qinv(eps/2) for the statistic `form`, as if
     it were normal with variance B^2/2.  That is neither minimal nor always
@@ -42,7 +35,7 @@ def good_delta(form: qform.QuadraticForm, eps: float) -> float:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     if not form.scale > 0.0:
         raise DegeneratePairError("the statistic is constant (all coefficients are 0)")
-    return form.scale / math.sqrt(2.0) * qfunc_inv(eps / 2.0)
+    return form.scale / math.sqrt(2.0) * -NormalDist().inv_cdf(eps / 2.0)
 
 
 @dataclass(frozen=True, eq=False)

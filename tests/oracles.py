@@ -13,7 +13,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from steinlab import detect, gaussian, numlin, spectral, streams, sublinear
+from steinlab import detect, gaussian, numlin, qform, spectral, streams, sublinear
 from steinlab.exceptions import InvalidDimensionError, NumericalFailureError
 
 # `clt_psi_check` passes when its Kolmogorov-Smirnov distance is below this.
@@ -37,8 +37,11 @@ def sample_llr(
     pair: gaussian.HypothesisPair, count: int, seed: int, under: str = "p"
 ) -> np.ndarray:
     """LLR values of `count` draws from p or q, in whitened coordinates:
-    `gaussian.llr_form` on the draws of `streams.quadratic_draws`."""
-    form = gaussian.llr_form(pair, under)
+    `gaussian.llr_form` on the draws of `streams.quadratic_draws`.  A draw
+    from q is z, not sqrt(kappa) z, so its form has coefficients c / kappa."""
+    form = gaussian.llr_form(pair)
+    if under == "q":
+        form = qform.QuadraticForm(form.coef / pair.kappas, form.offset)
     return np.concatenate(streams.quadratic_draws(seed, count, [form], lambda v: v[0]))
 
 
@@ -83,7 +86,7 @@ def clt_psi_check(pair: gaussian.HypothesisPair, count: int, seed: int) -> CltCh
     if count < 10_000:
         raise ValueError(f"count must be >= 10000, got {count}")
     llrs = sample_llr(pair, count, seed, "p")
-    values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
+    values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / gaussian.llr_form(pair).scale))
     cdf = 0.5 * np.fromiter(map(math.erfc, -values / math.sqrt(2.0)), float, count)
     i = np.arange(1, count + 1)
     ks = float(np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count)))
@@ -103,11 +106,17 @@ def kl_gaussian(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
     return gaussian.whiten(cov_p, cov_q).kl
 
 
-def model_from_cov(cov: np.ndarray) -> gaussian.GaussianModel:
-    """Build a model from a symmetric positive-definite covariance."""
+def log_det(cov: np.ndarray) -> float:
+    """log det of a symmetric positive-definite covariance, from its factor."""
     factor = numlin.cholesky(numlin.symmetrize(cov), "covariance")
-    log_det = 2.0 * float(np.sum(np.log(np.diagonal(factor))))
-    return gaussian.GaussianModel.from_log_det(factor.shape[0], log_det)
+    return 2.0 * float(np.sum(np.log(np.diagonal(factor))))
+
+
+def surprisal_form(cov: np.ndarray) -> qform.QuadraticForm:
+    """-log p of p = N(0, cov) as a form in z ~ N(0, I), the dense
+    counterpart of `gaussian.surprisal_forms`: its mean is the entropy."""
+    n = cov.shape[0]
+    return qform.QuadraticForm(np.full(n, 0.5), 0.5 * (n * gaussian.LOG_2PI + log_det(cov)))
 
 
 def diagonal_pair(kappas) -> gaussian.HypothesisPair:

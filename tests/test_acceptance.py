@@ -74,8 +74,7 @@ def test_criterion_05_good_threshold_coverage():
     n, eps, count = 256, 0.05, 100_000
     checks = []
 
-    model = oracles.model_from_cov(np.eye(n))
-    form = gaussian.surprisal_form(model)
+    form = oracles.surprisal_form(np.eye(n))
     delta_white = typicality.good_delta(form, eps)
     mc = typicality.mc_typical_probs(
         [typicality.TypicalSetSpec(form, delta_white)], count, seed=101
@@ -83,7 +82,7 @@ def test_criterion_05_good_threshold_coverage():
     checks.append(mc.estimate >= 1.0 - eps - 3.0 * mc.stderr)
 
     pair = toeplitz_pair(n)
-    form = gaussian.llr_form(pair, "p")
+    form = gaussian.llr_form(pair)
     delta_corr = typicality.good_delta(form, eps)
     mc = typicality.mc_typical_probs(
         [typicality.TypicalSetSpec(form, delta_corr)], count, seed=102
@@ -110,7 +109,7 @@ def test_criterion_06_exponent_sandwich():
     details = []
     for i, n in enumerate((64, 128, 256)):
         pair = toeplitz_pair(n)
-        delta = typicality.good_delta(gaussian.llr_form(pair, "p"), tau)
+        delta = typicality.good_delta(gaussian.llr_form(pair), tau)
         window = detect.stein_bounds(pair.kl, delta, delta, eps, tau)
         det = oracles.np_calibrate(pair, tau, count, seed=200 + 2 * i)
         est = detect.estimate_beta_is(det, pair, count, seed=201 + 2 * i)

@@ -50,6 +50,62 @@ NOT_RUN_BY_STUDIES = {
 }
 
 
+# Dataclass fields and properties that no code in the package reads by
+# name, each with its reader: a whole class stands for all of its fields.
+NOT_READ_BY_NAME = {
+    "detect.GcslRow": "printed by `detect`, a column per field, through dataclasses.asdict",
+    "spectral.EquivalenceRow": "printed by `asymptotics` through dataclasses.asdict",
+    "typicality.VolumeBounds": "the volume and q-mass window of an eps-good typical set",
+    "detect.ErrorEstimates.beta_hat": "beta itself, which the tests read from estimate_beta_is",
+    "detect.ErrorEstimates.stderr_alpha": "the stderr of alpha_hat, read as beta_hat is",
+}
+
+
+def package_sources():
+    """{file path: parsed source} for every module of the package."""
+    package = os.path.dirname(cli.__file__)
+    trees = {}
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            path = os.path.join(package, name)
+            with open(path) as source:
+                trees[path] = ast.parse(source.read())
+    return trees
+
+
+def module_name(path):
+    return os.path.basename(path)[:-3]
+
+
+def decorator_names(node):
+    """The bare names of a definition's decorators: `dataclass` for
+    `@dataclass(frozen=True)`, `cached_property` for
+    `@functools.cached_property`."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        yield target.attr if isinstance(target, ast.Attribute) else target.id
+
+
+def package_fields(trees):
+    """{dotted name: attribute name} for every dataclass field, property and
+    cached_property defined in the package."""
+    found = {}
+    for path, tree in trees.items():
+        for cls in (node for node in ast.walk(tree) if isinstance(node, ast.ClassDef)):
+            is_dataclass = "dataclass" in decorator_names(cls)
+            for item in cls.body:
+                if is_dataclass and isinstance(item, ast.AnnAssign):
+                    name = item.target.id
+                elif isinstance(item, ast.FunctionDef) and {"property", "cached_property"} & set(
+                    decorator_names(item)
+                ):
+                    name = item.name
+                else:
+                    continue
+                found[f"{module_name(path)}.{cls.name}.{name}"] = name
+    return found
+
+
 def package_functions():
     """{(file, first line of its code): dotted name} for every function and
     method defined in the package, nested ones included."""
@@ -67,12 +123,8 @@ def package_functions():
             else:
                 visit(child, path, prefix)
 
-    package = os.path.dirname(cli.__file__)
-    for name in sorted(os.listdir(package)):
-        if name.endswith(".py"):
-            path = os.path.join(package, name)
-            with open(path) as source:
-                visit(ast.parse(source.read()), path, f"{name[:-3]}.")
+    for path, tree in package_sources().items():
+        visit(tree, path, f"{module_name(path)}.")
     return found
 
 
@@ -538,12 +590,11 @@ class TestMonteCarloWithinTolerance:
         eps, factor = config["eps"], config["delta_factor"]
         if variant == "entropy":
             del config["cov_q"]
-            models = gaussian.model_toeplitz(cov_p, config["ns"])
-            forms = [gaussian.surprisal_form(model) for model in models]
+            forms = gaussian.surprisal_forms(cov_p, config["ns"])
         else:
             cov_q = cli.covariance_from_spec(config["cov_q"])
             forms = [
-                gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n), "p")
+                gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n))
                 for n in config["ns"]
             ]
         deltas = [factor * typicality.good_delta(form, eps) for form in forms]
@@ -634,6 +685,31 @@ class TestPlumbing:
         assert set(NOT_RUN_BY_STUDIES) <= set(functions.values())
         unreached = {name for key, name in functions.items() if key not in reached}
         assert sorted(unreached - set(NOT_RUN_BY_STUDIES)) == []
+
+    def test_package_reads_every_field(self):
+        """A dataclass field, property or cached_property that no code in the
+        package loads as an attribute is a result nothing computes with: it
+        is named in NOT_READ_BY_NAME with its reader, or it goes.  The check
+        goes by name, so a field that shares its name with an attribute read
+        anywhere in the package (another class's, or a module's) passes."""
+        trees = package_sources()
+        fields = package_fields(trees)
+        loaded = {
+            node.attr
+            for tree in trees.values()
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        }
+        owners = {name.rpartition(".")[0] for name in fields}
+        assert set(NOT_READ_BY_NAME) <= set(fields) | owners
+        unread = [
+            name
+            for name, attr in fields.items()
+            if attr not in loaded
+            and name not in NOT_READ_BY_NAME
+            and name.rpartition(".")[0] not in NOT_READ_BY_NAME
+        ]
+        assert unread == []
 
     def test_deterministic_output(self, capsys):
         args = ("typical", "--n-list", "32", "--samples", "2000", "--seed", "9")

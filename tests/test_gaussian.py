@@ -23,46 +23,47 @@ NEAR_SINGULAR = np.diag([1.0, 1e-13])
 
 class TestModel:
     def test_identity_factors(self):
-        model = oracles.model_from_cov(np.eye(3))
-        assert model.log_det == pytest.approx(0.0)
+        assert oracles.log_det(np.eye(3)) == pytest.approx(0.0)
 
     def test_identity_entropy(self):
-        # differential entropy of N(0, I_n) is n/2 * (ln(2 pi) + 1)
-        model = oracles.model_from_cov(np.eye(4))
-        assert model.entropy == pytest.approx(2.0 * (gaussian.LOG_2PI + 1.0))
+        # differential entropy of N(0, I_n), the mean of -log p, is
+        # n/2 * (ln(2 pi) + 1)
+        form = oracles.surprisal_form(np.eye(4))
+        assert form.mean == pytest.approx(2.0 * (gaussian.LOG_2PI + 1.0))
 
     def test_diagonal_log_det(self):
-        model = oracles.model_from_cov(np.diag([2.0, 8.0]))
-        assert model.log_det == pytest.approx(np.log(16.0))
+        assert oracles.log_det(np.diag([2.0, 8.0])) == pytest.approx(np.log(16.0))
 
     def test_non_pd_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            oracles.model_from_cov(np.diag([1.0, 0.0]))
+            oracles.log_det(np.diag([1.0, 0.0]))
 
     def test_indefinite_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            oracles.model_from_cov(np.diag([1.0, -1.0]))
+            oracles.log_det(np.diag([1.0, -1.0]))
 
     def test_near_singular_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
-            oracles.model_from_cov(NEAR_SINGULAR)
+            oracles.log_det(NEAR_SINGULAR)
 
     @pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, -0.95])
     @pytest.mark.parametrize("n", [1, 17, 256])
     def test_toeplitz_matches_dense(self, rho, n):
         cov = spectral.CovarianceSequence.geometric(rho)
-        dense = oracles.model_from_cov(numlin.toeplitz_from_cov(cov, n))
-        (model,) = gaussian.model_toeplitz(cov, [n])
-        assert model.n == n
-        assert model.log_det == pytest.approx(dense.log_det, rel=1e-12, abs=1e-12)
-        assert model.entropy == pytest.approx(dense.entropy, rel=1e-13)
+        dense = numlin.toeplitz_from_cov(cov, n)
+        (form,) = gaussian.surprisal_forms(cov, [n])
+        assert form.coef.size == n
+        # The offset is 0.5 (n ln 2 pi + log det); its mean adds n / 2.
+        log_det = 2.0 * form.offset - n * gaussian.LOG_2PI
+        assert log_det == pytest.approx(oracles.log_det(dense), rel=1e-12, abs=1e-12)
+        assert form.mean == pytest.approx(oracles.surprisal_form(dense).mean, rel=1e-13)
 
     def test_toeplitz_near_singular_rejected(self):
         # The 2x2 Toeplitz matrix of K = (1, 1 - 1e-13) has last pivot about
         # 2e-13, below the PD rule, as for its Cholesky factor.
         lags = spectral.CovarianceSequence.from_table([1.0, 1.0 - 1e-13])
         with pytest.raises(NotPositiveDefiniteError):
-            gaussian.model_toeplitz(lags, [2])
+            gaussian.surprisal_forms(lags, [2])
 
 
 class TestKl:
@@ -167,7 +168,7 @@ class TestWhiten:
 
     def test_b_n(self):
         pair = oracles.diagonal_pair([3.0, 1.0, 0.5])
-        assert pair.b_n == pytest.approx(np.hypot(2.0, 0.5), abs=1e-12)
+        assert gaussian.llr_form(pair).scale == pytest.approx(np.hypot(2.0, 0.5), abs=1e-12)
 
     def test_diagonal_pair_recovers_kappas(self):
         kappas = [4.0, 2.0, 0.25]
@@ -193,11 +194,6 @@ class TestLlr:
         log_q = multivariate_normal(cov=np.eye(6)).logpdf(zs)
         assert np.allclose(sampled, log_p - log_q, atol=1e-10)
 
-    def test_chunks_reject_unknown_law(self):
-        pair = oracles.diagonal_pair([2.0, 0.5])
-        with pytest.raises(ValueError):
-            gaussian.llr_form(pair, "r")
-
 
 # Identical pairs of every kind: whitening leaves their kappas a few
 # rounding units eps sqrt(n) max kappa from 1, never exactly 1 in general.
@@ -219,9 +215,10 @@ class TestDegenerateRule:
         for cov in IDENTICAL_COVARIANCES:
             pair = gaussian.whiten_toeplitz(cov, cov, n)
             # 6.25 units at most here: the rule's 64 leaves a margin of 10.
-            assert pair.b_n <= 10.0 * eps * np.sqrt(n) * np.max(pair.kappas)
+            b_n = np.sqrt(np.sum((pair.kappas - 1.0) ** 2))
+            assert b_n <= 10.0 * eps * np.sqrt(n) * np.max(pair.kappas)
             with pytest.raises(DegeneratePairError):
-                pair.require_distinct()
+                gaussian.llr_form(pair)
 
     GUARDS = {
         "np_threshold_exact": lambda pair, cov: detect.np_threshold_exact(pair, 0.2),
@@ -229,23 +226,22 @@ class TestDegenerateRule:
         "estimate_beta_is": lambda pair, cov: detect.estimate_beta_is(
             detect.NpThreshold(0.0), pair, 1000, 0
         ),
-        "llr_form-p": lambda pair, cov: gaussian.llr_form(pair, "p"),
-        "llr_form-q": lambda pair, cov: gaussian.llr_form(pair, "q"),
+        "llr_form-p": lambda pair, cov: gaussian.llr_form(pair),
     }
 
     @pytest.mark.parametrize("guard", list(GUARDS))
     def test_guards_reject_a_pair_identical_up_to_rounding(self, geo_half, guard):
-        # b_n is 4.4e-15 here, not 0, and the KL is exactly 0.
+        # B_n is 4.4e-15 here, not 0, and the KL is exactly 0.
         pair = gaussian.whiten_toeplitz(geo_half, geo_half, 64)
-        assert 0.0 < pair.b_n < 1e-13
+        assert 0.0 < np.sqrt(np.sum((pair.kappas - 1.0) ** 2)) < 1e-13
         with pytest.raises(DegeneratePairError):
             self.GUARDS[guard](pair, geo_half)
 
     def test_nearby_pair_accepted(self, geo_half):
-        # rho 0.5 against 0.501: b_n is far above rounding, though small.
+        # rho 0.5 against 0.501: B_n is far above rounding, though small.
         cov_q = spectral.CovarianceSequence.geometric(0.501)
         pair = gaussian.whiten_toeplitz(geo_half, cov_q, 64)
-        pair.require_distinct()
+        gaussian.llr_form(pair)
         assert detect.np_threshold_exact(pair, 0.2).threshold < pair.kl
 
 

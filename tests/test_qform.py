@@ -7,6 +7,8 @@ from scipy import special
 from steinlab import gaussian, numlin, qform, spectral
 from steinlab.exceptions import NumericalFailureError
 
+import oracles
+
 
 def recorded(f):
     """f, and the list of the points it is called at."""
@@ -100,10 +102,10 @@ class TestQuadraticForm:
     def test_surprisal_law_is_gamma(self, n):
         # -log p = offset + |z|^2 / 2, and |z|^2 / 2 is Gamma(n / 2).
         cov = spectral.CovarianceSequence.geometric(0.5)
-        model = gaussian.model_toeplitz(cov, [n])[0]
-        form = gaussian.surprisal_form(model)
+        form = gaussian.surprisal_forms(cov, [n])[0]
         assert form.scale == math.sqrt(n)
-        assert form.mean == pytest.approx(model.entropy, rel=1e-12)
+        entropy = oracles.surprisal_form(numlin.toeplitz_from_cov(cov, n)).mean
+        assert form.mean == pytest.approx(entropy, rel=1e-12)
         for y in (0.25 * n, 0.5 * n, n, 1.5 * n + 3.0):
             cdf, _ = form.cdf(form.offset + y)
             assert abs(cdf - special.gammainc(n / 2.0, y)) < 1e-12
@@ -112,8 +114,8 @@ class TestQuadraticForm:
     def test_llr_scale_is_b_n_and_mean_is_kl(self, n):
         cov_p = spectral.CovarianceSequence.geometric(0.5)
         pair = gaussian.whiten(numlin.toeplitz_from_cov(cov_p, n), np.eye(n))
-        form = gaussian.llr_form(pair, "p")
-        assert form.scale == pair.b_n
+        form = gaussian.llr_form(pair)
+        assert form.scale == pytest.approx(np.sqrt(np.sum((pair.kappas - 1.0) ** 2)), rel=1e-15)
         assert form.mean == pytest.approx(pair.kl, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("p", [1e-9, 0.2, 0.5, 0.9])

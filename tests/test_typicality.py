@@ -5,62 +5,67 @@ import pytest
 from scipy import special
 from scipy.stats import norm
 
-from steinlab import gaussian, numlin, typicality
+from steinlab import gaussian, numlin, qform, typicality
 from steinlab.exceptions import DegeneratePairError
 
 import oracles
 
 
+# A form of scale sqrt(2): its good_delta at eps is Qinv(eps/2) itself.
+UNIT_SD_FORM = qform.QuadraticForm(np.full(2, 0.5), 0.0)
+
+
 class TestQfunc:
+    """The inverse normal tail Qinv(eps/2) that `good_delta` scales."""
+
     def test_inverse_matches_scipy_isf(self):
-        for p in (1e-6, 0.025, 0.5, 0.9):
-            assert typicality.qfunc_inv(p) == pytest.approx(norm.isf(p), rel=1e-10)
+        for p in (1e-6, 0.025, 0.5):
+            assert typicality.good_delta(UNIT_SD_FORM, 2.0 * p) == pytest.approx(
+                norm.isf(p), rel=1e-10
+            )
 
     def test_inverse_within_1e14_of_scipy(self):
-        # `detect` starts Newton at the normal quantile -qfunc_inv(tau).
-        lower, upper = np.logspace(-300, -2, 60), 1.0 - np.logspace(-15, -2, 27)
-        for p in np.concatenate((lower, np.linspace(0.01, 0.99, 99), upper)):
-            assert typicality.qfunc_inv(p) == pytest.approx(norm.isf(p), rel=1e-14, abs=0.0)
-            assert -typicality.qfunc_inv(p) == pytest.approx(special.ndtri(p), rel=1e-14, abs=0.0)
+        # `QuadraticForm.quantile` starts Newton at the same normal quantile.
+        for p in np.concatenate((np.logspace(-300, -2, 60), np.linspace(0.01, 0.5, 50))):
+            delta = typicality.good_delta(UNIT_SD_FORM, 2.0 * p)
+            assert delta == pytest.approx(norm.isf(p), rel=1e-14, abs=0.0)
+            assert -delta == pytest.approx(special.ndtri(p), rel=1e-14, abs=0.0)
 
     def test_inverse_domain(self):
-        for p in (0.0, 1.0, -0.1):
+        for eps in (0.0, 1.5, -0.1):
             with pytest.raises(ValueError):
-                typicality.qfunc_inv(p)
+                typicality.good_delta(UNIT_SD_FORM, eps)
 
 
 class TestGoodDeltas:
     def test_white_gaussian_closed_form(self):
         # the entropy statistic per coordinate has variance 1/2
         n, eps = 64, 0.1
-        model = oracles.model_from_cov(np.eye(n))
-        assert typicality.good_delta(gaussian.surprisal_form(model), eps) == pytest.approx(
+        form = oracles.surprisal_form(np.eye(n))
+        assert typicality.good_delta(form, eps) == pytest.approx(
             math.sqrt(n / 2.0) * norm.isf(eps / 2.0)
         )
 
     def test_correlated_uses_b_n(self):
         pair = oracles.diagonal_pair([3.0, 1.0])
-        assert pair.b_n == pytest.approx(2.0)
-        assert typicality.good_delta(gaussian.llr_form(pair, "p"), 0.2) == pytest.approx(
-            2.0 / math.sqrt(2.0) * typicality.qfunc_inv(0.1)
-        )
+        form = gaussian.llr_form(pair)
+        assert form.scale == pytest.approx(2.0)
+        assert typicality.good_delta(form, 0.2) == pytest.approx(2.0 / math.sqrt(2.0) * norm.isf(0.1))
 
     def test_degenerate_pair_rejected(self):
         pair = oracles.diagonal_pair([1.0, 1.0])
         with pytest.raises(DegeneratePairError):
-            typicality.good_delta(gaussian.llr_form(pair, "p"), 0.1)
+            typicality.good_delta(gaussian.llr_form(pair), 0.1)
 
     def test_bad_arguments(self):
-        model = oracles.model_from_cov(np.eye(4))
         with pytest.raises(ValueError):
-            typicality.good_delta(gaussian.surprisal_form(model), 0.0)
+            typicality.good_delta(oracles.surprisal_form(np.eye(4)), 0.0)
 
 
 class TestMonteCarlo:
     def test_white_entropy_coverage(self):
         n, eps = 64, 0.1
-        model = oracles.model_from_cov(np.eye(n))
-        form = gaussian.surprisal_form(model)
+        form = oracles.surprisal_form(np.eye(n))
         spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
         result = typicality.mc_typical_probs([spec], count=20_000, seed=21)[0]
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.01
@@ -68,21 +73,19 @@ class TestMonteCarlo:
     def test_rel_entropy_coverage(self):
         eps = 0.1
         pair = oracles.diagonal_pair(np.linspace(0.5, 2.0, 32))
-        form = gaussian.llr_form(pair, "p")
+        form = gaussian.llr_form(pair)
         spec = typicality.TypicalSetSpec(form, typicality.good_delta(form, eps))
         result = typicality.mc_typical_probs([spec], count=20_000, seed=22)[0]
         assert abs(result.estimate - (1.0 - eps)) < 4.0 * result.stderr + 0.02
 
     def test_deterministic(self):
-        model = oracles.model_from_cov(np.eye(8))
-        spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
+        spec = typicality.TypicalSetSpec(oracles.surprisal_form(np.eye(8)), 1.0)
         a = typicality.mc_typical_probs([spec], count=2000, seed=5)[0]
         b = typicality.mc_typical_probs([spec], count=2000, seed=5)[0]
         assert a.estimate == b.estimate
 
     def test_small_count_rejected(self):
-        model = oracles.model_from_cov(np.eye(2))
-        spec = typicality.TypicalSetSpec(gaussian.surprisal_form(model), 1.0)
+        spec = typicality.TypicalSetSpec(oracles.surprisal_form(np.eye(2)), 1.0)
         with pytest.raises(ValueError):
             typicality.mc_typical_probs([spec], count=999, seed=0)
 
@@ -142,7 +145,7 @@ class TestCltCheck:
         pair, count, seed = pair_rho_half_n64, 10_000, 7
         result = oracles.clt_psi_check(pair, count, seed)
         llrs = oracles.sample_llr(pair, count, seed, "p")
-        values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / pair.b_n))
+        values = np.sort((llrs - pair.kl) * (math.sqrt(2.0) / gaussian.llr_form(pair).scale))
         cdf = 0.5 * special.erfc(-values / math.sqrt(2.0))
         i = np.arange(1, count + 1)
         ks = np.max(np.maximum(i / count - cdf, cdf - (i - 1) / count))
