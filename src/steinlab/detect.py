@@ -95,36 +95,35 @@ def estimate_beta_is(
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    sums = streams.quadratic_draws(
+    runs = streams.quadratic_draws(
         seed,
         count,
         [gaussian.llr_form(pair)],
-        lambda llrs: _chunk_sums([det], llrs),
+        lambda llrs: _chunk_sums(typicality.memberships([det], llrs), llrs),
     )
-    return _error_estimates(count, np.array(sums)[:, :, 0])
+    return _error_estimates(count, np.concatenate(runs)[:, 0])
 
 
-def _chunk_sums(dets: Sequence, llrs: np.ndarray) -> np.ndarray:
-    """One chunk's reduction for the detector dets[i] on the LLR values in
-    row i of `llrs`, drawn under p: rows (accepted count, top, sum w,
-    sum w^2) over its accepted draws, each with a column per detector.
-    Here top is the largest accepted -LLR (0 where no draw is accepted)
-    and w = e^{-LLR - top}, so every w is at most 1.  A column depends on
-    its own row alone.
+def _chunk_sums(accepted: np.ndarray, llrs: np.ndarray) -> np.ndarray:
+    """The reduction over the last axis of LLR values `llrs`, drawn under
+    p, and the mask of the draws a detector `accepted` (broadcast against
+    `llrs`): (accepted count, top, sum w, sum w^2) stacked on a new last
+    axis.  Here top is the largest accepted -LLR (0 where no draw is
+    accepted) and w = e^{-LLR - top}, so every w is at most 1.  Each
+    entry depends on its own row of the last axis alone.
     """
-    accepted = np.array([det.contains(row) for det, row in zip(dets, llrs)])
     log_weights = np.where(accepted, -llrs, NEG_INF)
-    top = np.max(log_weights, axis=1)
+    top = np.max(log_weights, axis=-1)
     top[top == NEG_INF] = 0.0
-    weights = np.exp(log_weights - top[:, None])
-    sum_w = np.sum(weights, axis=1)
-    sum_sq = np.sum(np.square(weights, out=weights), axis=1)
-    return np.array([np.count_nonzero(accepted, axis=1), top, sum_w, sum_sq])
+    weights = np.exp(log_weights - top[..., None])
+    sum_w = np.sum(weights, axis=-1)
+    sum_sq = np.sum(np.square(weights, out=weights), axis=-1)
+    return np.stack([np.count_nonzero(accepted, axis=-1), top, sum_w, sum_sq], axis=-1)
 
 
 def _error_estimates(count: int, sums: np.ndarray) -> ErrorEstimates:
-    """Combine one detector's `_chunk_sums` columns, one row per chunk of
-    the `count` draws, into its alpha and IS beta.  Rescaled from each
+    """Combine one detector's `_chunk_sums`, one row per chunk of the
+    `count` draws, into its alpha and IS beta.  Rescaled from each
     chunk's top to the largest, T, the sums give S1 = sum w and S2 = sum
     w^2 over all draws with w = e^{-LLR - T}, both in [1, count]."""
     accepted = int(np.sum(sums[:, 0]))
@@ -263,9 +262,10 @@ def gcsl_experiment(
     every n reads the leading n coordinates of the same `count` evaluation
     samples, drawn at the largest n, and both of its detectors are scored
     on them.  A row is thus the same whatever the other n in `ns`, and
-    equals `estimate_beta_is` at that n and seed.  Each chunk is reduced
-    in its worker to each detector's `_chunk_sums`, so the pass holds a
-    few numbers per chunk rather than a value per sample and n.
+    equals `estimate_beta_is` at that n and seed.  Each run of chunks is
+    reduced in its worker by one `_chunk_sums` call for both detectors at
+    every n, so the pass holds a few numbers per chunk rather than a value
+    per sample and n.
     """
     if not 0.0 < tau < 0.5:
         raise ValueError(f"tau must lie in (0, 1/2), got {tau}")
@@ -280,18 +280,21 @@ def gcsl_experiment(
 
     exact = [_exact_terms(cov_p, cov_q, n, tau) for n in ns]
     kls, windows, np_dets, ts_dets = zip(*exact)
-    sums = streams.quadratic_draws(
+    runs = streams.quadratic_draws(
         streams.derive_seed(seed, EVALUATION_STREAM),
         count,
         [ts.form for ts in ts_dets],
-        lambda llrs: np.array([_chunk_sums(dets, llrs) for dets in (np_dets, ts_dets)]),
+        lambda llrs: _chunk_sums(
+            np.stack([typicality.memberships(dets, llrs) for dets in (np_dets, ts_dets)], axis=1),
+            llrs[:, None],
+        ),
     )
-    # Axes: chunk, detector (threshold, typical set), sum, n.
-    sums = np.array(sums)
+    # Axes: chunk, detector (threshold, typical set), n, sum.
+    sums = np.concatenate(runs)
     rows = []
     for i, (n, kl, window) in enumerate(zip(ns, kls, windows)):
-        est_np = _error_estimates(count, sums[:, 0, :, i])
-        est_ts = _error_estimates(count, sums[:, 1, :, i])
+        est_np = _error_estimates(count, sums[:, 0, i])
+        est_ts = _error_estimates(count, sums[:, 1, i])
         margin = 3.0 * est_np.stderr_beta_log
         in_window = window.exp_lower - margin <= est_np.beta_log <= window.exp_upper + margin
         rows.append(

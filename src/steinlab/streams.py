@@ -16,22 +16,27 @@ are likewise the same whatever `count` is.
 
 `quadratic_draws` is the one Monte Carlo kernel.  Every statistic a study
 reads is a `qform.QuadraticForm`, offset + sum_j coef[j] z_j^2; the kernel
-draws each chunk once, squares it, takes every form's values from its
-leading rows, one matrix-vector product per form, and hands them to the
-study's reducer.  Chunks hold `CHUNK_SIZE` = 256 samples, so a chunk of a
-study at n = 384 is 768 KB.  The reducer runs in the worker that drew the
-chunk and returns the few numbers the study reads of it (a count, a
-maximum, sums); the study combines those in chunk order.  Only the draws of the
-chunks in flight are held, one block per worker, never a value per sample
-and n.  Reducers run in worker threads, so they must call no function that
-the benchmark's tracer (`bench/tracer.py`) wraps: its span stack is not
-thread-safe.
+draws each chunk once, squares it, and takes every form's values from its
+leading rows, one matrix-vector product per form.  Chunks hold
+`CHUNK_SIZE` = 256 samples, so a chunk of a study at n = 384 is 768 KB.
+A worker takes a run of up to `RUN_CHUNKS` consecutive chunks of one size
+(a partial last chunk is a run of its own), writes their values into one
+(chunks, forms, size) stack and hands that to the study's reducer once:
+the reducer reduces the last axis in a few vectorised calls and returns
+the few numbers the study reads of each chunk (a count, a maximum, sums),
+one row per chunk, which the study combines in chunk order.  A worker
+holds one chunk's draws and its run's stack, never a value per sample
+and n.  Reducers run in worker threads, so they must call no function
+that the benchmark's tracer (`bench/tracer.py`) wraps: its span stack is
+not thread-safe.
 
 The values match those of the chunks defined above, reduced the same way
 one chunk at a time, bit for bit as long as BLAS sums each entry of a
 matrix-vector product in the same order whatever its thread count; that
-was verified on x86-64 with OpenBLAS 0.3.31 at 1-4 BLAS threads and 1-3
-workers, not in general.
+was verified on x86-64 with numpy 2.4 and OpenBLAS 0.3.31 at 1-4 BLAS
+threads and 1-3 workers, not in general.  A reducer that reduces along
+the last axis gets the bits of the same reduction of each chunk alone,
+whatever the run length.
 
 A study finishes all of its LAPACK work (factors, eigensolves) before its
 draws.  After a LAPACK call, OpenBLAS's own threads keep spinning for a
@@ -52,6 +57,8 @@ import numpy.random
 from .qform import QuadraticForm
 
 CHUNK_SIZE = 256
+# The most consecutive chunks a worker draws and reduces in one task.
+RUN_CHUNKS = 8
 
 Reduced = TypeVar("Reduced")
 
@@ -73,15 +80,14 @@ def derive_seed(seed: int, *key: int) -> int:
     return int(state[0])
 
 
-def chunk_sizes(count: int) -> Iterator[tuple[int, int]]:
-    """Yield (chunk_index, size) covering `count` samples."""
-    index = 0
-    remaining = count
-    while remaining > 0:
-        size = min(CHUNK_SIZE, remaining)
-        yield index, size
-        index += 1
-        remaining -= size
+def chunk_runs(count: int) -> Iterator[tuple[int, int, int]]:
+    """Yield (first chunk index, chunks, size) covering `count` samples: runs
+    of up to `RUN_CHUNKS` full chunks, then a partial last chunk alone."""
+    full, tail = divmod(count, CHUNK_SIZE)
+    for first in range(0, full, RUN_CHUNKS):
+        yield first, min(RUN_CHUNKS, full - first), CHUNK_SIZE
+    if tail:
+        yield full, 1, tail
 
 
 def _chunk_normals(seed: int, index: int, size: int, dim: int) -> np.ndarray:
@@ -105,26 +111,30 @@ def quadratic_draws(
     forms: Sequence[QuadraticForm],
     reduce: Callable[[np.ndarray], Reduced],
 ) -> list[Reduced]:
-    """`reduce(values)` for each chunk of `count` samples, in chunk order.
+    """`reduce(values)` for each run of chunks of `count` samples, in chunk
+    order (`chunk_runs`).
 
-    `values` is a (len(forms), size) array whose row i holds form i,
-    offset_i + sum_j coef_i[j] z_j^2, over the columns z of the chunk's
-    normals at dim, the largest coef size: each form reads the leading
-    coordinates of the same samples.  Chunks are drawn and reduced on
-    every usable core; every worker's exception is raised here, and the
-    workers have ended when this returns.
+    `values` is a (chunks, len(forms), size) array: entry [k, i] holds form
+    i, offset_i + sum_j coef_i[j] z_j^2, over the columns z of chunk k's
+    normals at dim, the largest coef size, so each form reads the leading
+    coordinates of the same samples; `reduce` returns one row per chunk.
+    Runs are drawn and reduced on every usable core; every worker's
+    exception is raised here, and the workers have ended when this returns.
     """
     dim = max(form.coef.size for form in forms)
+    offsets = np.array([form.offset for form in forms])[:, None]
 
-    def chunk(item: tuple[int, int]) -> Reduced:
-        index, size = item
-        z = _chunk_normals(seed, index, size, dim)
-        np.square(z, out=z)
-        values = np.empty((len(forms), size))
-        for row, form in zip(values, forms):
-            np.matmul(form.coef, z[: form.coef.size], out=row)
-            row += form.offset
+    def run(item: tuple[int, int, int]) -> Reduced:
+        first, chunks, size = item
+        values = np.empty((chunks, len(forms), size))
+        for index, stack in enumerate(values, first):
+            z = _chunk_normals(seed, index, size, dim)
+            np.square(z, out=z)
+            for row, form in zip(stack, forms):
+                np.matmul(form.coef, z[: form.coef.size], out=row)
+            del z  # so that a worker holds one chunk's draws, not two
+        values += offsets
         return reduce(values)
 
     with ThreadPoolExecutor(_worker_count()) as pool:
-        return list(pool.map(chunk, chunk_sizes(count)))
+        return list(pool.map(run, chunk_runs(count)))

@@ -67,6 +67,14 @@ class TypicalSetSpec:
         return np.abs(stats - self.center) <= self.delta
 
 
+def memberships(sets: Sequence, values: np.ndarray) -> np.ndarray:
+    """Which draws each of `sets` contains, sets[i] on its own form's values
+    values[:, i] in a (chunk, form, sample) run of `streams.quadratic_draws`:
+    a mask of the shape of `values`.  A set is anything with `contains`: a
+    typical set, or a detector that `detect` scores."""
+    return np.stack([s.contains(values[:, i]) for i, s in enumerate(sets)], axis=1)
+
+
 @dataclass(frozen=True)
 class MonteCarloProbability:
     estimate: float
@@ -79,19 +87,20 @@ def mc_typical_probs(
     """For each set, the fraction of `count` samples from p that land in
     it, with its binomial standard error, from one `streams.quadratic_draws`
     call: every set reads the leading coordinates of the same `count`
-    samples, so its estimate does not depend on the other sets.  Each
-    chunk is reduced in its worker to the count inside each set.
+    samples, so its estimate does not depend on the other sets.  Each run
+    of chunks is reduced in its worker to the count inside each set, one
+    row per chunk, by one count over all the sets.
     """
     if count < 1000:
         raise ValueError(f"count must be >= 1000, got {count}")
-    inside = streams.quadratic_draws(
+    runs = streams.quadratic_draws(
         seed,
         count,
         [spec.form for spec in specs],
-        lambda stats: [np.count_nonzero(spec.contains(row)) for spec, row in zip(specs, stats)],
+        lambda stats: np.count_nonzero(memberships(specs, stats), axis=-1),
     )
     results = []
-    for hits in np.sum(inside, axis=0):
+    for hits in np.sum(np.concatenate(runs), axis=0):
         estimate = int(hits) / count
         stderr = math.sqrt(max(estimate * (1.0 - estimate), 0.0) / count)
         results.append(MonteCarloProbability(estimate=estimate, stderr=stderr))

@@ -24,12 +24,14 @@ def standard_normal_chunks(seed: int, count: int, dim: int) -> Iterator[np.ndarr
     """Yield (dim, size) blocks of iid standard normals, one column per sample.
 
     Chunk c holds samples c CHUNK_SIZE onwards: the leading `size` columns of
-    `chunk_rng(seed, c).standard_normal((dim, CHUNK_SIZE))`, made contiguous,
+    a (dim, CHUNK_SIZE) block of standard normals drawn by a PCG64 generator
+    seeded with SeedSequence(entropy=seed, spawn_key=(c,)), made contiguous,
     where `size` is CHUNK_SIZE but for a last, partial chunk.
     """
     for index, start in enumerate(range(0, count, streams.CHUNK_SIZE)):
         size = min(streams.CHUNK_SIZE, count - start)
-        block = streams.chunk_rng(seed, index).standard_normal((dim, streams.CHUNK_SIZE))
+        bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        block = np.random.Generator(bits).standard_normal((dim, streams.CHUNK_SIZE))
         yield np.ascontiguousarray(block[:, :size])
 
 
@@ -42,7 +44,7 @@ def sample_llr(
     form = gaussian.llr_form(pair)
     if under == "q":
         form = qform.QuadraticForm(form.coef / pair.kappas, form.offset)
-    return np.concatenate(streams.quadratic_draws(seed, count, [form], lambda v: v[0]))
+    return np.concatenate(streams.quadratic_draws(seed, count, [form], lambda v: v[:, 0].ravel()))
 
 
 def np_calibrate(

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,19 +7,22 @@ import threading
 import numpy as np
 import pytest
 
-from steinlab import qform, streams
+from steinlab import detect, gaussian, qform, streams, typicality
 
 import oracles
 
 
-def test_chunk_sizes_cover_count():
-    assert list(streams.chunk_sizes(1)) == [(0, 1)]
-    assert list(streams.chunk_sizes(streams.CHUNK_SIZE)) == [(0, streams.CHUNK_SIZE)]
-    assert list(streams.chunk_sizes(streams.CHUNK_SIZE * 2 + 7)) == [
-        (0, streams.CHUNK_SIZE),
-        (1, streams.CHUNK_SIZE),
-        (2, 7),
+def test_chunk_runs_cover_count():
+    size, runs = streams.CHUNK_SIZE, streams.RUN_CHUNKS
+    assert list(streams.chunk_runs(1)) == [(0, 1, 1)]
+    assert list(streams.chunk_runs(size)) == [(0, 1, size)]
+    # Full chunks in runs of RUN_CHUNKS, then the partial last chunk alone.
+    assert list(streams.chunk_runs(size * (runs + 2) + 7)) == [
+        (0, runs, size),
+        (runs, 2, size),
+        (runs + 2, 1, 7),
     ]
+    assert list(streams.chunk_runs(size * runs)) == [(0, runs, size)]
 
 
 def _samples(seed, count, dim):
@@ -56,6 +60,17 @@ def test_chunks_are_coordinate_major():
     assert np.array_equal(block, full[:, :10])
 
 
+# SHA-256 of the bytes of chunk 0 of seed 0 at dimension 4: a generator
+# that changes, by its algorithm or by numpy's normal sampler, moves it.
+CHUNK_0_SHA256 = "9d3b9635beafcf1f6e5339c87ff76516338aaf5966ff33ebde7f966b24db124c"
+
+
+def test_chunk_0_of_seed_0_is_pinned():
+    (reference,) = oracles.standard_normal_chunks(0, streams.CHUNK_SIZE, 4)
+    assert hashlib.sha256(reference.tobytes()).hexdigest() == CHUNK_0_SHA256
+    assert np.array_equal(streams._chunk_normals(0, 0, streams.CHUNK_SIZE, 4), reference)
+
+
 def test_chunk_rng_independent_of_iteration_order():
     direct = streams.chunk_rng(5, 2).standard_normal(4)
     again = streams.chunk_rng(5, 2).standard_normal(4)
@@ -86,11 +101,15 @@ def _reference(seed, count, coef):
     return np.concatenate([coef @ (z * z) for z in chunks])
 
 
+def _values(seed, count, forms):
+    # Every form's values from one kernel call, one row per form: the
+    # kernel's runs, one stack of (form, sample) rows per chunk, joined.
+    runs = streams.quadratic_draws(seed, count, forms, lambda v: v)
+    return np.concatenate([chunk for run in runs for chunk in run], axis=1)
+
+
 def _rows(seed, count, coefs):
-    # Every form's values from one kernel call, one row per form.
-    forms = [qform.QuadraticForm(c, 0.0) for c in coefs]
-    chunks = streams.quadratic_draws(seed, count, forms, lambda v: v)
-    return np.concatenate(chunks, axis=1)
+    return _values(seed, count, [qform.QuadraticForm(c, 0.0) for c in coefs])
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -112,22 +131,25 @@ def test_quadratic_draws_add_the_offset():
     coef = np.random.default_rng(5).standard_normal(5)
     count = streams.CHUNK_SIZE + 9
     forms = [qform.QuadraticForm(coef[:2], 1.5), qform.QuadraticForm(coef, -2.75)]
-    (alone,) = np.concatenate(streams.quadratic_draws(4, count, forms[1:], lambda v: v), axis=1)
+    (alone,) = _values(4, count, forms[1:])
     assert np.array_equal(alone, _reference(4, count, coef) + -2.75)
-    rows = np.concatenate(streams.quadratic_draws(4, count, forms, lambda v: v), axis=1)
+    rows = _values(4, count, forms)
     assert np.array_equal(rows[0], _reference(4, count, coef[:2]) + 1.5)
     assert np.array_equal(rows[1], alone)
 
 
-def test_quadratic_draws_reduce_each_chunk_in_order():
+def test_quadratic_draws_reduce_runs_of_equal_chunks_in_order():
+    # Each run of chunks of one size comes to the reducer as one stack, and
+    # a reduction along its last axis gives each chunk's bits alone.
     coef = np.random.default_rng(6).standard_normal(4)
-    count = 3 * streams.CHUNK_SIZE + 5
+    count = (streams.RUN_CHUNKS + 2) * streams.CHUNK_SIZE + 5
     form = qform.QuadraticForm(coef, 0.0)
-    got = streams.quadratic_draws(9, count, [form], lambda v: (v.shape, float(v.sum())))
+    got = streams.quadratic_draws(9, count, [form], lambda v: (v.shape, v.sum(axis=-1)[:, 0]))
     values = _reference(9, count, coef)
     parts = np.split(values, range(streams.CHUNK_SIZE, count, streams.CHUNK_SIZE))
-    expected = [((1, part.size), float(part.sum())) for part in parts]
-    assert got == expected
+    sizes = [(streams.RUN_CHUNKS, 1, streams.CHUNK_SIZE), (2, 1, streams.CHUNK_SIZE), (1, 1, 5)]
+    assert [shape for shape, _ in got] == sizes
+    assert np.array_equal(np.concatenate([sums for _, sums in got]), [p.sum() for p in parts])
 
 
 @pytest.mark.parametrize("dim", [384, 1000])
@@ -146,13 +168,13 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
 _ONE_BLAS_THREAD_SCRIPT = """
 import numpy as np
 import oracles
-from steinlab import qform, streams
+from steinlab import detect, gaussian, qform, streams, typicality
 for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
     expected = [coef @ (z * z) for z in oracles.standard_normal_chunks(11, count, dim)]
     form = qform.QuadraticForm(coef, 0.0)
-    got = np.concatenate(streams.quadratic_draws(11, count, [form], lambda v: v[0]))
+    got = np.concatenate(streams.quadratic_draws(11, count, [form], lambda v: v[:, 0].ravel()))
     assert np.array_equal(got, np.concatenate(expected))
     print(got.tobytes().hex())
 """
@@ -216,3 +238,34 @@ def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
         sys.setswitchinterval(interval)
     assert len(got) == 1
     assert np.array_equal(got[0], _reference(8, count, coef))
+
+
+@pytest.mark.parametrize("tail", [1, 100])
+def test_studies_independent_of_run_length_and_workers(monkeypatch, tail):
+    # 19 full chunks make runs of 8, 8 and 3 at the default run length,
+    # then a last chunk of `tail` samples; the kernel's values and the
+    # studies' estimates are the same bits at every run length and worker
+    # count.
+    count = 19 * streams.CHUNK_SIZE + tail
+    kappas = np.linspace(2.5, 0.4, 24)
+    pair = oracles.diagonal_pair(kappas)
+    form = gaussian.llr_form(pair)
+    short = gaussian.llr_form(oracles.diagonal_pair(kappas[:10]))
+    specs = [typicality.TypicalSetSpec(f, typicality.good_delta(f, 0.2)) for f in (form, short)]
+    dets = [detect.NpThreshold(pair.kl), specs[0]]
+
+    def outputs():
+        return (
+            _values(3, count, [form, short]).tobytes(),
+            [detect.estimate_beta_is(det, pair, count, 3) for det in dets],
+            typicality.mc_typical_probs(specs, count, 3),
+        )
+
+    results = []
+    for run_chunks in (1, 8):
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(streams, "RUN_CHUNKS", run_chunks)
+            monkeypatch.setattr(streams, "_worker_count", lambda: workers)
+            results.append(outputs())
+    assert all(result == results[0] for result in results[1:])
+    assert results[0][1][0].alpha_hat > 0.0 and results[0][2][0].estimate < 1.0
