@@ -1,9 +1,11 @@
 """Deterministic chunked random streams.
 
 Monte Carlo routines draw their randomness through fixed-size chunks, one
-independent generator per chunk (stream id = chunk index).  The output for a
-given (seed, count) is therefore byte-identical regardless of how chunks are
-scheduled across workers.
+independent generator per chunk: numpy's SFC64, seeded by
+SeedSequence(entropy=seed, spawn_key=(chunk index,)).  The output for a
+given (seed, count) is therefore byte-identical regardless of how chunks
+are scheduled across workers.  SFC64 draws a normal about a fifth faster
+than numpy's default PCG64.
 
 A chunk is coordinate-major: chunk c of a stream of dimension `dim` is
 `chunk_rng(seed, c).standard_normal((dim, CHUNK_SIZE))`, one column per
@@ -64,9 +66,9 @@ Reduced = TypeVar("Reduced")
 
 
 def chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    """Generator for one chunk, derived from (seed, chunk index)."""
-    return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,))
+    """Generator for one chunk: SFC64 seeded by (seed, chunk index)."""
+    return np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(chunk_index,)))
     )
 
 
@@ -127,10 +129,10 @@ def quadratic_draws(
     def run(item: tuple[int, int, int]) -> Reduced:
         first, chunks, size = item
         values = np.empty((chunks, len(forms), size))
-        for index, stack in enumerate(values, first):
+        for index, chunk in enumerate(values, first):
             z = _chunk_normals(seed, index, size, dim)
             np.square(z, out=z)
-            for row, form in zip(stack, forms):
+            for row, form in zip(chunk, forms):
                 np.matmul(form.coef, z[: form.coef.size], out=row)
             del z  # so that a worker holds one chunk's draws, not two
         values += offsets

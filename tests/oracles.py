@@ -24,13 +24,13 @@ def standard_normal_chunks(seed: int, count: int, dim: int) -> Iterator[np.ndarr
     """Yield (dim, size) blocks of iid standard normals, one column per sample.
 
     Chunk c holds samples c CHUNK_SIZE onwards: the leading `size` columns of
-    a (dim, CHUNK_SIZE) block of standard normals drawn by a PCG64 generator
+    a (dim, CHUNK_SIZE) block of standard normals drawn by an SFC64 generator
     seeded with SeedSequence(entropy=seed, spawn_key=(c,)), made contiguous,
     where `size` is CHUNK_SIZE but for a last, partial chunk.
     """
     for index, start in enumerate(range(0, count, streams.CHUNK_SIZE)):
         size = min(streams.CHUNK_SIZE, count - start)
-        bits = np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        bits = np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
         block = np.random.Generator(bits).standard_normal((dim, streams.CHUNK_SIZE))
         yield np.ascontiguousarray(block[:, :size])
 

@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from steinlab import cli, detect, gaussian, numlin, qform, spectral, streams, typicality, units
+from steinlab import cli, detect, gaussian, numlin, spectral, streams, typicality, units
 
 
 # One small run of each study, as CI's console-script step runs them.
@@ -361,36 +361,38 @@ class TestDetectCommand:
 # Output of the three runs below.  `detect` prints eight columns after
 # `in_window`; the first seven are compared as printed.  The Monte Carlo
 # columns (`np_beta_log`, `ts_beta_log`, `p_hat`, `stderr`) and the
-# `detect` summary's slope were last re-recorded when every n of a sweep
-# came to read the leading coordinates of one coordinate-major stream,
-# drawn once at the largest n; the exact columns did not move.  Earlier,
-# `detect`'s `np_beta_log` and summary moved when its threshold became
-# exact (`detect.np_threshold_exact`), and the `entropy` run's config_hash
+# `detect` summary's slope and rel_err were last re-recorded when the
+# chunk generator became SFC64; the exact columns did not move, and
+# `TestStreamChange` holds the PCG64 values they replaced.  Earlier, they
+# moved when every n of a sweep came to read the leading coordinates of
+# one coordinate-major stream, drawn once at the largest n, and
+# `detect`'s `np_beta_log` and summary when its threshold became exact
+# (`detect.np_threshold_exact`); the `entropy` run's config_hash moved
 # when that variant stopped taking `cov_q`.
 GOLDEN_DETECT = """\
 # command=detect config_hash=8e3aa35ecf40 seed=9 unit=nats
-# summary: slope=0.12189330319 C_s=0.143841036226 rel_err=0.152583251707
+# summary: slope=0.121467585039 C_s=0.143841036226 rel_err=0.155542894948
 n,D,lower,upper,np_beta_log,ts_beta_log,in_window
-32,4.459072123,0.361668525143,9.06730134463,3.97899005437,2.8121010917,true
-64,9.06198528223,3.20473535825,15.43006083,7.80929784273,6.09665186681,true
-96,13.6648984415,6.46586815257,21.3747543541,11.7801614585,9.61716448076,true
+32,4.459072123,0.361668525143,9.06730134463,4.01140429089,2.8421121907,true
+64,9.06198528223,3.20473535825,15.43006083,7.8245849178,6.14802297015,true
+96,13.6648984415,6.46586815257,21.3747543541,11.7853297334,9.62104670772,true
 """
 GOLDEN_TYPICAL = {
     "rel_entropy": """\
 # command=typical config_hash=543815e0ae62 seed=9 unit=nats
 # summary: variant=rel_entropy eps=0.05 delta_factor=1.1
 n,B_n,delta_min,p_hat,stderr,pass
-16,3.12694383992,4.33364342627,0.9628,0.00189251578593,true
-64,6.46357314322,8.95789073815,0.9658,0.00181742565185,true
-100,8.1103500404,11.2401651378,0.965,0.00183779759495,true
+16,3.12694383992,4.33364342627,0.9634,0.00187777634451,true
+64,6.46357314322,8.95789073815,0.9666,0.00179678713263,true
+100,8.1103500404,11.2401651378,0.969,0.00173317627494,true
 """,
     "entropy": """\
 # command=typical config_hash=4bada8fb4a03 seed=9 unit=nats
 # summary: variant=entropy eps=0.05 delta_factor=1.1
 n,B_n,delta_min,p_hat,stderr,pass
-16,4,5.5436152974,0.9676,0.00177059989834,true
-64,8,11.0872305948,0.973,0.00162083311911,true
-100,10,13.8590382435,0.9703,0.00169758387127,true
+16,4,5.5436152974,0.967,0.00178636502429,true
+64,8,11.0872305948,0.9718,0.00165543831054,true
+100,10,13.8590382435,0.9699,0.00170862488569,true
 """,
 }
 DETECT_ADDED = [
@@ -576,6 +578,35 @@ class TestSweepsMatchSingleRuns:
         assert rows[0] == rows[1]
 
 
+def exact_coverages(config):
+    """The exact p-probability of each typical set `run_typical(config)`
+    measures: P(|offset + Q - center| <= delta), Q = sum coef z^2."""
+    cov_p = cli.covariance_from_spec(config["cov_p"])
+    eps, factor = config["eps"], config["delta_factor"]
+    if config["variant"] == "entropy":
+        forms = gaussian.surprisal_forms(cov_p, config["ns"])
+    else:
+        cov_q = cli.covariance_from_spec(config["cov_q"])
+        forms = [
+            gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n)) for n in config["ns"]
+        ]
+    coverages = []
+    for form in forms:
+        delta = factor * typicality.good_delta(form, eps)
+        center = typicality.TypicalSetSpec(form, delta).center
+        upper, _ = form.cdf(center + delta)
+        lower, _ = form.cdf(center - delta)
+        coverages.append(upper - lower)
+    return coverages
+
+
+def typical_config(variant, **changes):
+    config = dict(cli.DEFAULTS["typical"], variant=variant, **changes)
+    if variant == "entropy":
+        del config["cov_q"]
+    return config
+
+
 class TestMonteCarloWithinTolerance:
     """The sweep's common stream must leave every estimate unbiased: at a
     fixed seed and the default 100k samples, each Monte Carlo column lies
@@ -585,28 +616,11 @@ class TestMonteCarloWithinTolerance:
 
     @pytest.mark.parametrize("variant", ["rel_entropy", "entropy"])
     def test_typical_p_hat_is_the_exact_coverage(self, variant):
-        config = dict(cli.DEFAULTS["typical"], seed=self.SEED, variant=variant)
-        cov_p = cli.covariance_from_spec(config["cov_p"])
-        eps, factor = config["eps"], config["delta_factor"]
-        if variant == "entropy":
-            del config["cov_q"]
-            forms = gaussian.surprisal_forms(cov_p, config["ns"])
-        else:
-            cov_q = cli.covariance_from_spec(config["cov_q"])
-            forms = [
-                gaussian.llr_form(gaussian.whiten_toeplitz(cov_p, cov_q, n))
-                for n in config["ns"]
-            ]
-        deltas = [factor * typicality.good_delta(form, eps) for form in forms]
-        specs = [typicality.TypicalSetSpec(form, delta) for form, delta in zip(forms, deltas)]
+        config = typical_config(variant, seed=self.SEED)
         _, rows = cli.run_typical(config)
-        for row, n, spec in zip(rows, config["ns"], specs):
-            # P(|offset + Q - center| <= delta), Q = sum coef z^2.
-            edge = spec.center - spec.form.offset
-            upper, _ = qform.quadratic_form_cdf(spec.form.coef, edge + spec.delta)
-            lower, _ = qform.quadratic_form_cdf(spec.form.coef, edge - spec.delta)
+        for row, n, exact in zip(rows, config["ns"], exact_coverages(config)):
             assert row["n"] == n
-            assert abs(row["p_hat"] - (upper - lower)) <= 4.0 * row["stderr"], row
+            assert abs(row["p_hat"] - exact) <= 4.0 * row["stderr"], row
 
     def test_detect_np_alpha_is_tau(self):
         config = dict(cli.DEFAULTS["detect"], seed=self.SEED)
@@ -616,6 +630,88 @@ class TestMonteCarloWithinTolerance:
         assert len(rows) == len(config["ns"])
         for row in rows:
             assert abs(row["np_alpha"] - tau) <= 4.0 * stderr, row
+
+
+class TestStreamChange:
+    """The golden runs' Monte Carlo values under the PCG64 chunk generator,
+    which SFC64 replaced, each with its standard error.  The two streams
+    are independent estimates of one quantity, so each value of the golden
+    runs now lies within 3 sqrt(se_old^2 + se_new^2) of its PCG64 value;
+    and either stream's values lie within 3 standard errors of the exact
+    coverage and level."""
+
+    # The `detect` golden run: per n = 32, 64, 96, (value, stderr) of
+    # -ln(beta) and the type-I error of each detector, and the slope.
+    PCG64_DETECT = {
+        "np_beta_log": [
+            (3.97899005437, 0.0171250618966),
+            (7.80929784273, 0.0222869949883),
+            (11.7801614585, 0.0261825644865),
+        ],
+        "ts_beta_log": [
+            (2.8121010917, 0.0199135490053),
+            (6.09665186681, 0.0269966335715),
+            (9.61716448076, 0.0310171195832),
+        ],
+        "np_alpha": [0.2048, 0.1994, 0.2007],
+        "ts_alpha": [0.1795, 0.1894, 0.1918],
+    }
+    PCG64_SLOPE = 0.12189330319
+    # The `typical` golden runs: (p_hat, stderr) per n = 16, 64, 100.
+    PCG64_TYPICAL = {
+        "rel_entropy": [(0.9628, 0.00189251578593), (0.9658, 0.00181742565185), (0.965, 0.00183779759495)],
+        "entropy": [(0.9676, 0.00177059989834), (0.973, 0.00162083311911), (0.9703, 0.00169758387127)],
+    }
+    COUNT = 10_000
+    DETECT = dict(cli.DEFAULTS["detect"], ns=[32, 64, 96], samples=COUNT, seed=9)
+
+    @staticmethod
+    def close(old, new):
+        (value_old, se_old), (value_new, se_new) = old, new
+        return abs(value_new - value_old) <= 3.0 * math.hypot(se_old, se_new)
+
+    @classmethod
+    def alpha(cls, value):
+        return value, math.sqrt(value * (1.0 - value) / cls.COUNT)
+
+    @staticmethod
+    def slope_stderr(ns, stderrs):
+        # The slope is sum_i w_i y_i with w_i = (n_i - mean n) / sum (n - mean n)^2,
+        # whose standard deviation is at most sum_i |w_i| se_i, however the
+        # common random numbers correlate the y_i.
+        centred = [n - sum(ns) / len(ns) for n in ns]
+        return sum(abs(c) * se for c, se in zip(centred, stderrs)) / sum(c * c for c in centred)
+
+    def test_detect(self):
+        summary, rows = cli.run_detect(self.DETECT)
+        for i, row in enumerate(rows):
+            for kind in ("np", "ts"):
+                old = self.PCG64_DETECT[f"{kind}_beta_log"][i]
+                assert self.close(old, (row[f"{kind}_beta_log"], row[f"{kind}_beta_stderr"])), row
+                old = self.alpha(self.PCG64_DETECT[f"{kind}_alpha"][i])
+                assert self.close(old, self.alpha(row[f"{kind}_alpha"])), row
+        ns = self.DETECT["ns"]
+        se_old = self.slope_stderr(ns, [se for _, se in self.PCG64_DETECT["np_beta_log"]])
+        se_new = self.slope_stderr(ns, [row["np_beta_stderr"] for row in rows])
+        assert self.close((self.PCG64_SLOPE, se_old), (summary["slope"], se_new)), summary
+
+    @pytest.mark.parametrize("variant", ["rel_entropy", "entropy"])
+    def test_typical(self, variant):
+        config = typical_config(variant, ns=[16, 64, 100], samples=self.COUNT, seed=9)
+        _, rows = cli.run_typical(config)
+        new = [(row["p_hat"], row["stderr"]) for row in rows]
+        old = self.PCG64_TYPICAL[variant]
+        assert all(self.close(a, b) for a, b in zip(old, new)), (old, new)
+        # Each stream's p_hat is the exact coverage within 3 stderr.
+        for values in (old, new):
+            for (p_hat, stderr), exact in zip(values, exact_coverages(config)):
+                assert abs(p_hat - exact) <= 3.0 * stderr, (variant, p_hat, exact)
+
+    def test_np_alpha_is_tau(self):
+        _, rows = cli.run_detect(self.DETECT)
+        _, stderr = self.alpha(self.DETECT["tau"])
+        for alpha in self.PCG64_DETECT["np_alpha"] + [row["np_alpha"] for row in rows]:
+            assert abs(alpha - self.DETECT["tau"]) <= 3.0 * stderr, alpha
 
 
 class TestPlumbing:

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from steinlab import detect, gaussian, qform, streams, typicality
+from steinlab import detect, gaussian, qform, spectral, streams, typicality
 
 import oracles
 
@@ -60,14 +60,15 @@ def test_chunks_are_coordinate_major():
     assert np.array_equal(block, full[:, :10])
 
 
-# SHA-256 of the bytes of chunk 0 of seed 0 at dimension 4: a generator
-# that changes, by its algorithm or by numpy's normal sampler, moves it.
-CHUNK_0_SHA256 = "9d3b9635beafcf1f6e5339c87ff76516338aaf5966ff33ebde7f966b24db124c"
+# SHA-256 of chunk 0 of seed 0 at dimension 4, as little-endian doubles: a
+# generator that changes, by its algorithm or by numpy's normal sampler,
+# moves it.
+CHUNK_0_SHA256 = "414456821f3a9659e9f38fd4cca1ad729f78985488102077e15340d1b8f5eeab"
 
 
 def test_chunk_0_of_seed_0_is_pinned():
     (reference,) = oracles.standard_normal_chunks(0, streams.CHUNK_SIZE, 4)
-    assert hashlib.sha256(reference.tobytes()).hexdigest() == CHUNK_0_SHA256
+    assert hashlib.sha256(reference.astype("<f8").tobytes()).hexdigest() == CHUNK_0_SHA256
     assert np.array_equal(streams._chunk_normals(0, 0, streams.CHUNK_SIZE, 4), reference)
 
 
@@ -168,7 +169,7 @@ def test_quadratic_chunks_leave_no_one_row_tail(dim):
 _ONE_BLAS_THREAD_SCRIPT = """
 import numpy as np
 import oracles
-from steinlab import detect, gaussian, qform, streams, typicality
+from steinlab import qform, streams
 for dim in (3, 384, 1000):
     coef = np.random.default_rng(dim).standard_normal(dim)
     count = 2 * streams.CHUNK_SIZE + 7
@@ -244,8 +245,8 @@ def test_workers_sharing_the_output_lose_no_write(monkeypatch, dim):
 def test_studies_independent_of_run_length_and_workers(monkeypatch, tail):
     # 19 full chunks make runs of 8, 8 and 3 at the default run length,
     # then a last chunk of `tail` samples; the kernel's values and the
-    # studies' estimates are the same bits at every run length and worker
-    # count.
+    # estimates of `detect` and `typical` are the same bits at every run
+    # length and worker count.
     count = 19 * streams.CHUNK_SIZE + tail
     kappas = np.linspace(2.5, 0.4, 24)
     pair = oracles.diagonal_pair(kappas)
@@ -253,12 +254,15 @@ def test_studies_independent_of_run_length_and_workers(monkeypatch, tail):
     short = gaussian.llr_form(oracles.diagonal_pair(kappas[:10]))
     specs = [typicality.TypicalSetSpec(f, typicality.good_delta(f, 0.2)) for f in (form, short)]
     dets = [detect.NpThreshold(pair.kl), specs[0]]
+    cov_p = spectral.CovarianceSequence.geometric(0.5)
+    cov_q = spectral.CovarianceSequence.white()
 
     def outputs():
         return (
             _values(3, count, [form, short]).tobytes(),
             [detect.estimate_beta_is(det, pair, count, 3) for det in dets],
             typicality.mc_typical_probs(specs, count, 3),
+            detect.gcsl_experiment(cov_p, cov_q, 0.2, [8, 16, 24], count, 3).rows,
         )
 
     results = []
