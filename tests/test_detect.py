@@ -269,19 +269,6 @@ def conditional_reference(coef, x):
         return float(inner * mp.sqrt(2 / mp.pi))
 
 
-def counted_panels(monkeypatch):
-    """Record how many panels each G10/K21 batch of the inversion holds."""
-    calls = []
-    kernel = qform._gk21_panels
-
-    def counted(f, bounds):
-        calls.append(bounds.shape[1])
-        return kernel(f, bounds)
-
-    monkeypatch.setattr(qform, "_gk21_panels", counted)
-    return calls
-
-
 def ar1_pair(rho, n):
     """Geometric(rho) against white noise at dimension n, without an n x n
     matrix: the kappas are the eigenvalues of the AR(1) Toeplitz matrix,
@@ -455,9 +442,11 @@ class TestExactThreshold:
             detect.np_threshold_exact(pair, 1e-9)
         assert len(calls) <= 60
 
-    # Each case needs the adaptive bisection: n=1 of either sign far into
-    # both tails, n=2 with mixed signs (both tails and next to the density's
-    # log singularity at 0), and a level-1e-9 threshold.
+    # Cases where the integrands are far from a plain Gaussian along the
+    # path: n=1 of either sign far into both tails, n=2 with mixed signs in
+    # both tails and next to the density's log singularity at 0 (down to
+    # x = 1e-30, where the density integrand stays O(1) out to u = 70), and
+    # a level-1e-9 threshold.
     @pytest.mark.parametrize(
         "coef, x",
         [
@@ -468,20 +457,18 @@ class TestExactThreshold:
             pytest.param([0.7, -0.3], 12.0, id="n=2-mixed-upper-tail"),
             pytest.param([0.7, -0.3], -6.0, id="n=2-mixed-lower-tail"),
             pytest.param([0.7, -0.3], 1e-3, id="n=2-mixed-near-0"),
+            pytest.param([0.7, -0.3], 1e-10, id="n=2-mixed-at-1e-10"),
+            pytest.param([0.7, -0.3], 1e-30, id="n=2-mixed-at-1e-30"),
         ],
     )
-    def test_refined_cdf_matches_reference(self, monkeypatch, coef, x):
-        calls = counted_panels(monkeypatch)
+    def test_refined_cdf_matches_reference(self, coef, x):
         cdf, _ = qform.quadratic_form_cdf(np.array(coef), x)
-        assert len(calls) > 1
         assert abs(cdf - conditional_reference(coef, x)) < 1e-10
 
-    def test_refined_cdf_at_level_1e_9(self, monkeypatch):
+    def test_refined_cdf_at_level_1e_9(self):
         pair, coef, offset = toeplitz_form(2)
         x = detect.np_threshold_exact(pair, 1e-9).threshold - offset
-        calls = counted_panels(monkeypatch)
         cdf, _ = qform.quadratic_form_cdf(coef, x)
-        assert len(calls) > 1
         reference = conditional_reference(coef, x)
         assert abs(cdf - reference) < 1e-10
         # The inversion's 1e-12 absolute accuracy is 1e-3 relative here.
@@ -493,9 +480,10 @@ class TestExactThreshold:
         monkeypatch.setattr(qform, "_BLOCK_DOUBLES", 1)  # one node per block
         assert qform.quadratic_form_cdf(coef, 1.0) == whole
 
-    def test_refinement_cap_is_a_numerical_failure(self, monkeypatch, capsys):
-        monkeypatch.setattr(qform, "_CDF_SPLITS", 0)
-        with pytest.raises(NumericalFailureError, match="bisections"):
+    def test_halving_cap_is_a_numerical_failure(self, monkeypatch, capsys):
+        # With no halving there are no two sums to compare.
+        monkeypatch.setattr(qform, "_HALVINGS", 0)
+        with pytest.raises(NumericalFailureError, match="0 halvings"):
             qform.quadratic_form_cdf(np.array([0.7, -0.3]), -0.14)
         code = cli.main(["detect", "--n-list", "32,64,96", "--samples", "10000"])
         assert code == 3

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from steinlab import gaussian, numlin, qform, spectral
@@ -123,3 +125,26 @@ class TestQuadraticForm:
         form = qform.QuadraticForm(np.linspace(-0.3, 0.8, 12), -1.5)
         t = form.quantile(p, "quantile")
         assert abs(form.cdf(t)[0] - p) <= qform.CDF_TOL
+
+    # Equal coefficients c of either sign (so both bends of the path): n up
+    # to 300, |c| log-uniform on [0.01, 10], and x = 2 c y at the y whose
+    # gamma probability (lower for c > 0, upper for c < 0) is p, log-uniform
+    # on [1e-12, 1] (p = 1 itself, y = inf, becomes the last double below 1).
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 300),
+        log_c=st.floats(math.log(0.01), math.log(10.0)),
+        positive=st.booleans(),
+        log_p=st.floats(math.log(1e-12), 0.0),
+    )
+    def test_equal_coefficients_give_the_gamma_law(self, n, log_c, positive, log_p):
+        c = math.exp(log_c) if positive else -math.exp(log_c)
+        p = min(math.exp(log_p), 1.0 - np.finfo(float).eps / 2.0)
+        if positive:
+            y = special.gammaincinv(n / 2.0, p)
+            exact = special.gammainc(n / 2.0, y)
+        else:
+            y = special.gammainccinv(n / 2.0, p)
+            exact = special.gammaincc(n / 2.0, y)
+        cdf, _ = qform.quadratic_form_cdf(np.full(n, c), 2.0 * c * y)
+        assert abs(cdf - exact) <= 1e-12
